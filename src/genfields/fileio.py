@@ -106,6 +106,7 @@ def parse_vectors_csv(text: str) -> np.ndarray:
     """Parse CSV rows of equal width into a (rows, dims) float matrix.
 
     A leading ``d0,d1,...`` header row and ``#`` comment lines are skipped.
+    Every cell must be a finite number.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [
@@ -128,6 +129,10 @@ def parse_vectors_csv(text: str) -> np.ndarray:
             data[i] = [float(cell) for cell in row]
         except ValueError as exc:
             raise ValueError(f"vector CSV row {i + 1}: {exc}") from exc
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"vector CSV row {i + 1}, column {j + 1}: non-finite value {data[i, j]}")
     return data
 
 

@@ -21,7 +21,9 @@ Losses:
 The MS-SSIM here is the standard 5-scale variant: 11x11 Gaussian window with
 sigma 1.5, stabilizers C1 = 0.01^2 and C2 = 0.03^2 for unit dynamic range,
 scale weights (0.0448, 0.2856, 0.3001, 0.2363, 0.1333), dyadic downsampling
-by 2x2 mean pooling.  RGB images are scored per channel and averaged.
+by 2x2 mean pooling.  RGB images are scored per channel and averaged.  The
+Gaussian is applied over the valid region only -- output pixels whose whole
+window lies inside the image -- so no border padding is involved.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 __all__ = [
     "EulerAngles",
@@ -57,6 +58,8 @@ SSIM_WINDOW_SIZE = 11
 SSIM_WINDOW_SIGMA = 1.5
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
+# Output rows filtered per block; keeps the filter's temporaries in cache.
+FILTER_BLOCK_ROWS = 64
 
 DEFAULT_ALPHA = 0.84
 DEFAULT_LAMBDAS = (1.0, 0.01, 0.02)
@@ -162,12 +165,35 @@ def _gaussian_window(size: int = SSIM_WINDOW_SIZE, sigma: float = SSIM_WINDOW_SI
     return w / w.sum()
 
 
-def _gfilter_valid(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Separable Gaussian filtering cropped to fully-valid output positions."""
+def _correlate_valid(x: np.ndarray, window: np.ndarray, out: np.ndarray) -> None:
+    """Correlate down axis 0 with a symmetric odd window, valid positions only.
+
+    Taps are summed centre first, then each mirrored pair from the outermost
+    inwards: the order ``ndimage.correlate1d`` uses for symmetric windows, so
+    the result is bitwise equal to that filter followed by a crop.
+    """
     half = window.size // 2
-    out = correlate1d(plane, window, axis=0, mode="nearest")
-    out = correlate1d(out, window, axis=1, mode="nearest")
-    return out[half:-half, half:-half]
+    n = out.shape[0]
+    np.multiply(x[half : half + n], window[half], out=out)
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(x[half - j : half - j + n], x[half + j : half + j + n], out=pair)
+        pair *= window[half - j]
+        out += pair
+
+
+def _gfilter_valid(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Separable Gaussian filtering over the fully valid output positions."""
+    edge = 2 * (window.size // 2)
+    h, w = plane.shape
+    out = np.empty((h - edge, w - edge))
+    for r0 in range(0, out.shape[0], FILTER_BLOCK_ROWS):
+        r1 = min(r0 + FILTER_BLOCK_ROWS, out.shape[0])
+        cols = np.empty((r1 - r0, w))
+        _correlate_valid(plane[r0 : r1 + edge], window, cols)
+        # Transposed views filter along the rows without copying.
+        _correlate_valid(cols.T, window, out[r0:r1].T)
+    return out
 
 
 def _ssim_plane(a: np.ndarray, b: np.ndarray, window: np.ndarray) -> tuple[float, float]:

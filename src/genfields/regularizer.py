@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,11 @@ class ChannelStats:
                 f"mu and sigma must be 1-D vectors of equal length, got "
                 f"{self.mu.shape} and {self.sigma.shape}"
             )
-        if self.epsilon_floor <= 0.0:
-            raise ValueError(f"epsilon_floor must be positive, got {self.epsilon_floor}")
-        if np.any(self.sigma < self.epsilon_floor):
+        if not 0.0 < self.epsilon_floor < math.inf:
+            raise ValueError(f"epsilon_floor must be positive and finite, got {self.epsilon_floor}")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise ValueError("every mu and sigma must be finite")
+        if not np.all(self.sigma >= self.epsilon_floor):
             raise ValueError("every sigma must be at least the epsilon floor")
 
     @property
@@ -169,4 +172,8 @@ def save_stats_csv(stats: ChannelStats, path: str) -> None:
 
 def load_stats_csv(path: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_stats_csv(fh.read(), epsilon_floor)
+        text = fh.read()
+    try:
+        return parse_stats_csv(text, epsilon_floor)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

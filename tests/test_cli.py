@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from genfields.archgraph import serialize_arch, stylegan2_preset
 from genfields.cli import main
-from genfields.fileio import save_vectors_csv, write_ppm
+from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
 from genfields.regularizer import parse_stats_csv
 
 from helpers import make_arch
@@ -299,6 +300,19 @@ def test_analyze_missing_file_exits_1(capsys):
     assert "exist.csv" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("subcommand", ["analyze", "stats"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_vector_cell_exits_1(capsys, tmp_path, subcommand, cell):
+    path = tmp_path / "deltas.csv"
+    path.write_text(f"0.5,1.0,2.0\n1.5,{cell},3.0\n")
+    code, out, err = run(capsys, subcommand, str(path))
+    assert code == 1
+    assert out == ""
+    assert "deltas.csv" in err and "row 2, column 2" in err and cell in err
+    assert "numpy" not in err and "Warning" not in err
+
+
 # ----------------------------------------------------------------- stats ---
 
 def test_stats_two_point(capsys, tmp_path):
@@ -374,6 +388,18 @@ def test_loglik_dimension_mismatch(capsys, stats_and_samples, tmp_path):
     code, _, err = run(capsys, "loglik", str(stats_path), str(sample_path))
     assert code == 1
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("row", ["0,0.0,nan", "0,nan,1.0", "0,inf,1.0"])
+def test_loglik_non_finite_stats_exits_1(capsys, tmp_path, row):
+    stats_path = tmp_path / "bad_stats.csv"
+    stats_path.write_text(f"dim,mu,sigma\n{row}\n1,0.5,1.0\n")
+    sample_path = tmp_path / "sample.csv"
+    save_vectors_csv(str(sample_path), np.array([0.1, 0.2]))
+    code, out, err = run(capsys, "loglik", str(stats_path), str(sample_path))
+    assert code == 1
+    assert out == ""
+    assert "bad_stats.csv" in err and "finite" in err
 
 
 # ---------------------------------------------------------------- losses ---
@@ -468,6 +494,32 @@ def test_module_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "fields" in proc.stdout and "verify" in proc.stdout
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy costs ~0.4 s of start-up; keep it off the import path of every command.
+    a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    rng = np.random.default_rng(13)
+    write_pgm(str(a), rng.uniform(size=(16, 16)))
+    write_pgm(str(b), rng.uniform(size=(16, 16)))
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from genfields.cli import main
+        codes = [
+            main(["losses", "--attr-image", sys.argv[1], "--out-image", sys.argv[2],
+                  "--same-inputs", "--scales", "1"]),
+            main(["fields", "--preset", "stylegan2-256"]),
+        ]
+        loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
+        print("RESULT", codes, loaded)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(a), str(b)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "reconstruction_loss = " in proc.stdout and "conv12" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0] []"
 
 
 def test_version_flag():

@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from genfields import __version__
+from genfields.cli import main
+from genfields.fileio import write_ppm
 from genfields.losses import (
     EulerAngles,
     SSIM_C1,
+    _gaussian_window,
+    _gfilter_valid,
     attr_loss,
     as_landmarks,
     eval_metrics,
@@ -193,6 +198,60 @@ def test_ms_ssim_range_validation():
     bad = np.full((176, 176), 1.5)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ms_ssim(bad, bad)
+
+
+def noisy_pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.random(shape)
+    return a, np.clip(a + rng.normal(0.0, 0.1, shape), 0.0, 1.0)
+
+
+# Reports print repr(float), so these literals pin every bit.  They were
+# computed with the scipy.ndimage filter the numpy one replaced.  300x177
+# leaves 290 valid rows at the first scale: above one 64-row filter block
+# and not a multiple of it.
+@pytest.mark.parametrize(
+    "shape, scales, seed, expected",
+    [
+        ((11, 11), 1, 1, "0.9465669449774949"),
+        ((75, 90), 2, 2, "0.9452426213883465"),
+        ((300, 177, 3), 5, 3, "0.9561194883011236"),
+    ],
+)
+def test_ms_ssim_golden_bits(shape, scales, seed, expected):
+    a, b = noisy_pair(shape, seed)
+    assert repr(ms_ssim(a, b, scales)) == expected
+
+
+def test_losses_report_golden_bytes(capsys, tmp_path):
+    a, b = noisy_pair((40, 48, 3), 4)
+    write_ppm(str(tmp_path / "a.ppm"), a)
+    write_ppm(str(tmp_path / "b.ppm"), b)
+    code = main([
+        "losses", "--attr-image", str(tmp_path / "a.ppm"), "--out-image", str(tmp_path / "b.ppm"),
+        "--same-inputs", "--scales", "2",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        f"# genfields {__version__}\n"
+        "# subcommand: losses\n"
+        "# parameters: alpha=0.84 lambdas=1.0,0.01,0.02 format=table\n"
+        "reconstruction_loss = 0.06076009242287054\n"
+        "total_loss = 0.0012152018484574108\n"
+    )
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (74, 30), (75, 90), (138, 21), (300, 177, 3)])
+def test_gfilter_valid_matches_ndimage_bitwise(shape):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    window = _gaussian_window()
+    half = window.size // 2
+    img, _ = noisy_pair(shape, 5)
+    planes = [img] if img.ndim == 2 else [img[:, :, c] for c in range(img.shape[2])]
+    for plane in planes:
+        ref = ndimage.correlate1d(plane, window, axis=0, mode="nearest")
+        ref = ndimage.correlate1d(ref, window, axis=1, mode="nearest")
+        np.testing.assert_array_equal(_gfilter_valid(plane, window), ref[half:-half, half:-half])
 
 
 # ----------------------------------------------------------- reconstruction --

@@ -221,3 +221,18 @@ def test_parse_stats_csv_skips_comments():
 def test_loaded_sigma_refloored():
     stats = parse_stats_csv("dim,mu,sigma\n0,0.0,0.0\n", epsilon_floor=1e-8)
     assert stats.sigma[0] == 1e-8
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, floor, message",
+    [
+        (math.nan, 1.0, 1e-8, "finite"),
+        (0.0, math.nan, 1e-8, "finite"),
+        (0.0, math.inf, 1e-8, "finite"),
+        (0.0, 1.0, math.nan, "epsilon_floor"),
+        (0.0, 1.0, math.inf, "epsilon_floor"),
+    ],
+)
+def test_channel_stats_rejects_non_finite(mu, sigma, floor, message):
+    with pytest.raises(ValueError, match=message):
+        ChannelStats(np.array([mu]), np.array([sigma]), 0, floor)
