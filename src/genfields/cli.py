@@ -578,6 +578,8 @@ def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
         a, b, c = (float(p) for p in parts)
     except ValueError:
         raise click.ClickException(f"{what} must be numeric, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (a, b, c)):
+        raise click.ClickException(f"{what} must be finite, got {text!r}")
     return a, b, c
 
 

@@ -94,6 +94,8 @@ def as_embedding(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"embedding must be a non-empty 1-D vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("embedding values must be finite")
     return arr
 
 
@@ -119,8 +121,9 @@ def as_image(values) -> np.ndarray:
         raise ValueError(f"image must be (h, w) or (h, w, 3), got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"image dimensions must be positive, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("image values must lie in [0, 1]")
+    # min/max propagate NaN, which fails both comparisons
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError("image values must be finite and lie in [0, 1]")
     return arr
 
 
@@ -154,8 +157,10 @@ def pose_loss(a: EulerAngles, b: EulerAngles) -> float:
 
 def attr_loss(lnd: float, pose: float) -> float:
     """Attribute loss: landmark term plus pose term."""
-    if lnd < 0.0 or pose < 0.0:
-        raise ValueError("loss components must be >= 0")
+    if not all(0.0 <= v < math.inf for v in (lnd, pose)):
+        raise ValueError(f"loss components must be finite and >= 0, got {lnd}, {pose}")
+    if lnd + pose == math.inf:
+        raise ValueError(f"attribute loss overflows for components {lnd}, {pose}")
     return lnd + pose
 
 
@@ -298,9 +303,16 @@ def total_loss(
     lambda_rec: float = DEFAULT_LAMBDAS[2],
 ) -> float:
     """Weighted sum of the loss components; defaults are (1, 0.01, 0.02)."""
-    if l_id < 0.0 or l_attr < 0.0 or l_rec < 0.0:
-        raise ValueError("loss components must be >= 0")
-    return lambda_id * l_id + lambda_attr * l_attr + lambda_rec * l_rec
+    if not all(0.0 <= v < math.inf for v in (l_id, l_attr, l_rec)):
+        raise ValueError(f"loss components must be finite and >= 0, got {l_id}, {l_attr}, {l_rec}")
+    if not all(math.isfinite(v) for v in (lambda_id, lambda_attr, lambda_rec)):
+        raise ValueError(
+            f"loss weights must be finite, got {lambda_id}, {lambda_attr}, {lambda_rec}"
+        )
+    total = lambda_id * l_id + lambda_attr * l_attr + lambda_rec * l_rec
+    if not math.isfinite(total):
+        raise ValueError(f"total loss overflows for components {l_id}, {l_attr}, {l_rec}")
+    return total
 
 
 def eval_metrics(

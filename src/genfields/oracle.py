@@ -17,6 +17,15 @@ Two independent propagation routes are implemented on purpose:
 Positive weights forbid cancellation, so the two must agree; the test suite
 asserts that they do.  Neither route shares code with the analytic formula.
 
+The numeric route computes both passes only on the impulse's cone: at each
+layer, the positions where the perturbed pass can differ from the baseline,
+plus the inputs that later layers read.  This is exact, not an
+approximation: outside the cone both passes read identical inputs, so their
+difference there is exactly zero, and inside it each output reads the same
+values and sums them in the same order as a full-map pass would, so it is
+bitwise equal.  The boolean route stays a full-map check, so a cone that was
+too narrow would show as an executor disagreement.
+
 Upsampling semantics are first-class because nothing pins how a factor-2
 layer is realized.  ``zero-insert-transposed`` (the default) interleaves
 zeros before convolving, the classic transposed convolution.
@@ -58,6 +67,9 @@ DEFAULT_SEED = 7
 
 AFFECTED_THRESHOLD = 1e-9
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
+# Largest map, in cells, either oracle simulates (the largest benchmark map
+# has 524,288).
+MAX_ORACLE_CELLS = 2**26
 
 
 class Semantics(str, Enum):
@@ -101,6 +113,17 @@ def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> None:
         raise ValueError(
             f"sim_base {sim_base} is too small to place an interior impulse; use at least 3"
         )
+    # Maps only grow along the stack, so the first map over the limit names
+    # the layer; checked before anything is allocated.
+    length = sim_base
+    for spec in arch.layers:
+        length *= spec.upsample
+        if length**dims > MAX_ORACLE_CELLS:
+            raise ValueError(
+                f"layer {spec.id}: its output map at sim_base {sim_base} has "
+                f"{length**dims} cells in {dims}-D, above the oracle limit of "
+                f"{MAX_ORACLE_CELLS}; use a smaller sim_base"
+            )
 
 
 def _input_length(arch: ArchSpec, layer: int, sim_base: int) -> int:
@@ -224,58 +247,127 @@ def boolean_footprint(
 
 # --------------------------------------------------------------------------
 # Numeric route: a real convolution executor with positive random weights.
+#
+# Each layer is one stage: z = expand(x), the identity at u = 1 and otherwise
+# x zero-inserted or repeated by u on every axis, then
+# out[q] = sum_i v[i] * z[q + off + i] with zeros outside z.  The taps v are
+# w, reversed on every axis for zero-insert; off is -(k-1)//2, or -(k-1) for
+# zero-insert.  Stages run on windows only (see numeric_footprint).
 
-def _conv_same_1d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    k = w.size
-    pad = (k - 1) // 2
-    xp = np.pad(x, (pad, k - 1 - pad))
-    return sliding_window_view(xp, k) @ w
-
-
-def _conv_same_2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    k = w.shape[0]
-    pad = (k - 1) // 2
-    xp = np.pad(x, ((pad, k - 1 - pad), (pad, k - 1 - pad)))
-    return np.einsum("qrij,ij->qr", sliding_window_view(xp, (k, k)), w)
+def _offset(k: int, u: int, semantics: Semantics) -> int:
+    if u > 1 and semantics is Semantics.ZERO_INSERT:
+        return -(k - 1)
+    return -((k - 1) // 2)
 
 
-def _zero_insert_conv_1d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    k = w.size
-    z = np.zeros(x.size * u, dtype=x.dtype)
-    z[::u] = x
-    zp = np.pad(z, (k - 1, 0))
-    # out[q] = sum_j w[j] * z[q - j]
-    return sliding_window_view(zp, k) @ w[::-1]
+def _z_reads(window: tuple[int, int], k: int, off: int, length: int) -> tuple[int, int]:
+    """Positions of z, clipped to [0, length), that the outputs in ``window`` read."""
+    lo, hi = window
+    return max(0, lo + off), min(length, hi + off + k - 1)
 
 
-def _zero_insert_conv_2d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    k = w.shape[0]
-    z = np.zeros((x.shape[0] * u, x.shape[1] * u), dtype=x.dtype)
-    z[::u, ::u] = x
-    zp = np.pad(z, ((k - 1, 0), (k - 1, 0)))
-    return np.einsum("qrij,ij->qr", sliding_window_view(zp, (k, k)), w[::-1, ::-1])
+def _cone(
+    arch: ArchSpec, layer: int, semantics: Semantics, n: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Map length and window to compute per stage; index 0 is the layer input.
+
+    Forward, D_s is where the two passes may differ: D_0 = [c, c+1) is the
+    impulse and D_s = [u*a - off - k + 1, u*b - off), clipped to the map, for
+    D_{s-1} = [a, b).  Backward, the last window is D_last and each earlier
+    one is the hull of D_{s-1} and the inputs the next window reads.
+    """
+    specs = arch.layers[layer:]
+    lengths = [n]
+    diff = [(n // 2, n // 2 + 1)]
+    for spec in specs:
+        k, u = spec.kernel, spec.upsample
+        off = _offset(k, u, semantics)
+        a, b = diff[-1]
+        lengths.append(lengths[-1] * u)
+        diff.append((max(0, u * a - off - k + 1), min(lengths[-1], u * b - off)))
+    windows = [diff[-1]]
+    for s in range(len(specs), 0, -1):
+        k, u = specs[s - 1].kernel, specs[s - 1].upsample
+        zl, zh = _z_reads(windows[0], k, _offset(k, u, semantics), lengths[s])
+        a, b = diff[s - 1]
+        windows.insert(0, (min(a, zl // u), max(b, -(-zh // u))))
+    return lengths, windows
 
 
-def _nearest_conv_1d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    return _conv_same_1d(np.repeat(x, u), w)
-
-
-def _nearest_conv_2d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    return _conv_same_2d(np.repeat(np.repeat(x, u, axis=0), u, axis=1), w)
-
-
-def _numeric_step(x: np.ndarray, w: np.ndarray, u: int, semantics: Semantics) -> np.ndarray:
-    if x.ndim == 1:
-        if u == 1:
-            return _conv_same_1d(x, w)
-        if semantics is Semantics.ZERO_INSERT:
-            return _zero_insert_conv_1d(x, w, u)
-        return _nearest_conv_1d(x, w, u)
-    if u == 1:
-        return _conv_same_2d(x, w)
+def _expand(x: np.ndarray, u: int, semantics: Semantics) -> np.ndarray:
+    """Zero-insert or repeat by ``u`` on every axis but the leading pass axis."""
     if semantics is Semantics.ZERO_INSERT:
-        return _zero_insert_conv_2d(x, w, u)
-    return _nearest_conv_2d(x, w, u)
+        z = np.zeros((x.shape[0],) + tuple(u * n for n in x.shape[1:]), dtype=x.dtype)
+        z[(slice(None),) + (slice(None, None, u),) * (x.ndim - 1)] = x
+        return z
+    for axis in range(1, x.ndim):
+        x = np.repeat(x, u, axis=axis)
+    return x
+
+
+def _stage(
+    x: np.ndarray,
+    x_lo: int,
+    w: np.ndarray,
+    u: int,
+    semantics: Semantics,
+    window: tuple[int, int],
+    length: int,
+) -> np.ndarray:
+    """Both passes' outputs of one stage on ``window``, the same on every axis.
+
+    ``x`` stacks the base and perturbed inputs on axis 0 and holds input
+    positions from ``x_lo`` on each spatial axis, covering what the window
+    reads.  Zeros pad only where those reads pass an end of the map.
+    """
+    dims = x.ndim - 1
+    k = w.shape[0]
+    off = _offset(k, u, semantics)
+    lo, hi = window
+    zl, zh = _z_reads(window, k, off, length)
+    xl = zl // u
+    z = x[(slice(None),) + (slice(xl - x_lo, -(-zh // u) - x_lo),) * dims]
+    if u > 1:
+        z = _expand(z, u, semantics)
+        if semantics is Semantics.ZERO_INSERT:
+            w = w[(slice(None, None, -1),) * dims]
+    z = z[(slice(None),) + (slice(zl - u * xl, zh - u * xl),) * dims]
+    zp = np.pad(z, ((0, 0),) + ((zl - (lo + off), hi + off + k - 1 - zh),) * dims)
+    if dims == 1:
+        return sliding_window_view(zp, k, axis=1) @ w
+    return np.einsum("pqrij,ij->pqr", sliding_window_view(zp, (k, k), axis=(1, 2)), w)
+
+
+def _base_window(
+    rng: np.random.Generator, n: int, dims: int, window: tuple[int, int]
+) -> np.ndarray:
+    """The baseline input on ``window`` per axis, as drawn with all n**dims values.
+
+    ``default_rng``'s PCG64 takes one step per uniform double, so the steps
+    outside the window are skipped with ``advance`` and the kernels drawn
+    afterwards are unchanged.  In 2-D each window row is one run of the
+    row-major draw.
+    """
+    lo, hi = window
+    starts = [lo] if dims == 1 else [row * n + lo for row in range(lo, hi)]
+    runs, pos = [], 0
+    for start in starts:
+        rng.bit_generator.advance(start - pos)
+        runs.append(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=hi - lo))
+        pos = start + hi - lo
+    rng.bit_generator.advance(n**dims - pos)
+    return np.concatenate(runs).reshape((hi - lo,) * dims)
+
+
+def _reaches_end(mask: np.ndarray, window: tuple[int, int], length: int) -> bool:
+    """Whether a window's mask is True at position 0 or length-1 of the map."""
+    lo, hi = window
+    for axis in range(mask.ndim):
+        if lo == 0 and bool(np.any(mask.take(0, axis=axis))):
+            return True
+        if hi == length and bool(np.any(mask.take(-1, axis=axis))):
+            return True
+    return False
 
 
 def numeric_footprint(
@@ -296,6 +388,15 @@ def numeric_footprint(
     absolute difference exceeds ``threshold`` count as affected.  Positivity
     of the weights forbids cancellation, so this agrees with
     :func:`boolean_footprint` on every architecture.
+
+    Both passes are computed only on the impulse's cone (see :func:`_cone`):
+    the positions where they may differ, plus the inputs those positions
+    read.  Outside the cone the two passes read identical inputs and run
+    identical arithmetic, so their difference there is exactly zero; inside
+    it each stage reads the same values and contracts them in the same order
+    as a full-map pass, so every value computed is bitwise equal to it.  The
+    random input is drawn on the cone only, skipping the generator past the
+    rest, so the cost follows the field size, not ``sim_base``.
     """
     semantics = Semantics(semantics)
     _check_args(arch, layer, sim_base, dims)
@@ -303,20 +404,16 @@ def numeric_footprint(
         raise ValueError("impulse magnitude must be nonzero")
     rng = np.random.default_rng(seed)
     n = _input_length(arch, layer, sim_base)
-    shape = (n,) * dims
-    base = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=shape)
-    perturbed = base.copy()
-    perturbed[tuple(n // 2 for _ in range(dims))] += magnitude
+    lengths, windows = _cone(arch, layer, semantics, n)
+    x = np.stack([_base_window(rng, n, dims, windows[0])] * 2)
+    x[(1,) + (n // 2 - windows[0][0],) * dims] += magnitude
 
     clipped = False
-    diff_mask = np.zeros(shape, dtype=bool)
-    for spec in arch.layers[layer:]:
-        kshape = (spec.kernel,) * dims
-        w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=kshape)
-        base = _numeric_step(base, w, spec.upsample, semantics)
-        perturbed = _numeric_step(perturbed, w, spec.upsample, semantics)
-        diff_mask = np.abs(perturbed - base) > threshold
-        clipped = clipped or _touches_border(diff_mask)
+    for s, spec in enumerate(arch.layers[layer:], start=1):
+        w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=(spec.kernel,) * dims)
+        x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s], lengths[s])
+        diff_mask = np.abs(x[1] - x[0]) > threshold
+        clipped = clipped or _reaches_end(diff_mask, windows[s], lengths[s])
 
     footprint = _span(diff_mask)
     if footprint == 0:

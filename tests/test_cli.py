@@ -528,3 +528,96 @@ def test_version_flag():
     )
     assert proc.returncode == 0
     assert "genfields" in proc.stdout
+
+
+# ------------------------------------------------------------- non-finite --
+
+@pytest.mark.parametrize("argv, message", [
+    (("--components", "nan,1,1"), "--components must be finite"),
+    (("--components", "inf,1,1"), "--components must be finite"),
+    (("--components", "1,1,1", "--lambdas", "nan,1,1"), "--lambdas must be finite"),
+    (("--components", "1,1,1", "--lambdas", "1,-inf,1"), "--lambdas must be finite"),
+    (("--attr-angles", "0,nan,0", "--out-angles", "0,0,0"), "--attr-angles must be finite"),
+    (("--components", "1,1,1", "--lambdas", "1e308,1e308,1e308"), "total loss overflows"),
+])
+def test_losses_non_finite_triple_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, "losses", *argv)
+    assert code == 1
+    assert "nan" not in out and "inf" not in out
+    assert message in err
+
+
+# ---------------------------------------------------- verify, numeric golden ---
+
+# stdout of `verify --preset stylegan2-1024 --numeric --sim-base 1024`, taken
+# from the full-map numeric executor the windowed one replaced.
+VERIFY_1024_GOLDEN = {
+    "zero-insert-transposed": (
+        '# genfields 0.1.0\n'
+        '# subcommand: verify\n'
+        '# parameters: arch=stylegan2-1024 semantics=zero-insert-transposed sim_base=1024 format=table numeric=true seed=7\n'
+        'layer_id  analytic  footprint  semantics               clipped  match_class\n'
+        'conv0     2043      1533       zero-insert-transposed  false    under\n'
+        'conv1     1531      1021       zero-insert-transposed  false    under\n'
+        'conv2     1019      765        zero-insert-transposed  false    under\n'
+        'conv3     763       509        zero-insert-transposed  false    under\n'
+        'conv4     507       381        zero-insert-transposed  false    under\n'
+        'conv5     379       253        zero-insert-transposed  false    under\n'
+        'conv6     251       189        zero-insert-transposed  false    under\n'
+        'conv7     187       125        zero-insert-transposed  false    under\n'
+        'conv8     123       93         zero-insert-transposed  false    under\n'
+        'conv9     91        61         zero-insert-transposed  false    under\n'
+        'conv10    59        45         zero-insert-transposed  false    under\n'
+        'conv11    43        29         zero-insert-transposed  false    under\n'
+        'conv12    27        21         zero-insert-transposed  false    under\n'
+        'conv13    19        13         zero-insert-transposed  false    under\n'
+        'conv14    11        9          zero-insert-transposed  false    under\n'
+        'conv15    7         5          zero-insert-transposed  false    under\n'
+        'conv16    3         3          zero-insert-transposed  false    exact\n'
+        'note: numeric executor agreement: ok\n'
+    ),
+    "nearest-upsample-conv": (
+        '# genfields 0.1.0\n'
+        '# subcommand: verify\n'
+        '# parameters: arch=stylegan2-1024 semantics=nearest-upsample-conv sim_base=1024 format=table numeric=true seed=7\n'
+        'layer_id  analytic  footprint  semantics              clipped  match_class\n'
+        'conv0     2043      1788       nearest-upsample-conv  false    under\n'
+        'conv1     1531      1276       nearest-upsample-conv  false    under\n'
+        'conv2     1019      892        nearest-upsample-conv  false    under\n'
+        'conv3     763       636        nearest-upsample-conv  false    under\n'
+        'conv4     507       444        nearest-upsample-conv  false    under\n'
+        'conv5     379       316        nearest-upsample-conv  false    under\n'
+        'conv6     251       220        nearest-upsample-conv  false    under\n'
+        'conv7     187       156        nearest-upsample-conv  false    under\n'
+        'conv8     123       108        nearest-upsample-conv  false    under\n'
+        'conv9     91        76         nearest-upsample-conv  false    under\n'
+        'conv10    59        52         nearest-upsample-conv  false    under\n'
+        'conv11    43        36         nearest-upsample-conv  false    under\n'
+        'conv12    27        24         nearest-upsample-conv  false    under\n'
+        'conv13    19        16         nearest-upsample-conv  false    under\n'
+        'conv14    11        10         nearest-upsample-conv  false    under\n'
+        'conv15    7         6          nearest-upsample-conv  false    under\n'
+        'conv16    3         3          nearest-upsample-conv  false    exact\n'
+        'note: numeric executor agreement: ok\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("semantics", sorted(VERIFY_1024_GOLDEN))
+def test_verify_numeric_1024_golden_stdout(capsys, semantics):
+    code, out, _ = run(
+        capsys, "verify", "--preset", "stylegan2-1024", "--numeric", "--sim-base", "1024",
+        "--semantics", semantics,
+    )
+    assert code == 0
+    assert out == VERIFY_1024_GOLDEN[semantics]
+
+
+def test_verify_oracle_size_limit_exits_1(capsys, monkeypatch):
+    from genfields import oracle
+
+    monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", 100)
+    code, out, err = run(capsys, "verify", "--preset", "stylegan2-8", "--sim-base", "60")
+    assert code == 1
+    assert out == ""
+    assert "conv1" in err and "limit" in err

@@ -367,3 +367,41 @@ def test_eval_metrics_zero_norm_embedding():
             np.array([0.0]), np.array([1.0]), landmarks(), landmarks(),
             EulerAngles(0.0, 0.0, 0.0), EulerAngles(0.0, 0.0, 0.0), 256,
         )
+
+
+# ------------------------------------------------------------- non-finite --
+
+from genfields.losses import as_embedding, as_image  # noqa: E402
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validators_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        as_image(np.full((4, 4), bad))
+    image = np.full((4, 4, 3), 0.5)
+    image[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        as_image(image)
+    with pytest.raises(ValueError, match="finite"):
+        as_embedding([0.5, bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_loss_combiners_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        attr_loss(bad, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        attr_loss(0.0, bad)
+    for components in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            total_loss(*components)
+    for lambdas in ((bad, 1.0, 1.0), (1.0, 1.0, -bad)):
+        with pytest.raises(ValueError, match="finite"):
+            total_loss(1.0, 1.0, 1.0, *lambdas)
+
+
+def test_loss_combiners_reject_overflow():
+    with pytest.raises(ValueError, match="overflows"):
+        attr_loss(1e308, 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        total_loss(1.0, 1.0, 1.0, 1e308, 1e308, 1e308)

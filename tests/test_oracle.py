@@ -170,3 +170,205 @@ def test_footprint_at_every_layer_of_preset8():
     for res in verify_arch(arch, sim_base=32):
         assert res.footprint >= 1
         assert res.footprint <= res.analytic
+
+
+# --------------------------------------------------------------------------
+# Reference: the full-map executor the windowed one replaced, kept verbatim.
+
+from numpy.lib.stride_tricks import sliding_window_view  # noqa: E402
+
+from genfields import oracle  # noqa: E402
+from genfields.oracle import (  # noqa: E402
+    AFFECTED_THRESHOLD,
+    MAX_ORACLE_CELLS,
+    WEIGHT_HIGH,
+    WEIGHT_LOW,
+    FootprintResult,
+)
+
+
+def _conv_same_1d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    k = w.size
+    pad = (k - 1) // 2
+    xp = np.pad(x, (pad, k - 1 - pad))
+    return sliding_window_view(xp, k) @ w
+
+
+def _conv_same_2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    k = w.shape[0]
+    pad = (k - 1) // 2
+    xp = np.pad(x, ((pad, k - 1 - pad), (pad, k - 1 - pad)))
+    return np.einsum("qrij,ij->qr", sliding_window_view(xp, (k, k)), w)
+
+
+def _zero_insert_conv_1d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
+    k = w.size
+    z = np.zeros(x.size * u, dtype=x.dtype)
+    z[::u] = x
+    zp = np.pad(z, (k - 1, 0))
+    # out[q] = sum_j w[j] * z[q - j]
+    return sliding_window_view(zp, k) @ w[::-1]
+
+
+def _zero_insert_conv_2d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
+    k = w.shape[0]
+    z = np.zeros((x.shape[0] * u, x.shape[1] * u), dtype=x.dtype)
+    z[::u, ::u] = x
+    zp = np.pad(z, ((k - 1, 0), (k - 1, 0)))
+    return np.einsum("qrij,ij->qr", sliding_window_view(zp, (k, k)), w[::-1, ::-1])
+
+
+def _nearest_conv_1d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
+    return _conv_same_1d(np.repeat(x, u), w)
+
+
+def _nearest_conv_2d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
+    return _conv_same_2d(np.repeat(np.repeat(x, u, axis=0), u, axis=1), w)
+
+
+def _numeric_step(x: np.ndarray, w: np.ndarray, u: int, semantics: Semantics) -> np.ndarray:
+    if x.ndim == 1:
+        if u == 1:
+            return _conv_same_1d(x, w)
+        if semantics is Semantics.ZERO_INSERT:
+            return _zero_insert_conv_1d(x, w, u)
+        return _nearest_conv_1d(x, w, u)
+    if u == 1:
+        return _conv_same_2d(x, w)
+    if semantics is Semantics.ZERO_INSERT:
+        return _zero_insert_conv_2d(x, w, u)
+    return _nearest_conv_2d(x, w, u)
+
+
+def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
+                      threshold=AFFECTED_THRESHOLD):
+    """Full-map base and perturbed passes per stage, and the footprint result."""
+    rng = np.random.default_rng(seed)
+    n = oracle._input_length(arch, layer, sim_base)
+    shape = (n,) * dims
+    base = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=shape)
+    perturbed = base.copy()
+    perturbed[tuple(n // 2 for _ in range(dims))] += magnitude
+
+    stages = []
+    clipped = False
+    diff_mask = np.zeros(shape, dtype=bool)
+    for spec in arch.layers[layer:]:
+        kshape = (spec.kernel,) * dims
+        w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=kshape)
+        base = _numeric_step(base, w, spec.upsample, semantics)
+        perturbed = _numeric_step(perturbed, w, spec.upsample, semantics)
+        stages.append((base, perturbed))
+        diff_mask = np.abs(perturbed - base) > threshold
+        clipped = clipped or oracle._touches_border(diff_mask)
+
+    result = FootprintResult(
+        layer_index=layer,
+        semantics=semantics,
+        dims=dims,
+        footprint=oracle._span(diff_mask),
+        analytic=generative_field(arch, layer),
+        clipped=clipped,
+    )
+    return stages, result
+
+
+def _cone_corpus(count, seed):
+    """Seeded (arch, layer, semantics, sim_base, seed, dims, magnitude) cases.
+
+    Kernels 1-7, upsample factors 1-4, sim_base 3-40, magnitudes 1, 1e-6 and
+    -3; every fourth case is 2-D, kept under 160 positions per axis so the
+    full-map reference stays fast.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        dims = 2 if len(cases) % 4 == 3 else 1
+        depth = int(rng.integers(1, 4 if dims == 2 else 6))
+        kernels = rng.integers(1, 8, size=depth)
+        ups = rng.integers(1, 5, size=depth)
+        sim_base = int(rng.integers(3, 41))
+        if dims == 2 and sim_base * int(np.prod(ups)) > 160:
+            continue
+        arch = make_arch(f"cone{len(cases)}", kernels, ups)
+        cases.append((
+            arch,
+            int(rng.integers(0, depth)),
+            Semantics.ZERO_INSERT if len(cases) % 2 else Semantics.NEAREST,
+            sim_base,
+            int(rng.integers(0, 2**31)),
+            dims,
+            float(rng.choice([1.0, 1e-6, -3.0])),
+        ))
+    return cases
+
+
+def test_windowed_executor_bitwise_equals_full_map(monkeypatch):
+    calls = []
+    stage = oracle._stage
+
+    def recording_stage(x, x_lo, w, u, semantics, window, length):
+        out = stage(x, x_lo, w, u, semantics, window, length)
+        calls.append((window, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_stage", recording_stage)
+    seen = {"clipped": 0, "dims": set(), "semantics": set()}
+    for arch, layer, sem, sim_base, seed, dims, magnitude in _cone_corpus(1200, 8128):
+        calls.clear()
+        stages, expected = reference_numeric(arch, layer, sem, sim_base, seed, dims, magnitude)
+        assert numeric_footprint(
+            arch, layer, sem, sim_base, seed=seed, dims=dims, magnitude=magnitude
+        ) == expected, (arch, layer, sem, sim_base, dims)
+        assert len(calls) == len(stages)
+        for (window, out), (base, perturbed) in zip(calls, stages):
+            inside = (slice(window[0], window[1]),) * dims
+            assert np.array_equal(out[0], base[inside]), (arch, layer, sem, sim_base, dims)
+            assert np.array_equal(out[1], perturbed[inside]), (arch, layer, sem, sim_base, dims)
+            outside = np.ones(base.shape, dtype=bool)
+            outside[inside] = False
+            assert not np.any(perturbed[outside] != base[outside])
+        seen["clipped"] += expected.clipped
+        seen["dims"].add(dims)
+        seen["semantics"].add(sem)
+    assert seen["dims"] == {1, 2} and seen["semantics"] == set(Semantics)
+    assert seen["clipped"] >= 20
+
+
+def test_cone_width_does_not_grow_with_sim_base():
+    arch = stylegan2_preset(1024)
+    for sem in Semantics:
+        for layer in range(arch.depth):
+            widths = []
+            for sim_base in (64, 1024):
+                n = oracle._input_length(arch, layer, sim_base)
+                lengths, windows = oracle._cone(arch, layer, sem, n)
+                assert all(b - a < length for (a, b), length in zip(windows, lengths))
+                widths.append([b - a for a, b in windows])
+            assert widths[0] == widths[1], (sem, layer)
+
+
+def test_oracle_size_guard_arithmetic():
+    # 2 x 4096: the final map has 16 * 4096 * 4096 cells, far above the limit.
+    arch = make_arch("wide", [3, 3], [4096, 4096])
+    with pytest.raises(ValueError, match="conv1"):
+        oracle._check_args(arch, 0, 16, 1)
+    # the limit applies to the largest map, in cells, for the chosen dims
+    side = MAX_ORACLE_CELLS // 64
+    ok = make_arch("edge", [3, 3], [8, 8])
+    oracle._check_args(ok, 0, side, 1)
+    with pytest.raises(ValueError, match="conv0"):
+        oracle._check_args(ok, 0, side + 1, 2)
+    with pytest.raises(ValueError, match="conv1"):
+        oracle._check_args(ok, 1, side + 1, 1)
+    # stylegan2-1024 in 1-D at sim_base 1024 stays well inside the limit
+    oracle._check_args(stylegan2_preset(1024), 0, 1024, 1)
+
+
+def test_size_guard_applies_to_both_oracles(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", 100)
+    arch = make_arch("small", [3], [2])
+    for fn in (boolean_footprint, numeric_footprint):
+        with pytest.raises(ValueError, match="conv0"):
+            fn(arch, 0, sim_base=51)
+        assert fn(arch, 0, sim_base=50).footprint >= 1
