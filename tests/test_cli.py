@@ -1,7 +1,10 @@
+import base64
 import json
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,3 +624,41 @@ def test_verify_oracle_size_limit_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "conv1" in err and "limit" in err
+
+
+# --------------------------------------------------------- golden corpus ---
+
+# Every byte of stdout, stderr, exit code and written file of each invocation
+# in golden_cli.json, recorded before the subcommands shared one report
+# renderer.  Each case runs in a fresh directory holding the corpus inputs
+# (text files as-is, images base64-encoded), so paths in reports are relative.
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+SUBCOMMANDS = ("fields", "verify", "plan", "analyze", "stats", "loglik", "losses")
+
+
+def run_golden(argv, directory, monkeypatch, capsys):
+    """Run one corpus invocation in ``directory``; return what it produced."""
+    inputs = {name: text.encode() for name, text in GOLDEN["inputs"].items()}
+    inputs.update((name, base64.b64decode(data)) for name, data in GOLDEN["images"].items())
+    for name, data in inputs.items():
+        (directory / name).write_bytes(data)
+    monkeypatch.chdir(directory)
+    monkeypatch.setenv("COLUMNS", "80")  # click wraps --help to the terminal width
+    code, out, err = run(capsys, *argv)
+    # click names the program after the running interpreter's argv[0].
+    out = re.sub(
+        r"^Usage: .*?(?= \[OPTIONS\]| (?:%s) \[OPTIONS\])" % "|".join(SUBCOMMANDS),
+        "Usage: genfields", out, count=1, flags=re.M,
+    )
+    files = {
+        p.name: p.read_text(encoding="utf-8")
+        for p in sorted(directory.iterdir())
+        if p.name not in inputs
+    }
+    return {"argv": list(argv), "code": code, "out": out, "err": err, "files": files}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN["cases"]))
+def test_golden_report(case, tmp_path, monkeypatch, capsys):
+    expected = GOLDEN["cases"][case]
+    assert run_golden(expected["argv"], tmp_path, monkeypatch, capsys) == expected
