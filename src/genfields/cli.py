@@ -1,9 +1,20 @@
 """Command-line surface: every analysis as a reproducible report generator.
 
 Subcommands: ``fields``, ``verify``, ``plan``, ``analyze``, ``stats``,
-``loglik``, ``losses``.  Reports carry a header block naming the tool
-version, subcommand and parameters, and identical invocations produce
-byte-identical output (randomized steps are seeded; the default seed is 7).
+``loglik``, ``losses``.  Identical invocations produce byte-identical output
+(randomized steps are seeded; the default seed is 7).
+
+Every report is rendered by :func:`_report`, in the format ``--format``
+picks: ``table`` (the default), ``csv`` or ``json``.  ``losses`` has no csv
+format and ``stats`` writes csv only.
+
+- csv: a header block (``# genfields <version>``, ``# subcommand: <name>``,
+  ``# parameters: k=v ...``), then ``# note: ...`` lines, then ``# ...``
+  summary lines, then the CSV body, its column names first;
+- table: the same header block, then the summary lines, then the
+  column-aligned table, then ``note: ...`` lines;
+- json: one object: ``tool``, ``version``, ``subcommand`` and
+  ``parameters`` (values as strings), then the subcommand's own fields.
 
 Exit codes: 0 success; 1 input or usage error; 2 a verification or
 consistency check failed.
@@ -11,18 +22,19 @@ consistency check failed.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
 
 from . import __version__
-from .archgraph import ArchError, ArchSpec, load_arch, stylegan2_preset
-from .fields import CSV_COLUMNS, fields_table, table_csv
-from .fileio import load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
+from .archgraph import ArchSpec, load_arch, stylegan2_preset
+from .fields import CSV_COLUMNS, fields_table, table_csv, table_row
+from .fileio import csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
 from .losses import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDAS,
@@ -39,6 +51,8 @@ from .oracle import (
     Semantics,
     VERIFY_CSV_COLUMNS,
     numeric_footprint,
+    verification_csv,
+    verification_row,
     verify_arch,
 )
 from .regularizer import (
@@ -80,35 +94,34 @@ class CheckFailure(Exception):
     """A report was produced but a verification/consistency check failed."""
 
 
-def _input_errors(fn):
-    """Convert library and file errors into usage errors (exit code 1)."""
+def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), notes=(),
+            csv=None) -> str:
+    """Render one report in ``fmt``, laid out as the module docstring describes.
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ArchError, ValueError, OSError) as exc:
-            raise click.ClickException(str(exc)) from exc
-
-    return wrapper
-
-
-def _header_lines(subcommand: str, params: dict) -> list[str]:
+    ``payload`` returns the json fields that follow ``parameters``; ``csv``,
+    if given, returns the CSV body, which is otherwise ``columns`` then
+    ``rows``.  Both are zero-argument functions, so a format that does not
+    use them never builds them.  ``lines`` are the summary lines; the table
+    format draws a table only when there are ``columns``.
+    """
+    if fmt == "json":
+        meta = {
+            "tool": "genfields",
+            "version": __version__,
+            "subcommand": subcommand,
+            "parameters": {k: str(v) for k, v in params.items()},
+        }
+        return json.dumps({**meta, **payload()}, indent=2) + "\n"
     rendered = " ".join(f"{k}={v}" for k, v in params.items())
-    return [
-        f"# genfields {__version__}",
-        f"# subcommand: {subcommand}",
-        f"# parameters: {rendered}",
-    ]
-
-
-def _meta(subcommand: str, params: dict) -> dict:
-    return {
-        "tool": "genfields",
-        "version": __version__,
-        "subcommand": subcommand,
-        "parameters": {k: str(v) for k, v in params.items()},
-    }
+    out = [f"# genfields {__version__}", f"# subcommand: {subcommand}", f"# parameters: {rendered}"]
+    if fmt == "csv":
+        out += [f"# note: {n}" for n in notes] + [f"# {line}" for line in lines]
+        return "\n".join(out) + "\n" + (csv() if csv else csv_text(itertools.chain([columns], rows)))
+    out += lines
+    if columns:
+        out += _render_table(columns, rows)
+    out += [f"note: {n}" for n in notes]
+    return "\n".join(out) + "\n"
 
 
 def _render_table(columns, rows) -> list[str]:
@@ -173,40 +186,16 @@ def cli():
 @click.option("--arch", "arch_path", type=click.Path(), help="Architecture file to analyze.")
 @click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
 @click.option("--output", type=click.Path(), default=None, help="Write the report to a file.")
-@_input_errors
 def cmd_fields(preset, arch_path, fmt, output):
     """Emit the per-layer generative field table."""
     arch = _resolve_arch(preset, arch_path)
     table = fields_table(arch)
-    params = {"arch": arch.name, "format": fmt}
-    rows = [
-        (r.layer_id, r.style_label or "", r.input_resolution, r.generative_field, r.channels_in)
-        for r in table.records
-    ]
-    if fmt == "json":
-        payload = _meta("fields", params)
-        payload["records"] = [
-            {
-                "layer_id": r.layer_id,
-                "style_label": r.style_label,
-                "input_resolution": r.input_resolution,
-                "generative_field": r.generative_field,
-                "channels_in": r.channels_in,
-            }
-            for r in table.records
-        ]
-        payload["notes"] = list(table.notes)
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        lines = _header_lines("fields", params)
-        lines += [f"# note: {n}" for n in table.notes]
-        text = "\n".join(lines) + "\n" + table_csv(table)
-    else:
-        lines = _header_lines("fields", params)
-        lines += _render_table(CSV_COLUMNS, rows)
-        lines += [f"note: {n}" for n in table.notes]
-        text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit(_report(
+        "fields", {"arch": arch.name, "format": fmt}, fmt,
+        lambda: {"records": [asdict(r) for r in table.records], "notes": list(table.notes)},
+        columns=CSV_COLUMNS, rows=map(table_row, table.records), notes=table.notes,
+        csv=lambda: table_csv(table),
+    ), output)
 
 
 # ---------------------------------------------------------------- verify ---
@@ -227,7 +216,6 @@ def cmd_fields(preset, arch_path, fmt, output):
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors
 def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed, fmt, output):
     """Measure impulse footprints and compare them with the analytic fields.
 
@@ -236,6 +224,7 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     """
     arch = _resolve_arch(preset, arch_path)
     sem = Semantics(semantics)
+    params = {"arch": arch.name, "semantics": sem.value, "sim_base": sim_base, "format": fmt}
     indices = None
     if layer_span:
         first, last = _parse_layer_span(layer_span)
@@ -243,10 +232,12 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
         if lo > hi:
             raise click.ClickException(f"layer range {layer_span!r} is reversed")
         indices = tuple(range(lo, hi + 1))
+        params["layers"] = layer_span
     results = verify_arch(arch, sem, sim_base, dims=1, layers=indices)
 
-    disagreements = []
+    disagreements, notes = [], []
     if numeric:
+        params.update(numeric="true", seed=seed)
         for res in results:
             num = numeric_footprint(arch, res.layer_index, sem, sim_base, seed=seed)
             if num.footprint != res.footprint:
@@ -254,54 +245,18 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
                 disagreements.append(
                     f"{layer_id}: numeric footprint {num.footprint} != boolean {res.footprint}"
                 )
+        notes = ["numeric executor agreement: " + ("FAILED" if disagreements else "ok"),
+                 *disagreements]
 
-    params = {"arch": arch.name, "semantics": sem.value, "sim_base": sim_base, "format": fmt}
-    if layer_span:
-        params["layers"] = layer_span
-    if numeric:
-        params["numeric"] = "true"
-        params["seed"] = seed
+    rows = [verification_row(arch, r) for r in results]
+    _emit(_report(
+        "verify", params, fmt,
+        lambda: {"results": [dict(zip(VERIFY_CSV_COLUMNS, row)) for row in rows], "notes": notes},
+        columns=VERIFY_CSV_COLUMNS, rows=rows, notes=notes,
+        csv=lambda: verification_csv(arch, results),
+    ), output)
 
-    rows = [
-        (
-            arch.layers[r.layer_index].id,
-            r.analytic,
-            r.footprint,
-            r.semantics.value,
-            str(r.clipped).lower(),
-            r.match_class,
-        )
-        for r in results
-    ]
-    notes = []
-    if numeric:
-        notes.append(
-            "numeric executor agreement: " + ("ok" if not disagreements else "FAILED")
-        )
-        notes.extend(disagreements)
-
-    if fmt == "json":
-        payload = _meta("verify", params)
-        payload["results"] = [
-            dict(zip(("layer_id", "analytic", "footprint", "semantics", "clipped", "match_class"), row))
-            for row in rows
-        ]
-        payload["notes"] = notes
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        lines = _header_lines("verify", params)
-        lines += [f"# note: {n}" for n in notes]
-        body = [",".join(VERIFY_CSV_COLUMNS)]
-        body += [",".join(str(c) for c in row) for row in rows]
-        text = "\n".join(lines + body) + "\n"
-    else:
-        lines = _header_lines("verify", params)
-        lines += _render_table(VERIFY_CSV_COLUMNS, rows)
-        lines += [f"note: {n}" for n in notes]
-        text = "\n".join(lines) + "\n"
-    _emit(text, output)
-
-    over = [row for row in rows if row[5] == MATCH_OVER]
+    over = [r for r in results if r.match_class == MATCH_OVER]
     if over:
         raise CheckFailure(f"verification found {len(over)} OVER-BUG row(s)")
     if disagreements:
@@ -320,7 +275,6 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
 @click.option("--layers", "layer_span", default=None, help="Explicit range, e.g. conv0..conv7.")
 @click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors
 def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, output):
     """Build a control-signal mask plan from field thresholds or layer ranges."""
     arch = _resolve_arch(preset, arch_path)
@@ -348,7 +302,7 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
         plan = plan_by_layers(table, layout, first, last)
         params = {"arch": arch.name, "layers": layer_span, "format": fmt}
 
-    rle = " ".join(f"{value}*{run}" for value, run in mask_rle(plan.mask))
+    rle = mask_rle(plan.mask)
     enabled = set(plan.enabled_layers)
     rows = [
         (
@@ -366,27 +320,20 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
         f"enabled_layers: {' '.join(plan.enabled_layers)}",
         f"gf_range: ({plan.gf_range[0]}, {plan.gf_range[1]})",
         f"enabled_dims: {plan.enabled_dims} of {layout.total_dims}",
-        f"mask_rle: {rle}",
+        "mask_rle: " + " ".join(f"{value}*{run}" for value, run in rle),
     ]
-
-    if fmt == "json":
-        payload = _meta("plan", params)
-        payload["enabled_layers"] = list(plan.enabled_layers)
-        payload["gf_range"] = list(plan.gf_range)
-        payload["total_dims"] = layout.total_dims
-        payload["enabled_dims"] = plan.enabled_dims
-        payload["mask_rle"] = [[value, run] for value, run in mask_rle(plan.mask)]
-        payload["layers"] = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        lines = _header_lines("plan", params)
-        lines += [f"# {s}" for s in summary]
-        body = [",".join(columns)] + [",".join(str(c) for c in row) for row in rows]
-        text = "\n".join(lines + body) + "\n"
-    else:
-        lines = _header_lines("plan", params) + summary + _render_table(columns, rows)
-        text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit(_report(
+        "plan", params, fmt,
+        lambda: {
+            "enabled_layers": list(plan.enabled_layers),
+            "gf_range": list(plan.gf_range),
+            "total_dims": layout.total_dims,
+            "enabled_dims": plan.enabled_dims,
+            "mask_rle": [list(run) for run in rle],
+            "layers": [dict(zip(columns, row)) for row in rows],
+        },
+        columns=columns, rows=rows, lines=summary,
+    ), output)
 
 
 # --------------------------------------------------------------- analyze ---
@@ -399,7 +346,6 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--membership-out", type=click.Path(), default=None,
               help="Write the per-test top-k membership matrix as CSV.")
-@_input_errors
 def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
     """Sparsity report over control signals (one test per CSV row)."""
     deltas = load_vectors_csv(deltas_csv)
@@ -420,47 +366,34 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
         "bins": bins,
         "format": fmt,
     }
-    if fmt == "json":
-        payload = _meta("analyze", params)
-        payload["bins_mean"] = [float(v) for v in report.bins_mean]
-        payload["bins_std"] = [float(v) for v in report.bins_std]
-        payload["high_functional_count"] = report.high_functional_count
-        payload["union_dims"] = list(reuse.union_dims)
-        payload["rates"] = {str(d): reuse.rates[d] for d in reuse.union_dims}
-        payload["membership"] = reuse.membership.tolist()
-        payload["notes"] = notes
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        lines = _header_lines("analyze", params)
-        lines += [f"# note: {n}" for n in notes]
-        lines.append("# bins_mean: " + " ".join(_fmt_float(v) for v in report.bins_mean))
-        lines.append("# bins_std: " + " ".join(_fmt_float(v) for v in report.bins_std))
-        lines.append(f"# high_functional_count: {_fmt_float(report.high_functional_count)}")
-        body = ["dim,reuse_rate"]
-        body += [f"{d},{_fmt_float(reuse.rates[d])}" for d in reuse.union_dims]
-        text = "\n".join(lines + body) + "\n"
-    else:
-        lines = _header_lines("analyze", params)
-        lines.append("bins_mean: " + " ".join(_fmt_float(v) for v in report.bins_mean))
-        lines.append("bins_std: " + " ".join(_fmt_float(v) for v in report.bins_std))
-        lines.append(f"high_functional_count: {_fmt_float(report.high_functional_count)}")
+    lines = [
+        "bins_mean: " + " ".join(_fmt_float(v) for v in report.bins_mean),
+        "bins_std: " + " ".join(_fmt_float(v) for v in report.bins_std),
+        f"high_functional_count: {_fmt_float(report.high_functional_count)}",
+    ]
+    if fmt == "table":  # the union is listed in table output only
         lines.append(f"union_size: {len(reuse.union_dims)}")
         lines.append("union_dims: " + " ".join(str(d) for d in reuse.union_dims))
-        lines += _render_table(
-            ("dim", "reuse_rate"),
-            [(d, _fmt_float(reuse.rates[d])) for d in reuse.union_dims],
-        )
-        lines += [f"note: {n}" for n in notes]
-        text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit(_report(
+        "analyze", params, fmt,
+        lambda: {
+            "bins_mean": report.bins_mean.tolist(),
+            "bins_std": report.bins_std.tolist(),
+            "high_functional_count": report.high_functional_count,
+            "union_dims": list(reuse.union_dims),
+            "rates": {str(d): reuse.rates[d] for d in reuse.union_dims},
+            "membership": reuse.membership.tolist(),
+            "notes": notes,
+        },
+        columns=("dim", "reuse_rate"),
+        rows=((d, _fmt_float(reuse.rates[d])) for d in reuse.union_dims),
+        lines=lines, notes=notes,
+    ), output)
 
     if membership_out:
-        header = "test," + ",".join(f"d{d}" for d in reuse.union_dims)
-        lines = [header]
-        for t in range(reuse.membership.shape[0]):
-            lines.append(f"{t}," + ",".join(str(int(v)) for v in reuse.membership[t]))
-        with open(membership_out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = ("test", *(f"d{d}" for d in reuse.union_dims))
+        members = ((t, *row) for t, row in enumerate(reuse.membership.tolist()))
+        _emit(csv_text(itertools.chain([header], members)), membership_out)
 
 
 # ----------------------------------------------------------------- stats ---
@@ -469,7 +402,6 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 @click.argument("styles_csv", type=click.Path())
 @click.option("--epsilon-floor", type=float, default=DEFAULT_EPSILON_FLOOR, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
     styles = load_vectors_csv(styles_csv)
@@ -480,8 +412,7 @@ def cmd_stats(styles_csv, epsilon_floor, output):
         "dims": stats.dims,
         "epsilon_floor": epsilon_floor,
     }
-    text = "\n".join(_header_lines("stats", params)) + "\n" + stats_csv(stats)
-    _emit(text, output)
+    _emit(_report("stats", params, "csv", None, csv=lambda: stats_csv(stats)), output)
 
 
 # ---------------------------------------------------------------- loglik ---
@@ -494,7 +425,6 @@ def cmd_stats(styles_csv, epsilon_floor, output):
               help="Check the gradient against central finite differences (exit 2 on mismatch).")
 @click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors
 def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     """Log-likelihood of style vectors under estimated channel statistics."""
     stats = load_stats_csv(stats_csv_path)
@@ -507,7 +437,8 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     values = [log_likelihood(row, stats) for row in samples]
     grads = [log_likelihood_grad(row, stats) for row in samples] if (with_grad or fd_check) else None
 
-    fd_errors = []
+    params = {"stats": stats_csv_path, "samples": samples_csv, "format": fmt}
+    fd_errors, notes = [], []
     if fd_check:
         for row, grad in zip(samples, grads):
             fd = np.empty_like(grad)
@@ -519,50 +450,32 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
                 lo = log_likelihood(bumped, stats)
                 fd[i] = (hi - lo) / (2 * FD_STEP)
             fd_errors.append(float(np.max(np.abs(fd - grad) / (1.0 + np.abs(grad)))))
-
-    params = {"stats": stats_csv_path, "samples": samples_csv, "format": fmt}
-    if fd_check:
         params["fd_step"] = FD_STEP
-    notes = []
-    if fd_check:
         worst = max(fd_errors)
-        ok = worst < FD_TOLERANCE
         notes.append(
             f"finite-difference check: max relative error {worst:.3e} "
-            f"({'ok' if ok else 'FAILED'}, tolerance {FD_TOLERANCE:.0e})"
+            f"({'ok' if worst < FD_TOLERANCE else 'FAILED'}, tolerance {FD_TOLERANCE:.0e})"
         )
 
-    if fmt == "json":
-        payload = _meta("loglik", params)
-        payload["log_likelihood"] = values
+    def payload():
+        doc = {"log_likelihood": values}
         if with_grad:
-            payload["gradient"] = [[float(v) for v in g] for g in grads]
+            doc["gradient"] = [g.tolist() for g in grads]
         if fd_check:
-            payload["fd_max_relative_error"] = fd_errors
-        payload["notes"] = notes
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        lines = _header_lines("loglik", params)
-        lines += [f"# note: {n}" for n in notes]
-        if with_grad:
-            dim = stats.dims
-            header = "sample,loglik," + ",".join(f"g{i}" for i in range(dim))
-            body = [header]
-            for t, (v, g) in enumerate(zip(values, grads)):
-                body.append(f"{t},{_fmt_float(v)}," + ",".join(_fmt_float(x) for x in g))
-        else:
-            body = ["sample,loglik"]
-            body += [f"{t},{_fmt_float(v)}" for t, v in enumerate(values)]
-        text = "\n".join(lines + body) + "\n"
-    else:
-        lines = _header_lines("loglik", params)
+            doc["fd_max_relative_error"] = fd_errors
+        return {**doc, "notes": notes}
+
+    columns = ("sample", "loglik", *(f"g{i}" for i in range(stats.dims if with_grad else 0)))
+    rows = ((t, v, *(grads[t].tolist() if with_grad else ())) for t, v in enumerate(values))
+    lines = []
+    if fmt == "table":  # one line per sample, not a table
+        columns = ()
         for t, v in enumerate(values):
             lines.append(f"sample {t}: loglik = {_fmt_float(v)}")
             if with_grad:
                 lines.append("  gradient: " + " ".join(_fmt_float(x) for x in grads[t]))
-        lines += [f"note: {n}" for n in notes]
-        text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit(_report("loglik", params, fmt, payload, columns=columns, rows=rows, lines=lines,
+                  notes=notes), output)
 
     if fd_check and max(fd_errors) >= FD_TOLERANCE:
         raise CheckFailure("analytic gradient disagrees with finite differences")
@@ -626,7 +539,6 @@ def _load_image(path: str) -> np.ndarray:
 @click.option("--degrees", is_flag=True, help="Interpret --attr-angles/--out-angles in degrees.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 @click.option("--output", type=click.Path(), default=None)
-@_input_errors
 def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_landmarks,
                attr_angles, out_angles, attr_image, out_image, same_inputs, alpha,
                lambdas, scales, all_landmarks, degrees, fmt, output):
@@ -692,17 +604,11 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
     if components is not None:
         params["components"] = components
 
-    if fmt == "json":
-        payload = _meta("losses", params)
-        payload["components"] = {k: float(v) for k, v in parts.items()}
-        payload["total_loss"] = float(total)
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = _header_lines("losses", params)
-        lines += [f"{k} = {_fmt_float(v)}" for k, v in parts.items()]
-        lines.append(f"total_loss = {_fmt_float(total)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, output)
+    _emit(_report(
+        "losses", params, fmt,
+        lambda: {"components": {k: float(v) for k, v in parts.items()}, "total_loss": float(total)},
+        lines=[f"{k} = {_fmt_float(v)}" for k, v in [*parts.items(), ("total_loss", total)]],
+    ), output)
 
 
 def main(argv=None) -> int:
@@ -714,6 +620,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILURE
     except click.ClickException as exc:
         exc.show()
+        return EXIT_INPUT_ERROR
+    except (ValueError, OSError) as exc:  # library and file errors, ArchError included
+        click.echo(f"Error: {exc}", err=True)
         return EXIT_INPUT_ERROR
     except click.exceptions.Abort:
         return EXIT_INPUT_ERROR

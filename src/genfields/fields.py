@@ -16,10 +16,10 @@ is stored.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .archgraph import ArchError, ArchSpec, input_resolution
+from .fileio import csv_text
 
 __all__ = [
     "FieldRecord",
@@ -127,11 +127,10 @@ CSV_COLUMNS = ("layer_id", "style_label", "input_resolution", "generative_field"
 
 def table_csv(table: FieldTable) -> str:
     """Render a FieldTable as CSV with the canonical column set."""
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in table.records:
-        buf.write(
-            f"{rec.layer_id},{rec.style_label or ''},{rec.input_resolution},"
-            f"{rec.generative_field},{rec.channels_in}\n"
-        )
-    return buf.getvalue()
+    return csv_text([CSV_COLUMNS, *map(table_row, table.records)])
+
+
+def table_row(rec: FieldRecord) -> tuple:
+    """One record's cells in ``CSV_COLUMNS`` order (no style label renders as '')."""
+    return (rec.layer_id, rec.style_label or "", rec.input_resolution,
+            rec.generative_field, rec.channels_in)

@@ -24,6 +24,7 @@ __all__ = [
     "write_pgm",
     "parse_vectors_csv",
     "load_vectors_csv",
+    "csv_text",
     "vectors_csv",
     "save_vectors_csv",
     "load_landmarks_csv",
@@ -148,16 +149,20 @@ def load_vectors_csv(path: str) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def csv_text(rows) -> str:
+    """Render rows, header first, as unquoted CSV: each cell's ``str``, comma-joined.
+
+    No cell may hold a comma or a line break.  Python floats print in full.
+    """
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def vectors_csv(matrix, header: bool = False) -> str:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
-    buf = io.StringIO()
-    if header:
-        buf.write(",".join(f"d{j}" for j in range(arr.shape[1])) + "\n")
-    for row in arr:
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    head = [[f"d{j}" for j in range(arr.shape[1])]] if header else []
+    return csv_text(head + arr.tolist())
 
 
 def save_vectors_csv(path: str, matrix, header: bool = False) -> None:

@@ -43,7 +43,6 @@ boundary at any stage of the simulation.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .archgraph import ArchError, ArchSpec
 from .fields import generative_field
+from .fileio import csv_text
 
 __all__ = [
     "DEFAULT_SEED",
@@ -450,12 +450,10 @@ VERIFY_CSV_COLUMNS = ("layer_id", "analytic", "footprint", "semantics", "clipped
 
 
 def verification_csv(arch: ArchSpec, results: list[FootprintResult]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(VERIFY_CSV_COLUMNS) + "\n")
-    for res in results:
-        layer_id = arch.layers[res.layer_index].id
-        buf.write(
-            f"{layer_id},{res.analytic},{res.footprint},{res.semantics.value},"
-            f"{str(res.clipped).lower()},{res.match_class}\n"
-        )
-    return buf.getvalue()
+    return csv_text([VERIFY_CSV_COLUMNS, *(verification_row(arch, r) for r in results)])
+
+
+def verification_row(arch: ArchSpec, res: FootprintResult) -> tuple:
+    """One result's cells in ``VERIFY_CSV_COLUMNS`` order."""
+    return (arch.layers[res.layer_index].id, res.analytic, res.footprint,
+            res.semantics.value, str(res.clipped).lower(), res.match_class)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import csv_text
+
 __all__ = [
     "ChannelStats",
     "estimate_stats",
@@ -124,11 +126,8 @@ def regularized_objective(base_loss: float, s, stats: ChannelStats, weight: floa
 
 def stats_csv(stats: ChannelStats) -> str:
     """Render statistics as CSV with columns dim,mu,sigma at full precision."""
-    buf = io.StringIO()
-    buf.write("dim,mu,sigma\n")
-    for d in range(stats.dims):
-        buf.write(f"{d},{float(stats.mu[d])!r},{float(stats.sigma[d])!r}\n")
-    return buf.getvalue()
+    return csv_text([("dim", "mu", "sigma"), *zip(range(stats.dims), stats.mu.tolist(),
+                                                  stats.sigma.tolist())])
 
 
 def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
