@@ -14,6 +14,7 @@ after validation and safe to share between concurrent analyses.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -96,9 +97,27 @@ class ArchSpec:
         raise ArchValidationError(f"unknown layer id {layer_id!r} in architecture {self.name!r}")
 
 
+# Ids, labels and names are written verbatim into unquoted CSV cells and
+# line-oriented report headers.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+_UNSAFE_CELL = re.compile(r"[,\x00-\x1f\x7f-\x9f]")
+
+
+def _is_int(value: object) -> bool:
+    # bool is an int subclass; reject it explicitly.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(arch: ArchSpec) -> ArchSpec:
+    if _CONTROL.search(arch.name):
+        raise ArchValidationError(f"architecture name {arch.name!r} contains a control character")
     if not arch.layers:
         raise ArchValidationError(f"architecture {arch.name!r} has no layers")
+    if not _is_int(arch.base_resolution):
+        raise ArchValidationError(
+            f"architecture {arch.name!r}: base_resolution must be an integer, "
+            f"got {arch.base_resolution!r}"
+        )
     if arch.base_resolution < 1:
         raise ArchValidationError(
             f"architecture {arch.name!r}: base_resolution must be positive, got {arch.base_resolution}"
@@ -107,9 +126,23 @@ def _validate(arch: ArchSpec) -> ArchSpec:
     for i, layer in enumerate(arch.layers):
         if not layer.id:
             raise ArchValidationError(f"layer {i} has an empty id")
+        if _UNSAFE_CELL.search(layer.id):
+            raise ArchValidationError(
+                f"layer {i} id {layer.id!r} contains a comma or a control character"
+            )
+        if layer.style_label is not None and _UNSAFE_CELL.search(layer.style_label):
+            raise ArchValidationError(
+                f"{layer.id}: style_label {layer.style_label!r} contains a comma or a "
+                f"control character"
+            )
         if layer.id in seen:
             raise ArchValidationError(f"duplicate layer id {layer.id!r}")
         seen.add(layer.id)
+        for field in ("kernel", "upsample", "channels_in", "channels_out"):
+            if not _is_int(getattr(layer, field)):
+                raise ArchValidationError(
+                    f"{layer.id}: {field} must be an integer, got {getattr(layer, field)!r}"
+                )
         if layer.kernel < 1:
             raise ArchValidationError(f"{layer.id}: kernel must be >= 1, got {layer.kernel}")
         if layer.upsample < 1:
@@ -135,8 +168,7 @@ _LAYER_REQUIRED = {"kernel", "upsample", "channels_in", "channels_out"}
 
 
 def _expect_int(value: object, where: str) -> int:
-    # bool is an int subclass; reject it explicitly.
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ArchParseError(f"{where}: expected an integer, got {value!r}")
     return value
 

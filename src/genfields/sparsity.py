@@ -28,6 +28,9 @@ __all__ = [
 DEFAULT_BINS = 20
 HIGH_FUNCTIONAL_THRESHOLD = 0.6
 DEFAULT_TOP_K = 50
+# Largest tests x bins histogram matrix mean_histogram builds (512 MB of
+# float64); larger requests are refused before anything is allocated.
+MAX_HISTOGRAM_CELLS = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +114,7 @@ def mean_histogram(
 
     Standard deviations are population (not sample) values; they are
     descriptive error bars, not inferential statistics.
+    More than ``MAX_HISTOGRAM_CELLS`` tests x bins cells raise ValueError.
     """
     signals = [_as_signal(t) for t in tests]
     if not signals:
@@ -119,6 +123,11 @@ def mean_histogram(
     for i, s in enumerate(signals):
         if s.size != dim:
             raise ValueError(f"test {i} has dimension {s.size}, expected {dim}")
+    if len(signals) * bins > MAX_HISTOGRAM_CELLS:
+        raise ValueError(
+            f"bins={bins} over {len(signals)} tests needs {len(signals) * bins} histogram "
+            f"cells, above the limit of {MAX_HISTOGRAM_CELLS}"
+        )
     histograms = []
     high_counts = []
     for s in signals:

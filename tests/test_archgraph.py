@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -205,3 +206,54 @@ def test_load_arch_reports_path(tmp_path):
         load_arch(str(target))
     with pytest.raises(ArchParseError, match="missing.arch"):
         load_arch(str(tmp_path / "missing.arch"))
+
+
+# ------------------------------------------------------------ invariants ---
+
+@pytest.mark.parametrize("layer, message", [
+    (LayerSpec("conv0", float("nan"), 2, 4, 4), "conv0: kernel must be an integer"),
+    (LayerSpec("conv0", 3.0, 2, 4, 4), "conv0: kernel must be an integer"),
+    (LayerSpec("conv0", 3, 2.5, 4, 4), "conv0: upsample must be an integer"),
+    (LayerSpec("conv0", 3, True, 4, 4), "conv0: upsample must be an integer"),
+    (LayerSpec("conv0", 3, 2, float("inf"), 4), "conv0: channels_in must be an integer"),
+    (LayerSpec("conv0", 3, 2, 4, 4.0), "conv0: channels_out must be an integer"),
+])
+def test_non_integer_layer_sizes_rejected(layer, message):
+    from genfields.archgraph import validate_arch
+
+    with pytest.raises(ArchValidationError, match=message):
+        validate_arch(ArchSpec("x", 4, (layer,)))
+
+
+@pytest.mark.parametrize("base", [4.5, 4.0, float("nan"), True])
+def test_non_integer_base_resolution_rejected(base):
+    from genfields.archgraph import validate_arch
+
+    with pytest.raises(ArchValidationError, match="base_resolution must be an integer"):
+        validate_arch(ArchSpec("x", base, (LayerSpec("conv0", 3, 2, 4, 4),)))
+
+
+@pytest.mark.parametrize("layer_id, label, message", [
+    ("c,0", None, "layer 0 id 'c,0'"),
+    ("c\n0", None, "layer 0 id 'c\\n0'"),
+    ("c\x7f0", None, "layer 0 id"),
+    ("conv0", "s,1", "conv0: style_label 's,1'"),
+    ("conv0", "s\n1", "conv0: style_label 's\\n1'"),
+    ("conv0", "s\t1", "conv0: style_label"),
+])
+def test_report_breaking_ids_and_labels_rejected(layer_id, label, message):
+    doc = json.loads(MINIMAL)
+    doc["layers"][0]["id"] = layer_id
+    if label is not None:
+        doc["layers"][0]["style_label"] = label
+    with pytest.raises(ArchValidationError, match=re.escape(message)):
+        parse_arch(json.dumps(doc))
+
+
+def test_control_character_in_name_rejected():
+    doc = json.loads(MINIMAL)
+    doc["name"] = "min\rimal"
+    with pytest.raises(ArchValidationError, match="control character"):
+        parse_arch(json.dumps(doc))
+    doc["name"] = "min, imal"  # a comma in the name breaks no report
+    assert parse_arch(json.dumps(doc)).name == "min, imal"

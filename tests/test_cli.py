@@ -662,3 +662,31 @@ def run_golden(argv, directory, monkeypatch, capsys):
 def test_golden_report(case, tmp_path, monkeypatch, capsys):
     expected = GOLDEN["cases"][case]
     assert run_golden(expected["argv"], tmp_path, monkeypatch, capsys) == expected
+
+
+# ------------------------------------------------------ input boundaries ---
+
+@pytest.mark.parametrize("field, value, named", [
+    ("id", "c,0", "layer 0 id 'c,0'"),
+    ("style_label", "s\n1", "conv0: style_label 's\\n1'"),
+])
+def test_report_breaking_arch_names_exit_1(capsys, tmp_path, field, value, named):
+    doc = json.loads(serialize_arch(stylegan2_preset(8)))
+    doc["layers"][0][field] = value
+    path = tmp_path / "comma.arch"
+    path.write_text(json.dumps(doc))
+    for fmt in ("table", "csv", "json"):
+        code, out, err = run(capsys, "fields", "--arch", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "comma.arch" in err and named in err
+
+
+def test_analyze_histogram_size_limit_exits_1(capsys, monkeypatch, tmp_path):
+    from genfields import sparsity
+
+    monkeypatch.setattr(sparsity, "MAX_HISTOGRAM_CELLS", 100)
+    path = tmp_path / "deltas.csv"
+    save_vectors_csv(str(path), np.arange(1.0, 13.0).reshape(3, 4))
+    code, out, err = run(capsys, "analyze", str(path), "--bins", "34")
+    assert (code, out) == (1, "")
+    assert err == "Error: bins=34 over 3 tests needs 102 histogram cells, above the limit of 100\n"

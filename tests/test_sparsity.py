@@ -159,3 +159,13 @@ def test_reuse_rates_bounds_and_union_size():
 def test_reuse_rates_empty():
     with pytest.raises(ValueError, match="at least one"):
         reuse_rates([])
+
+
+def test_mean_histogram_refuses_oversize_before_allocating(monkeypatch):
+    from genfields import sparsity
+
+    monkeypatch.setattr(sparsity, "MAX_HISTOGRAM_CELLS", 100)
+    tests = [np.arange(1.0, 5.0)] * 5
+    assert mean_histogram(tests, bins=20).bins_mean.shape == (20,)  # 5 x 20 = 100 cells
+    with pytest.raises(ValueError, match="bins=21 over 5 tests needs 105 histogram cells"):
+        mean_histogram(tests, bins=21)
