@@ -96,13 +96,12 @@ class CheckFailure(Exception):
 
 def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), notes=(),
             csv=None) -> str:
-    """Render one report in ``fmt``, laid out as the module docstring describes.
+    """Render one report in ``fmt``, in the layout the module docstring gives.
 
-    ``payload`` returns the json fields that follow ``parameters``; ``csv``,
-    if given, returns the CSV body, which is otherwise ``columns`` then
-    ``rows``.  Both are zero-argument functions, so a format that does not
-    use them never builds them.  ``lines`` are the summary lines; the table
-    format draws a table only when there are ``columns``.
+    csv: header, ``# note:``, ``# `` + ``lines``, then ``csv()`` or else ``columns``
+    and ``rows``; table: header, ``lines``, a table if there are ``columns``,
+    ``note:``; json: tool, version, subcommand, parameters, then ``payload()``.
+    ``payload`` and ``csv`` take no arguments: a format not using them never calls them.
     """
     if fmt == "json":
         meta = {
@@ -116,7 +115,8 @@ def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), not
     out = [f"# genfields {__version__}", f"# subcommand: {subcommand}", f"# parameters: {rendered}"]
     if fmt == "csv":
         out += [f"# note: {n}" for n in notes] + [f"# {line}" for line in lines]
-        return "\n".join(out) + "\n" + (csv() if csv else csv_text(itertools.chain([columns], rows)))
+        body = csv() if csv else csv_text(itertools.chain([columns], rows))
+        return "\n".join(out) + "\n" + body
     out += lines
     if columns:
         out += _render_table(columns, rows)
@@ -386,7 +386,7 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
             "notes": notes,
         },
         columns=("dim", "reuse_rate"),
-        rows=((d, _fmt_float(reuse.rates[d])) for d in reuse.union_dims),
+        rows=((d, reuse.rates[d]) for d in reuse.union_dims),
         lines=lines, notes=notes,
     ), output)
 
