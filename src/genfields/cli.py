@@ -222,6 +222,8 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     Footprints below the analytic value are expected for upsampling stacks;
     a footprint above it is classified OVER-BUG and the command exits 2.
     """
+    if numeric and seed < 0:
+        raise click.ClickException(f"--seed must be non-negative with --numeric, got {seed}")
     arch = _resolve_arch(preset, arch_path)
     sem = Semantics(semantics)
     params = {"arch": arch.name, "semantics": sem.value, "sim_base": sim_base, "format": fmt}

@@ -9,13 +9,17 @@ stride 1 the two agree exactly.
 
 Two independent propagation routes are implemented on purpose:
 
-* :func:`boolean_footprint` spreads a boolean "affected" mask using index
-  adjacency rules only;
+* :func:`boolean_footprint` tracks the sorted set of affected positions
+  using index adjacency rules only;
 * :func:`numeric_footprint` runs a real convolution executor with strictly
   positive random weights and diffs a perturbed pass against a baseline.
 
 Positive weights forbid cancellation, so the two must agree; the test suite
 asserts that they do.  Neither route shares code with the analytic formula.
+
+The boolean route holds the exact affected positions of one axis, with no
+window.  Every adjacency rule acts on one axis at a time and the impulse is
+one point, so the 2-D affected set is exactly S x S for the 1-D set S.
 
 The numeric route computes both passes only on the impulse's cone: at each
 layer, the positions where the perturbed pass can differ from the baseline,
@@ -23,8 +27,9 @@ plus the inputs that later layers read.  This is exact, not an
 approximation: outside the cone both passes read identical inputs, so their
 difference there is exactly zero, and inside it each output reads the same
 values and sums them in the same order as a full-map pass would, so it is
-bitwise equal.  The boolean route stays a full-map check, so a cone that was
-too narrow would show as an executor disagreement.
+bitwise equal.  The boolean route uses neither the cone nor any window, so
+a cone that was too narrow would show as an executor disagreement.  Both
+routes cost in proportion to the field, not to ``sim_base``.
 
 Upsampling semantics are first-class because nothing pins how a factor-2
 layer is realized.  ``zero-insert-transposed`` (the default) interleaves
@@ -67,8 +72,8 @@ DEFAULT_SEED = 7
 
 AFFECTED_THRESHOLD = 1e-9
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
-# Largest map, in cells, either oracle simulates (the largest benchmark map
-# has 524,288).
+# Largest map, in cells, either oracle accepts; neither allocates it.  The
+# limit keeps every position index and generator ``advance`` step bounded.
 MAX_ORACLE_CELLS = 2**26
 
 
@@ -134,81 +139,22 @@ def _input_length(arch: ArchSpec, layer: int, sim_base: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Boolean route: spread an "affected" mask by index adjacency only.
+# Boolean route: track the sorted affected positions along one axis.
 
-def _bool_shift_or(mask: np.ndarray, offset: int, axis: int, out: np.ndarray) -> None:
-    """out[q] |= mask[q - offset] along one axis, in place."""
-    n = mask.shape[axis]
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    if offset >= 0:
-        src[axis] = slice(0, n - offset)
-        dst[axis] = slice(offset, n)
+def _spread(pos: np.ndarray, k: int, u: int, semantics: Semantics, length: int) -> np.ndarray:
+    """The outputs, sorted and clipped to [0, length), that inputs ``pos`` affect.
+
+    Zero-insert (u > 1): p reaches u*p .. u*p+k-1.  Otherwise p repeats to
+    u*p .. u*p+u-1 and the SAME window spreads q to q-k//2 .. q+(k-1)//2.
+    """
+    if u > 1 and semantics is Semantics.ZERO_INSERT:
+        offsets = np.arange(k)
     else:
-        src[axis] = slice(-offset, n)
-        dst[axis] = slice(0, n + offset)
-    out[tuple(dst)] |= mask[tuple(src)]
-
-
-def _bool_same_conv(mask: np.ndarray, k: int) -> np.ndarray:
-    """Stride-1 SAME window: input p affects outputs p-(k-1-pad) .. p+pad per axis."""
-    pad = (k - 1) // 2
-    out = mask
-    for axis in range(mask.ndim):
-        spread = np.zeros_like(out)
-        for off in range(-(k - 1 - pad), pad + 1):
-            _bool_shift_or(out, off, axis, spread)
-        out = spread
-    return out
-
-
-def _bool_zero_insert(mask: np.ndarray, k: int, u: int) -> np.ndarray:
-    """Zero-insert transposed window: input p affects outputs u*p .. u*p+k-1 per axis."""
-    inserted = np.zeros(tuple(u * n for n in mask.shape), dtype=bool)
-    inserted[tuple(slice(None, None, u) for _ in mask.shape)] = mask
-    out = inserted
-    for axis in range(out.ndim):
-        spread = np.zeros_like(out)
-        for off in range(k):
-            _bool_shift_or(out, off, axis, spread)
-        out = spread
-    return out
-
-
-def _bool_nearest(mask: np.ndarray, k: int, u: int) -> np.ndarray:
-    """Nearest upsample then SAME window: p maps to u*p .. u*p+u-1 first."""
-    out = mask
-    for axis in range(mask.ndim):
-        out = np.repeat(out, u, axis=axis)
-    return _bool_same_conv(out, k)
-
-
-def _bool_step(mask: np.ndarray, k: int, u: int, semantics: Semantics) -> np.ndarray:
-    if u == 1:
-        return _bool_same_conv(mask, k)
-    if semantics is Semantics.ZERO_INSERT:
-        return _bool_zero_insert(mask, k, u)
-    return _bool_nearest(mask, k, u)
-
-
-def _touches_border(mask: np.ndarray) -> bool:
-    for axis in range(mask.ndim):
-        first = mask.take(0, axis=axis)
-        last = mask.take(-1, axis=axis)
-        if bool(np.any(first)) or bool(np.any(last)):
-            return True
-    return False
-
-
-def _span(mask: np.ndarray) -> int:
-    """Side length of the bounding box of the True region (max over axes)."""
-    if not mask.any():
-        return 0
-    spans = []
-    for axis in range(mask.ndim):
-        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
-        spans.append(int(hit[-1] - hit[0] + 1))
-    return max(spans)
+        offsets = np.arange(-(k // 2), u + (k - 1) // 2)
+    out = np.sort(u * pos[:, None] + offsets, axis=None)
+    # Not np.unique: its first call imports numpy.ma, about 1.6 MB of RSS.
+    first = np.diff(out, prepend=out[0] - 1) > 0
+    return out[first & (out >= 0) & (out < length)]
 
 
 def boolean_footprint(
@@ -227,19 +173,18 @@ def boolean_footprint(
     """
     semantics = Semantics(semantics)
     _check_args(arch, layer, sim_base, dims)
-    n = _input_length(arch, layer, sim_base)
-    shape = (n,) * dims
-    mask = np.zeros(shape, dtype=bool)
-    mask[tuple(n // 2 for _ in range(dims))] = True
+    length = _input_length(arch, layer, sim_base)
+    pos = np.array([length // 2])
     clipped = False
     for spec in arch.layers[layer:]:
-        mask = _bool_step(mask, spec.kernel, spec.upsample, semantics)
-        clipped = clipped or _touches_border(mask)
+        length *= spec.upsample
+        pos = _spread(pos, spec.kernel, spec.upsample, semantics, length)
+        clipped |= bool(pos[0] == 0 or pos[-1] == length - 1)
     return FootprintResult(
         layer_index=layer,
         semantics=semantics,
         dims=dims,
-        footprint=_span(mask),
+        footprint=int(pos[-1] - pos[0] + 1),
         analytic=generative_field(arch, layer),
         clipped=clipped,
     )
@@ -357,6 +302,12 @@ def _base_window(
         pos = start + hi - lo
     rng.bit_generator.advance(n**dims - pos)
     return np.concatenate(runs).reshape((hi - lo,) * dims)
+
+
+def _span(mask: np.ndarray) -> int:
+    """Side length of the bounding box of the True region (max over axes)."""
+    hit = np.argwhere(mask)
+    return int((hit.max(axis=0) - hit.min(axis=0)).max()) + 1 if hit.size else 0
 
 
 def _reaches_end(mask: np.ndarray, window: tuple[int, int], length: int) -> bool:

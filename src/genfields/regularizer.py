@@ -133,7 +133,9 @@ def stats_csv(stats: ChannelStats) -> str:
 def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
     """Parse a dim,mu,sigma CSV.  Rows must be dense and ordered 0..D-1.
 
-    Lines starting with ``#`` (report header blocks) are ignored.
+    Lines starting with ``#`` (report header blocks) are ignored.  A negative
+    sigma is an error; a sigma below ``epsilon_floor``, zero included, is
+    raised to it, as :func:`estimate_stats` does.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
@@ -152,6 +154,8 @@ def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> 
             raise ValueError(f"statistics CSV row {i + 1}: {exc}") from exc
         if d != i:
             raise ValueError(f"statistics CSV row {i + 1}: expected dim {i}, got {d}")
+        if sd < 0.0:
+            raise ValueError(f"statistics CSV row {i + 1}: sigma {sd} is negative")
         mu.append(m)
         sigma.append(sd)
     if not mu:

@@ -160,6 +160,22 @@ def test_verify_corrupt_arch_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_numeric_negative_seed_exits_1(capsys, monkeypatch):
+    from genfields import cli
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle ran before the seed was checked")
+
+    monkeypatch.setattr(cli, "verify_arch", no_oracle)
+    code, out, err = run(capsys, "verify", "--preset", "stylegan2-64", "--numeric", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err and "-1" in err
+    # without --numeric the seed is unused, so it is not checked
+    monkeypatch.undo()
+    assert run(capsys, "verify", "--preset", "stylegan2-64", "--seed", "-1")[0] == 0
+
+
 def test_verify_csv_matches_columns(capsys):
     code, out, _ = run(
         capsys, "verify", "--preset", "stylegan2-8", "--sim-base", "16", "--format", "csv"
@@ -403,6 +419,17 @@ def test_loglik_non_finite_stats_exits_1(capsys, tmp_path, row):
     assert code == 1
     assert out == ""
     assert "bad_stats.csv" in err and "finite" in err
+
+
+def test_loglik_negative_sigma_exits_1(capsys, tmp_path):
+    stats_path = tmp_path / "neg_stats.csv"
+    stats_path.write_text("dim,mu,sigma\n0,0.0,-5\n")
+    sample_path = tmp_path / "sample.csv"
+    save_vectors_csv(str(sample_path), np.array([0.1]))
+    code, out, err = run(capsys, "loglik", str(stats_path), str(sample_path))
+    assert code == 1
+    assert out == ""
+    assert "neg_stats.csv" in err and "row 1" in err and "negative" in err
 
 
 # ---------------------------------------------------------------- losses ---

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,7 +262,7 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
         perturbed = _numeric_step(perturbed, w, spec.upsample, semantics)
         stages.append((base, perturbed))
         diff_mask = np.abs(perturbed - base) > threshold
-        clipped = clipped or oracle._touches_border(diff_mask)
+        clipped = clipped or _touches_border(diff_mask)
 
     result = FootprintResult(
         layer_index=layer,
@@ -372,3 +374,122 @@ def test_size_guard_applies_to_both_oracles(monkeypatch):
         with pytest.raises(ValueError, match="conv0"):
             fn(arch, 0, sim_base=51)
         assert fn(arch, 0, sim_base=50).footprint >= 1
+
+
+# --------------------------------------------------------------------------
+# Reference: the full-map boolean masks the position route replaced, kept
+# verbatim.  reference_numeric uses _touches_border too.
+
+def _bool_shift_or(mask: np.ndarray, offset: int, axis: int, out: np.ndarray) -> None:
+    """out[q] |= mask[q - offset] along one axis, in place."""
+    n = mask.shape[axis]
+    src = [slice(None)] * mask.ndim
+    dst = [slice(None)] * mask.ndim
+    if offset >= 0:
+        src[axis] = slice(0, n - offset)
+        dst[axis] = slice(offset, n)
+    else:
+        src[axis] = slice(-offset, n)
+        dst[axis] = slice(0, n + offset)
+    out[tuple(dst)] |= mask[tuple(src)]
+
+
+def _bool_same_conv(mask: np.ndarray, k: int) -> np.ndarray:
+    """Stride-1 SAME window: input p affects outputs p-(k-1-pad) .. p+pad per axis."""
+    pad = (k - 1) // 2
+    out = mask
+    for axis in range(mask.ndim):
+        spread = np.zeros_like(out)
+        for off in range(-(k - 1 - pad), pad + 1):
+            _bool_shift_or(out, off, axis, spread)
+        out = spread
+    return out
+
+
+def _bool_zero_insert(mask: np.ndarray, k: int, u: int) -> np.ndarray:
+    """Zero-insert transposed window: input p affects outputs u*p .. u*p+k-1 per axis."""
+    inserted = np.zeros(tuple(u * n for n in mask.shape), dtype=bool)
+    inserted[tuple(slice(None, None, u) for _ in mask.shape)] = mask
+    out = inserted
+    for axis in range(out.ndim):
+        spread = np.zeros_like(out)
+        for off in range(k):
+            _bool_shift_or(out, off, axis, spread)
+        out = spread
+    return out
+
+
+def _bool_nearest(mask: np.ndarray, k: int, u: int) -> np.ndarray:
+    """Nearest upsample then SAME window: p maps to u*p .. u*p+u-1 first."""
+    out = mask
+    for axis in range(mask.ndim):
+        out = np.repeat(out, u, axis=axis)
+    return _bool_same_conv(out, k)
+
+
+def _bool_step(mask: np.ndarray, k: int, u: int, semantics: Semantics) -> np.ndarray:
+    if u == 1:
+        return _bool_same_conv(mask, k)
+    if semantics is Semantics.ZERO_INSERT:
+        return _bool_zero_insert(mask, k, u)
+    return _bool_nearest(mask, k, u)
+
+
+def _touches_border(mask: np.ndarray) -> bool:
+    for axis in range(mask.ndim):
+        first = mask.take(0, axis=axis)
+        last = mask.take(-1, axis=axis)
+        if bool(np.any(first)) or bool(np.any(last)):
+            return True
+    return False
+
+
+def reference_boolean(arch, layer, semantics, sim_base, dims):
+    """Full-map boolean masks per stage, and the footprint result."""
+    semantics = Semantics(semantics)
+    oracle._check_args(arch, layer, sim_base, dims)
+    n = oracle._input_length(arch, layer, sim_base)
+    shape = (n,) * dims
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple(n // 2 for _ in range(dims))] = True
+    clipped = False
+    for spec in arch.layers[layer:]:
+        mask = _bool_step(mask, spec.kernel, spec.upsample, semantics)
+        clipped = clipped or _touches_border(mask)
+    return FootprintResult(
+        layer_index=layer,
+        semantics=semantics,
+        dims=dims,
+        footprint=oracle._span(mask),
+        analytic=generative_field(arch, layer),
+        clipped=clipped,
+    )
+
+
+def test_positions_equal_full_map_masks():
+    seen, clipped = set(), 0
+    for i, (arch, layer, _, sim_base, _, dims, _) in enumerate(_cone_corpus(3200, 4099)):
+        # the cone corpus makes every 2-D case zero-insert; alternate in blocks of 4
+        sem = list(Semantics)[i // 4 % 2]
+        expected = reference_boolean(arch, layer, sem, sim_base, dims)
+        result = boolean_footprint(arch, layer, sem, sim_base, dims)
+        assert result == expected, (arch, layer, sem, sim_base, dims)
+        assert type(result.clipped) is bool
+        seen.add((dims, sem))
+        clipped += expected.clipped
+    assert seen == {(d, s) for d in (1, 2) for s in Semantics}
+    assert clipped >= 20
+
+
+def test_boolean_cost_does_not_grow_with_sim_base():
+    arch = stylegan2_preset(1024)
+    for sem in Semantics:
+        small = boolean_footprint(arch, 0, sem, sim_base=1024)
+        tracemalloc.start()
+        try:
+            large = boolean_footprint(arch, 0, sem, sim_base=200000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (sem, peak)
+        assert large.footprint == small.footprint and not large.clipped, sem

@@ -223,6 +223,13 @@ def test_loaded_sigma_refloored():
     assert stats.sigma[0] == 1e-8
 
 
+def test_negative_sigma_rejected_naming_row():
+    with pytest.raises(ValueError, match="row 2: sigma -5.0 is negative"):
+        parse_stats_csv("dim,mu,sigma\n0,0.0,1.0\n1,0.0,-5\n")
+    # a tiny positive sigma is still floored, not rejected
+    assert parse_stats_csv("dim,mu,sigma\n0,0.0,1e-12\n").sigma[0] == 1e-8
+
+
 @pytest.mark.parametrize(
     "mu, sigma, floor, message",
     [
