@@ -74,30 +74,27 @@ def read_pgm(path: str) -> np.ndarray:
     return _read_netpbm(path, b"P5", 1)
 
 
-def _quantize(img: np.ndarray) -> np.ndarray:
-    if img.min() < 0.0 or img.max() > 1.0:
+def _write_netpbm(path: str, magic: str, arr: np.ndarray) -> None:
+    if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("image values must lie in [0, 1]")
-    return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    raster = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
+        fh.write(raster.tobytes())
 
 
 def write_ppm(path: str, img) -> None:
     arr = np.asarray(img, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"PPM output requires an (h, w, 3) image, got shape {arr.shape}")
-    raster = _quantize(arr)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
-        fh.write(raster.tobytes())
+    _write_netpbm(path, "P6", arr)
 
 
 def write_pgm(path: str, img) -> None:
     arr = np.asarray(img, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"PGM output requires an (h, w) image, got shape {arr.shape}")
-    raster = _quantize(arr)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
-        fh.write(raster.tobytes())
+    _write_netpbm(path, "P5", arr)
 
 
 _HEADER_CELL = re.compile(r"d\d+$")

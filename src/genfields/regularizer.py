@@ -11,8 +11,10 @@ close to the data manifold.  The per-channel sigma_i sits inside the sum; a
 single shared scale would contradict per-channel statistics.  L(S) <= 0
 always, with equality exactly at the mean.
 
-The analytic gradient is provided for optimizer use and is cross-checked
-against central finite differences in the test suite.
+The analytic gradient is provided for optimizer use.  ``loglik --fd-check``
+checks it per channel by a central difference stepped by one sigma_i: a fixed
+step loses the check to rounding on channels at the sigma floor.  The
+log-likelihood and its gradient raise ValueError where they overflow float64.
 """
 
 from __future__ import annotations
@@ -100,17 +102,25 @@ def _check_vector(s, stats: ChannelStats) -> np.ndarray:
     return arr
 
 
+def _finite(result, what: str):
+    if not np.isfinite(result).all():
+        raise ValueError(f"{what} overflows: the style vector is too far from the mean")
+    return result
+
+
 def log_likelihood(s, stats: ChannelStats) -> float:
     """Diagonal-Gaussian log-likelihood of a style vector (additive constants dropped)."""
     arr = _check_vector(s, stats)
-    z = (arr - stats.mu) / stats.sigma
-    return float(-0.5 * np.dot(z, z))
+    with np.errstate(over="ignore"):
+        z = (arr - stats.mu) / stats.sigma
+        return _finite(float(-0.5 * np.dot(z, z)), "log-likelihood")
 
 
 def log_likelihood_grad(s, stats: ChannelStats) -> np.ndarray:
     """Gradient of :func:`log_likelihood`: -(s_i - mu_i) / sigma_i^2."""
     arr = _check_vector(s, stats)
-    return -(arr - stats.mu) / (stats.sigma**2)
+    with np.errstate(over="ignore"):
+        return _finite(-(arr - stats.mu) / (stats.sigma**2), "log-likelihood gradient")
 
 
 def regularized_objective(base_loss: float, s, stats: ChannelStats, weight: float) -> float:

@@ -74,7 +74,30 @@ def _as_signal(delta) -> np.ndarray:
     arr = np.asarray(delta, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"control signal must be a non-empty 1-D vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("control signal values must be finite")
     return arr
+
+
+def _normalize(signals: np.ndarray) -> np.ndarray:
+    """Absolute values of each signal (last axis) scaled by its peak, in place."""
+    magnitudes = np.abs(signals, out=signals)
+    peak = magnitudes.max(axis=-1, keepdims=True)
+    magnitudes /= np.where(peak == 0.0, 1.0, peak)
+    return magnitudes
+
+
+def _counts(values: np.ndarray, bins: int) -> np.ndarray:
+    """Bin counts of each row of a (tests, dims) matrix, by one offset bincount."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    if values.min() < 0.0 or values.max() > 1.0:
+        raise ValueError("histogram input must lie in [0, 1]; normalize first")
+    n = len(values)
+    cells = (values * bins).astype(int)
+    np.minimum(cells, bins - 1, out=cells)
+    cells += bins * np.arange(n)[:, np.newaxis]
+    return np.bincount(cells.ravel(), minlength=n * bins).reshape(n, bins)
 
 
 def normalize_abs(delta) -> np.ndarray:
@@ -82,11 +105,7 @@ def normalize_abs(delta) -> np.ndarray:
 
     An all-zero signal has no scale and normalizes to all zeros.
     """
-    arr = np.abs(_as_signal(delta))
-    peak = arr.max()
-    if peak == 0.0:
-        return arr
-    return arr / peak
+    return _normalize(_as_signal(delta).copy())
 
 
 def histogram_counts(values, bins: int = DEFAULT_BINS) -> np.ndarray:
@@ -96,13 +115,7 @@ def histogram_counts(values, bins: int = DEFAULT_BINS) -> np.ndarray:
     last bin, so a value exactly on an interior boundary goes up (0.6 with 20
     bins lands in bin 12).  Counts always sum to the vector dimension.
     """
-    arr = _as_signal(values)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("histogram input must lie in [0, 1]; normalize first")
-    idx = np.minimum((arr * bins).astype(int), bins - 1)
-    return np.bincount(idx, minlength=bins)
+    return _counts(_as_signal(values)[np.newaxis], bins)[0]
 
 
 def mean_histogram(
@@ -119,30 +132,24 @@ def mean_histogram(
     signals = [_as_signal(t) for t in tests]
     if not signals:
         raise ValueError("mean_histogram requires at least one test")
-    dim = signals[0].size
+    n, dim = len(signals), signals[0].size
     for i, s in enumerate(signals):
         if s.size != dim:
             raise ValueError(f"test {i} has dimension {s.size}, expected {dim}")
-    if len(signals) * bins > MAX_HISTOGRAM_CELLS:
+    if n * bins > MAX_HISTOGRAM_CELLS:
         raise ValueError(
-            f"bins={bins} over {len(signals)} tests needs {len(signals) * bins} histogram "
+            f"bins={bins} over {n} tests needs {n * bins} histogram "
             f"cells, above the limit of {MAX_HISTOGRAM_CELLS}"
         )
-    histograms = []
-    high_counts = []
-    for s in signals:
-        v = normalize_abs(s)
-        h = histogram_counts(v, bins)
-        if int(h.sum()) != dim:
-            raise AssertionError("histogram counts must sum to the vector dimension")
-        histograms.append(h)
-        high_counts.append(int(np.count_nonzero(v > high_threshold)))
-    stacked = np.array(histograms, dtype=float)
+    norm = _normalize(np.array(signals))
+    counts = _counts(norm, bins).astype(float)
+    if not (counts.sum(axis=1) == dim).all():
+        raise AssertionError("histogram counts must sum to the vector dimension")
     return SparsityReport(
-        bins_mean=stacked.mean(axis=0),
-        bins_std=stacked.std(axis=0),
-        high_functional_count=float(np.mean(high_counts)),
-        tests=len(signals),
+        bins_mean=counts.mean(axis=0),
+        bins_std=counts.std(axis=0),
+        high_functional_count=float(np.mean(np.count_nonzero(norm > high_threshold, axis=1))),
+        tests=n,
     )
 
 
@@ -155,9 +162,8 @@ def topk_set(delta, k: int = DEFAULT_TOP_K) -> TopKSet:
     arr = _as_signal(delta)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    take = min(k, arr.size)
     order = np.argsort(-np.abs(arr), kind="stable")
-    return TopKSet(k=k, dims=frozenset(int(d) for d in order[:take]))
+    return TopKSet(k=k, dims=frozenset(int(d) for d in order[:k]))
 
 
 def reuse_rates(sets) -> ReuseTable:
@@ -172,11 +178,9 @@ def reuse_rates(sets) -> ReuseTable:
         raise ValueError("reuse_rates requires at least one top-k set")
     n = len(sets)
     union = sorted(set().union(*(s.dims for s in sets)))
+    column = {d: j for j, d in enumerate(union)}
     membership = np.zeros((n, len(union)), dtype=int)
-    for t, s in enumerate(sets):
-        for j, d in enumerate(union):
-            if d in s.dims:
-                membership[t, j] = 1
-    counts = membership.sum(axis=0)
-    rates = {d: float(c) / n for d, c in zip(union, counts)}
+    tests = np.repeat(np.arange(n), [len(s.dims) for s in sets])
+    membership[tests, [column[d] for s in sets for d in s.dims]] = 1
+    rates = {d: float(c) / n for d, c in zip(union, membership.sum(axis=0))}
     return ReuseTable(union_dims=tuple(union), rates=rates, membership=membership)

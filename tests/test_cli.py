@@ -12,7 +12,7 @@ import pytest
 from genfields.archgraph import serialize_arch, stylegan2_preset
 from genfields.cli import main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
-from genfields.regularizer import parse_stats_csv
+from genfields.regularizer import log_likelihood, parse_stats_csv
 
 from helpers import make_arch
 
@@ -689,6 +689,76 @@ def run_golden(argv, directory, monkeypatch, capsys):
 def test_golden_report(case, tmp_path, monkeypatch, capsys):
     expected = GOLDEN["cases"][case]
     assert run_golden(expected["argv"], tmp_path, monkeypatch, capsys) == expected
+
+
+# ------------------------------------------------------ loglik --fd-check ---
+
+WRONG_GRADIENTS = {
+    "square missing": lambda s, st: -(s - st.mu) / st.sigma,
+    "sign flipped": lambda s, st: (s - st.mu) / st.sigma**2,
+    "mu dropped": lambda s, st: -s / st.sigma**2,
+    "halved": lambda s, st: -0.5 * (s - st.mu) / st.sigma**2,
+    "scaled by 1+1e-4": lambda s, st: -(1 + 1e-4) * (s - st.mu) / st.sigma**2,
+    "nan": lambda s, st: np.full(s.shape, np.nan),
+}
+
+
+@pytest.mark.parametrize("stats_name", ["stats.csv", "floored_stats.csv"])
+@pytest.mark.parametrize("wrong", sorted(WRONG_GRADIENTS))
+def test_fd_check_catches_wrong_gradient(capsys, tmp_path, monkeypatch, stats_name, wrong):
+    from genfields import cli
+
+    for name in (stats_name, "samples.csv"):
+        (tmp_path / name).write_text(GOLDEN["inputs"][name])
+    monkeypatch.setattr(cli, "log_likelihood_grad", WRONG_GRADIENTS[wrong])
+    code, out, err = run(capsys, "loglik", str(tmp_path / stats_name),
+                         str(tmp_path / "samples.csv"), "--fd-check")
+    assert code == 2
+    assert "(FAILED, tolerance 1e-06)" in out
+    assert err == "check failed: analytic gradient disagrees with finite differences\n"
+
+
+def test_fd_check_evaluates_loglik_once_per_sample(capsys, tmp_path, monkeypatch):
+    from genfields import cli
+
+    for name in ("stats.csv", "samples.csv"):
+        (tmp_path / name).write_text(GOLDEN["inputs"][name])
+    calls = []
+    monkeypatch.setattr(cli, "log_likelihood", lambda s, st: calls.append(1) or log_likelihood(s, st))
+    code, _, _ = run(capsys, "loglik", str(tmp_path / "stats.csv"), str(tmp_path / "samples.csv"),
+                     "--fd-check")
+    assert code == 0
+    assert len(calls) == 3  # one per sample; the check itself evaluates no log-likelihood
+
+
+def test_fd_check_passes_on_floored_near_constant_columns(capsys, tmp_path):
+    # 200 columns of one value plus a few ulps of jitter: every sigma is floored.
+    rng = np.random.default_rng(606)
+    base = rng.normal(scale=10.0, size=200)
+    styles = base + np.spacing(base) * rng.integers(-3, 4, size=(16, 200))
+    save_vectors_csv(str(tmp_path / "styles.csv"), styles)
+    assert main(["stats", str(tmp_path / "styles.csv"), "--output", str(tmp_path / "stats.csv")]) == 0
+    stats = parse_stats_csv((tmp_path / "stats.csv").read_text())
+    assert (stats.sigma == stats.epsilon_floor).all()
+    code, out, err = run(capsys, "loglik", str(tmp_path / "stats.csv"), str(tmp_path / "styles.csv"),
+                         "--fd-check", "--format", "json")
+    assert (code, err) == (0, "")
+    assert max(json.loads(out)["fd_max_relative_error"]) < 1e-6
+    # A fixed step over the same channel terms fails these columns.
+    hi, lo = styles + 1e-5, styles - 1e-5
+    fd = 0.5 * (((lo - stats.mu) / stats.sigma) ** 2 - ((hi - stats.mu) / stats.sigma) ** 2) / (hi - lo)
+    g = -(styles - stats.mu) / stats.sigma**2
+    assert np.max(np.abs(fd - g) / (1 + np.abs(g))) > 1e-6
+
+
+@pytest.mark.parametrize("extra", [(), ("--fd-check",), ("--grad",)])
+def test_loglik_overflow_exits_1(capsys, tmp_path, extra):
+    (tmp_path / "stats.csv").write_text("dim,mu,sigma\n0,0.0,1e-8\n1,0.0,1.0\n")
+    samples = tmp_path / "far.csv"
+    samples.write_text("0.0,0.0\n1e200,0.5\n")
+    code, out, err = run(capsys, "loglik", str(tmp_path / "stats.csv"), str(samples), *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"Error: {samples}: sample 1: log-likelihood overflows")
 
 
 # ------------------------------------------------------ input boundaries ---

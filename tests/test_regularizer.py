@@ -115,6 +115,18 @@ def test_loglik_length_mismatch():
         log_likelihood_grad(np.zeros(3), stats)
 
 
+@pytest.mark.parametrize("fn, mu1, sample", [
+    (log_likelihood, 0.0, [1e200, 0.5]),  # (1e200 / 1e-8)^2 overflows
+    (log_likelihood, -1e308, [0.0, 1e308]),  # 1e308 - (-1e308) overflows
+    (log_likelihood_grad, 0.0, [1e300, 0.5]),  # 1e300 / 1e-16 overflows
+    (log_likelihood_grad, -1e308, [0.0, 1e308]),
+])
+def test_overflow_raises(fn, mu1, sample):
+    stats = parse_stats_csv(f"dim,mu,sigma\n0,0.0,1e-8\n1,{mu1!r},1.0\n")
+    with pytest.raises(ValueError, match="overflows"):
+        fn(np.array(sample), stats)
+
+
 def test_grad_zero_at_mean():
     stats = estimate_stats([[1.0, -1.0], [3.0, 5.0]])
     np.testing.assert_array_equal(log_likelihood_grad(stats.mu, stats), [0.0, 0.0])

@@ -169,3 +169,131 @@ def test_mean_histogram_refuses_oversize_before_allocating(monkeypatch):
     assert mean_histogram(tests, bins=20).bins_mean.shape == (20,)  # 5 x 20 = 100 cells
     with pytest.raises(ValueError, match="bins=21 over 5 tests needs 105 histogram cells"):
         mean_histogram(tests, bins=21)
+
+
+@pytest.mark.parametrize("fn", [
+    normalize_abs,
+    histogram_counts,
+    topk_set,
+    lambda v: mean_histogram([np.ones(2), v]),
+], ids=["normalize_abs", "histogram_counts", "topk_set", "mean_histogram"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_signal_rejected(fn, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(np.array([0.5, bad]))
+
+
+# --------------------------------------------------------------------------
+# Reference: the per-test loops the whole-matrix mean_histogram and the
+# indexed reuse_rates replaced, kept verbatim.
+
+from dataclasses import fields  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from genfields.sparsity import (  # noqa: E402
+    DEFAULT_BINS,
+    HIGH_FUNCTIONAL_THRESHOLD,
+    MAX_HISTOGRAM_CELLS,
+    ReuseTable,
+    SparsityReport,
+    _as_signal,
+)
+
+
+def reference_mean_histogram(
+    tests,
+    bins: int = DEFAULT_BINS,
+    high_threshold: float = HIGH_FUNCTIONAL_THRESHOLD,
+) -> SparsityReport:
+    signals = [_as_signal(t) for t in tests]
+    if not signals:
+        raise ValueError("mean_histogram requires at least one test")
+    dim = signals[0].size
+    for i, s in enumerate(signals):
+        if s.size != dim:
+            raise ValueError(f"test {i} has dimension {s.size}, expected {dim}")
+    if len(signals) * bins > MAX_HISTOGRAM_CELLS:
+        raise ValueError(
+            f"bins={bins} over {len(signals)} tests needs {len(signals) * bins} histogram "
+            f"cells, above the limit of {MAX_HISTOGRAM_CELLS}"
+        )
+    histograms = []
+    high_counts = []
+    for s in signals:
+        v = normalize_abs(s)
+        h = histogram_counts(v, bins)
+        if int(h.sum()) != dim:
+            raise AssertionError("histogram counts must sum to the vector dimension")
+        histograms.append(h)
+        high_counts.append(int(np.count_nonzero(v > high_threshold)))
+    stacked = np.array(histograms, dtype=float)
+    return SparsityReport(
+        bins_mean=stacked.mean(axis=0),
+        bins_std=stacked.std(axis=0),
+        high_functional_count=float(np.mean(high_counts)),
+        tests=len(signals),
+    )
+
+
+def reference_reuse_rates(sets) -> ReuseTable:
+    sets = list(sets)
+    if not sets:
+        raise ValueError("reuse_rates requires at least one top-k set")
+    n = len(sets)
+    union = sorted(set().union(*(s.dims for s in sets)))
+    membership = np.zeros((n, len(union)), dtype=int)
+    for t, s in enumerate(sets):
+        for j, d in enumerate(union):
+            if d in s.dims:
+                membership[t, j] = 1
+    counts = membership.sum(axis=0)
+    rates = {d: float(c) / n for d, c in zip(union, counts)}
+    return ReuseTable(union_dims=tuple(union), rates=rates, membership=membership)
+
+
+def field_reprs(obj) -> dict:
+    """repr of every dataclass field; arrays by dtype, shape and full-precision values."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype, value.shape, value.tolist())
+        out[f.name] = repr(value)
+    return out
+
+
+def assert_matches_reference(matrix, k, bins):
+    sets = [topk_set(row, k) for row in matrix]
+    for tests in (matrix, list(matrix)):
+        got = field_reprs(mean_histogram(tests, bins=bins))
+        assert got == field_reprs(reference_mean_histogram(matrix, bins=bins))
+    assert field_reprs(reuse_rates(sets)) == field_reprs(reference_reuse_rates(sets))
+
+
+def test_matrix_paths_equal_reference_loops_1000_cases():
+    rng = np.random.default_rng(2024)
+    for case in range(1000):
+        n, dim = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        if case % 2:  # few magnitudes: ties at the k-th value, 0.6 on the threshold
+            matrix = rng.choice([0.0, -0.25, 0.5, 0.6, -0.6, 1.0, -1.0, 3.0], size=(n, dim))
+        else:
+            matrix = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, dim))
+        matrix[rng.random(n) < 0.2] = 0.0  # all-zero tests
+        k = int(rng.integers(1, dim + 4))  # k >= dim included
+        assert_matches_reference(matrix, k, int(rng.integers(1, 25)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.integers(1, 24).flatmap(lambda dim: st.tuples(
+        st.lists(st.lists(st.sampled_from([0.0, -0.6, 0.6, 1.0, -1.0, 3.0, 1e-300]),
+                          min_size=dim, max_size=dim), min_size=n, max_size=n),
+        st.integers(1, dim + 3),
+    ))),
+    st.integers(1, 30),
+)
+def test_matrix_paths_equal_reference_loops_property(matrix_and_k, bins):
+    rows, k = matrix_and_k
+    assert_matches_reference(np.array(rows), k, bins)
