@@ -39,8 +39,11 @@ from .losses import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDAS,
     EulerAngles,
+    _check_alpha,
+    attr_loss,
     identity_loss,
     landmark_loss,
+    min_side_for_scales,
     pose_loss,
     reconstruction_loss,
     total_loss,
@@ -79,13 +82,8 @@ FD_TOLERANCE = 1e-6
 
 # Named control-unit configurations: contiguous layer ranges of the
 # stylegan2-256 stack used in the published field-threshold experiments.
-PLAN_CONFIGS = {
-    1: ("conv0", "conv7"),
-    2: ("conv0", "conv4"),
-    3: ("conv0", "conv2"),
-    4: ("conv3", "conv6"),
-    5: ("conv6", "conv11"),
-}
+PLAN_CONFIGS = {1: "conv0..conv7", 2: "conv0..conv4", 3: "conv0..conv2", 4: "conv3..conv6",
+                5: "conv6..conv11"}
 
 
 class CheckFailure(Exception):
@@ -154,15 +152,32 @@ def _resolve_arch(preset: str | None, arch_path: str | None) -> ArchSpec:
     return load_arch(arch_path)
 
 
-def _parse_layer_span(spec: str) -> tuple[str, str]:
+def _layer_range(arch: ArchSpec, spec: str) -> range:
+    """Indices of the layers ``first..last`` names, both ends included."""
     first, sep, last = spec.partition("..")
     if not sep or not first or not last:
         raise click.ClickException(f"layer range must look like conv0..conv7, got {spec!r}")
-    return first, last
+    lo, hi = arch.layer_index(first), arch.layer_index(last)
+    if lo > hi:
+        raise click.ClickException(f"layer range {spec!r} is reversed")
+    return range(lo, hi + 1)
+
+
+def _paired(first: str, a, second: str, b) -> bool:
+    """Whether the input pair ``first``/``second`` was given; one alone is an error."""
+    if (a is None) != (b is None):
+        raise click.ClickException(f"{first} and {second} must be given together")
+    return bool(a)
 
 
 def _fmt_float(x: float) -> str:
     return repr(float(x))
+
+
+_preset_option = click.option("--preset", help="Built-in architecture, e.g. stylegan2-256.")
+_format_option = click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]),
+                              default="table")
+_output_option = click.option("--output", type=click.Path(), default=None)
 
 
 @click.group()
@@ -180,9 +195,9 @@ def cli():
 # ---------------------------------------------------------------- fields ---
 
 @cli.command("fields")
-@click.option("--preset", help="Built-in architecture, e.g. stylegan2-256.")
+@_preset_option
 @click.option("--arch", "arch_path", type=click.Path(), help="Architecture file to analyze.")
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
+@_format_option
 @click.option("--output", type=click.Path(), default=None, help="Write the report to a file.")
 def cmd_fields(preset, arch_path, fmt, output):
     """Emit the per-layer generative field table."""
@@ -199,7 +214,7 @@ def cmd_fields(preset, arch_path, fmt, output):
 # ---------------------------------------------------------------- verify ---
 
 @cli.command("verify")
-@click.option("--preset", help="Built-in architecture, e.g. stylegan2-256.")
+@_preset_option
 @click.option("--arch", "arch_path", type=click.Path(), help="Architecture file to verify.")
 @click.option(
     "--semantics",
@@ -212,8 +227,8 @@ def cmd_fields(preset, arch_path, fmt, output):
 @click.option("--layers", "layer_span", default=None, help="Restrict to a range, e.g. conv0..conv3.")
 @click.option("--numeric", is_flag=True, help="Also run the numeric executor and check agreement.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
-@click.option("--output", type=click.Path(), default=None)
+@_format_option
+@_output_option
 def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed, fmt, output):
     """Measure impulse footprints and compare them with the analytic fields.
 
@@ -227,11 +242,7 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     params = {"arch": arch.name, "semantics": sem.value, "sim_base": sim_base, "format": fmt}
     indices = None
     if layer_span:
-        first, last = _parse_layer_span(layer_span)
-        lo, hi = arch.layer_index(first), arch.layer_index(last)
-        if lo > hi:
-            raise click.ClickException(f"layer range {layer_span!r} is reversed")
-        indices = tuple(range(lo, hi + 1))
+        indices = tuple(_layer_range(arch, layer_span))
         params["layers"] = layer_span
     results = verify_arch(arch, sem, sim_base, dims=1, layers=indices)
 
@@ -241,10 +252,8 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
         for res in results:
             num = numeric_footprint(arch, res.layer_index, sem, sim_base, seed=seed)
             if num.footprint != res.footprint:
-                layer_id = arch.layers[res.layer_index].id
-                disagreements.append(
-                    f"{layer_id}: numeric footprint {num.footprint} != boolean {res.footprint}"
-                )
+                disagreements.append(f"{arch.layers[res.layer_index].id}: numeric footprint "
+                                     f"{num.footprint} != boolean {res.footprint}")
         notes = ["numeric executor agreement: " + ("FAILED" if disagreements else "ok"),
                  *disagreements]
 
@@ -265,15 +274,15 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
 # ------------------------------------------------------------------ plan ---
 
 @cli.command("plan")
-@click.option("--preset", help="Built-in architecture, e.g. stylegan2-256.")
+@_preset_option
 @click.option("--arch", "arch_path", type=click.Path(), help="Architecture file to plan against.")
 @click.option("--config", "config_index", type=click.IntRange(1, 5), default=None,
               help="Named control-unit configuration (1..5).")
 @click.option("--min-gf", type=int, default=None, help="Smallest generative field to enable.")
 @click.option("--max-gf", type=int, default=None, help="Largest generative field to enable.")
 @click.option("--layers", "layer_span", default=None, help="Explicit range, e.g. conv0..conv7.")
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
-@click.option("--output", type=click.Path(), default=None)
+@_format_option
+@_output_option
 def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, output):
     """Build a control-signal mask plan from field thresholds or layer ranges."""
     arch = _resolve_arch(preset, arch_path)
@@ -286,20 +295,15 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
         raise click.ClickException(
             "pass exactly one selection mode: --config, --min-gf/--max-gf, or --layers"
         )
-    if by_gf and (min_gf is None or max_gf is None):
-        raise click.ClickException("--min-gf and --max-gf must be given together")
 
-    if config_index is not None:
-        first, last = PLAN_CONFIGS[config_index]
-        plan = plan_by_layers(table, layout, first, last)
-        params = {"arch": arch.name, "config": config_index, "format": fmt}
-    elif by_gf:
+    if by_gf:
+        _paired("--min-gf", min_gf, "--max-gf", max_gf)
         plan = plan_by_gf(table, layout, min_gf, max_gf)
-        params = {"arch": arch.name, "min_gf": min_gf, "max_gf": max_gf, "format": fmt}
     else:
-        first, last = _parse_layer_span(layer_span)
-        plan = plan_by_layers(table, layout, first, last)
-        params = {"arch": arch.name, "layers": layer_span, "format": fmt}
+        span = _layer_range(arch, PLAN_CONFIGS.get(config_index, layer_span))
+        plan = plan_by_layers(table, layout, arch.layers[span[0]].id, arch.layers[span[-1]].id)
+    mode = {"config": config_index, "min_gf": min_gf, "max_gf": max_gf, "layers": layer_span}
+    params = {"arch": arch.name, **{k: v for k, v in mode.items() if v is not None}, "format": fmt}
 
     rle = mask_rle(plan.mask)
     enabled = set(plan.enabled_layers)
@@ -341,8 +345,8 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
 @click.argument("deltas_csv", type=click.Path())
 @click.option("--top-k", type=int, default=DEFAULT_TOP_K, show_default=True)
 @click.option("--bins", type=int, default=DEFAULT_BINS, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
-@click.option("--output", type=click.Path(), default=None)
+@_format_option
+@_output_option
 @click.option("--membership-out", type=click.Path(), default=None,
               help="Write the per-test top-k membership matrix as CSV.")
 def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
@@ -398,7 +402,7 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 @cli.command("stats")
 @click.argument("styles_csv", type=click.Path())
 @click.option("--epsilon-floor", type=float, default=DEFAULT_EPSILON_FLOOR, show_default=True)
-@click.option("--output", type=click.Path(), default=None)
+@_output_option
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
     styles = load_vectors_csv(styles_csv)
@@ -420,8 +424,8 @@ def cmd_stats(styles_csv, epsilon_floor, output):
 @click.option("--grad", "with_grad", is_flag=True, help="Also print the analytic gradient.")
 @click.option("--fd-check", is_flag=True,
               help="Check the gradient against central finite differences (exit 2 on mismatch).")
-@click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]), default="table")
-@click.option("--output", type=click.Path(), default=None)
+@_format_option
+@_output_option
 def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     """Log-likelihood of style vectors under estimated channel statistics."""
     stats = load_stats_csv(stats_csv_path)
@@ -443,11 +447,14 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     params = {"stats": stats_csv_path, "samples": samples_csv, "format": fmt}
     fd_errors, notes = [], []
     if fd_check:
-        # Central difference of each channel's own term -z_i^2 / 2, stepped by sigma_i.
-        hi, lo = samples + stats.sigma, samples - stats.sigma
-        z_hi, z_lo = (hi - stats.mu) / stats.sigma, (lo - stats.mu) / stats.sigma
-        with np.errstate(invalid="ignore"):  # a step lost to rounding gives 0/0: FAILED
-            fd = 0.5 * (z_lo**2 - z_hi**2) / (hi - lo)
+        # Central difference of each channel's own quadratic term -z_i^2 / 2: exact for any
+        # step but for rounding.  A step of max(sigma_i, |s_i - mu_i|) is never lost in s_i + h;
+        # dividing the factored difference by it first overflows no sooner than the gradient.
+        with np.errstate(over="ignore", invalid="ignore"):  # |s_i| near 1e308: FAILED
+            step = np.maximum(stats.sigma, np.abs(samples - stats.mu))
+            hi, lo = samples + step, samples - step
+            z_hi, z_lo = (hi - stats.mu) / stats.sigma, (lo - stats.mu) / stats.sigma
+            fd = 0.5 * (z_lo - z_hi) / (hi - lo) * (z_lo + z_hi)
         g = np.array(grads)
         fd_errors = np.max(np.abs(fd - g) / (1.0 + np.abs(g)), axis=1).tolist()
         params["fd_step"] = "sigma"
@@ -496,18 +503,12 @@ def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _load_single_embedding(path: str) -> np.ndarray:
-    rows = load_vectors_csv(path)
-    if rows.shape[0] != 1:
-        raise click.ClickException(f"{path}: expected a single embedding row, got {rows.shape[0]}")
-    return rows[0]
-
-
-def _load_single_face(path: str) -> np.ndarray:
-    faces = load_landmarks_csv(path)
-    if len(faces) != 1:
-        raise click.ClickException(f"{path}: expected landmarks for one face, got {len(faces)}")
-    return faces[0]
+def _load_one(path: str, load, what: str) -> np.ndarray:
+    """The one item, an embedding row or a face, that ``load`` reads from ``path``."""
+    items = load(path)
+    if len(items) != 1:
+        raise click.ClickException(f"{path}: expected {what}, got {len(items)}")
+    return items[0]
 
 
 def _load_image(path: str) -> np.ndarray:
@@ -538,69 +539,49 @@ def _load_image(path: str) -> np.ndarray:
 @click.option("--all-landmarks", is_flag=True, help="Use all 68 landmarks, not the 51 inner ones.")
 @click.option("--degrees", is_flag=True, help="Interpret --attr-angles/--out-angles in degrees.")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-@click.option("--output", type=click.Path(), default=None)
+@_output_option
 def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_landmarks,
                attr_angles, out_angles, attr_image, out_image, same_inputs, alpha,
                lambdas, scales, all_landmarks, degrees, fmt, output):
     """Evaluate editing loss components and their weighted total."""
+    try:  # the library's checks, whose messages begin with the option's name
+        _check_alpha(alpha)
+        min_side_for_scales(scales)
+    except ValueError as exc:
+        raise click.ClickException(f"--{exc}") from None
     lam = _parse_triple(lambdas, "--lambdas") if lambdas else DEFAULT_LAMBDAS
+    terms = ("identity_loss", "attr_loss", "reconstruction_loss")
 
     if components is not None:
-        l_id, l_attr, l_rec = _parse_triple(components, "--components")
-        parts = {"identity_loss": l_id, "attr_loss": l_attr, "reconstruction_loss": l_rec}
+        parts = dict(zip(terms, _parse_triple(components, "--components")))
     else:
         parts = {}
-        l_id = l_attr = l_rec = 0.0
-        if (id_embedding is None) != (out_embedding is None):
-            raise click.ClickException("--id-embedding and --out-embedding must be given together")
-        if id_embedding:
-            l_id = identity_loss(
-                _load_single_embedding(id_embedding), _load_single_embedding(out_embedding)
-            )
-            parts["identity_loss"] = l_id
-        if (attr_landmarks is None) != (out_landmarks is None):
-            raise click.ClickException(
-                "--attr-landmarks and --out-landmarks must be given together"
-            )
-        l_lnd = l_pose = None
-        if attr_landmarks:
-            l_lnd = landmark_loss(
-                _load_single_face(attr_landmarks),
-                _load_single_face(out_landmarks),
-                inner_only=not all_landmarks,
-            )
-            parts["landmark_loss"] = l_lnd
-        if (attr_angles is None) != (out_angles is None):
-            raise click.ClickException("--attr-angles and --out-angles must be given together")
-        if attr_angles:
+        if _paired("--id-embedding", id_embedding, "--out-embedding", out_embedding):
+            parts["identity_loss"] = identity_loss(
+                _load_one(id_embedding, load_vectors_csv, "a single embedding row"),
+                _load_one(out_embedding, load_vectors_csv, "a single embedding row"))
+        if _paired("--attr-landmarks", attr_landmarks, "--out-landmarks", out_landmarks):
+            parts["landmark_loss"] = landmark_loss(
+                _load_one(attr_landmarks, load_landmarks_csv, "landmarks for one face"),
+                _load_one(out_landmarks, load_landmarks_csv, "landmarks for one face"),
+                inner_only=not all_landmarks)
+        if _paired("--attr-angles", attr_angles, "--out-angles", out_angles):
             scale = math.pi / 180.0 if degrees else 1.0
             a = EulerAngles(*(v * scale for v in _parse_triple(attr_angles, "--attr-angles")))
             b = EulerAngles(*(v * scale for v in _parse_triple(out_angles, "--out-angles")))
-            l_pose = pose_loss(a, b)
-            parts["pose_loss"] = l_pose
-        if l_lnd is not None or l_pose is not None:
-            l_attr = (l_lnd or 0.0) + (l_pose or 0.0)
-            parts["attr_loss"] = l_attr
-        if (attr_image is None) != (out_image is None):
-            raise click.ClickException("--attr-image and --out-image must be given together")
-        if attr_image:
-            l_rec = reconstruction_loss(
-                _load_image(attr_image),
-                _load_image(out_image),
-                alpha=alpha,
-                same_inputs=same_inputs,
-                scales=scales,
-            )
-            parts["reconstruction_loss"] = l_rec
+            parts["pose_loss"] = pose_loss(a, b)
+        if "landmark_loss" in parts or "pose_loss" in parts:
+            parts["attr_loss"] = attr_loss(parts.get("landmark_loss", 0.0),
+                                           parts.get("pose_loss", 0.0))
+        if _paired("--attr-image", attr_image, "--out-image", out_image):
+            parts["reconstruction_loss"] = reconstruction_loss(
+                _load_image(attr_image), _load_image(out_image), alpha=alpha,
+                same_inputs=same_inputs, scales=scales)
         if not parts:
             raise click.ClickException("no inputs given; see --help for the accepted pairs")
 
-    total = total_loss(l_id, l_attr, l_rec, *lam)
-    params = {
-        "alpha": alpha,
-        "lambdas": ",".join(_fmt_float(v) for v in lam),
-        "format": fmt,
-    }
+    total = total_loss(*(parts.get(term, 0.0) for term in terms), *lam)
+    params = {"alpha": alpha, "lambdas": ",".join(_fmt_float(v) for v in lam), "format": fmt}
     if components is not None:
         params["components"] = components
 

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 
-from .losses import LANDMARK_COUNT
+from .losses import LANDMARK_COUNT, as_image
 
 __all__ = [
     "read_ppm",
@@ -75,8 +75,7 @@ def read_pgm(path: str) -> np.ndarray:
 
 
 def _write_netpbm(path: str, magic: str, arr: np.ndarray) -> None:
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("image values must lie in [0, 1]")
+    arr = as_image(arr)
     raster = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
@@ -100,18 +99,19 @@ def write_pgm(path: str, img) -> None:
 _HEADER_CELL = re.compile(r"d\d+$")
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """The CSV rows of ``text``, without blank rows and ``#`` comment lines."""
+    return [row for row in csv.reader(io.StringIO(text))
+            if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#")]
+
+
 def parse_vectors_csv(text: str) -> np.ndarray:
     """Parse CSV rows of equal width into a (rows, dims) float matrix.
 
-    A leading ``d0,d1,...`` header row and ``#`` comment lines are skipped.
-    Every cell must be a finite number.
+    A leading ``d0,d1,...`` header row, blank rows and ``#`` comment lines are
+    skipped.  Every cell must be a finite number.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [
-        row
-        for row in reader
-        if row and any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#")
-    ]
+    rows = _csv_rows(text)
     if not rows:
         raise ValueError("vector CSV contains no data rows")
     if all(_HEADER_CELL.match(cell.strip()) for cell in rows[0]):

@@ -242,8 +242,15 @@ def _ms_ssim_plane(a: np.ndarray, b: np.ndarray, scales: int) -> float:
     return float(value)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def min_side_for_scales(scales: int) -> int:
-    """Smallest image side the multi-scale pyramid supports for a scale count."""
+    """Smallest image side the multi-scale pyramid supports for a scale count (1..5)."""
+    if not 1 <= scales <= len(MS_SSIM_WEIGHTS):
+        raise ValueError(f"scales must be in [1, {len(MS_SSIM_WEIGHTS)}], got {scales}")
     return SSIM_WINDOW_SIZE * 2 ** (scales - 1)
 
 
@@ -257,8 +264,6 @@ def ms_ssim(a, b, scales: int = 5) -> float:
     ib = as_image(b)
     if ia.shape != ib.shape:
         raise ValueError(f"image shape mismatch: {ia.shape} vs {ib.shape}")
-    if not 1 <= scales <= len(MS_SSIM_WEIGHTS):
-        raise ValueError(f"scales must be in [1, {len(MS_SSIM_WEIGHTS)}], got {scales}")
     need = min_side_for_scales(scales)
     if min(ia.shape[0], ia.shape[1]) < need:
         raise ValueError(
@@ -285,8 +290,7 @@ def reconstruction_loss(
     ib = as_image(i_out)
     if ia.shape != ib.shape:
         raise ValueError(f"image shape mismatch: {ia.shape} vs {ib.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     if not same_inputs:
         return 0.0
     structural = 1.0 - ms_ssim(ia, ib, scales)

@@ -12,21 +12,19 @@ single shared scale would contradict per-channel statistics.  L(S) <= 0
 always, with equality exactly at the mean.
 
 The analytic gradient is provided for optimizer use.  ``loglik --fd-check``
-checks it per channel by a central difference stepped by one sigma_i: a fixed
-step loses the check to rounding on channels at the sigma floor.  The
+checks it per channel by a central difference stepped by max(sigma_i,
+|s_i - mu_i|), a step that neither rounds away nor cancels far from the mean.  The
 log-likelihood and its gradient raise ValueError where they overflow float64.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import csv_text
+from .fileio import _csv_rows, csv_text
 
 __all__ = [
     "ChannelStats",
@@ -143,23 +141,19 @@ def stats_csv(stats: ChannelStats) -> str:
 def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
     """Parse a dim,mu,sigma CSV.  Rows must be dense and ordered 0..D-1.
 
-    Lines starting with ``#`` (report header blocks) are ignored.  A negative
-    sigma is an error; a sigma below ``epsilon_floor``, zero included, is
-    raised to it, as :func:`estimate_stats` does.
+    Blank rows and lines starting with ``#`` (report header blocks) are
+    ignored.  A negative sigma is an error; a sigma below ``epsilon_floor``,
+    zero included, is raised to it, as :func:`estimate_stats` does.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
+    rows = _csv_rows(text)
     if not rows or [c.strip() for c in rows[0]] != ["dim", "mu", "sigma"]:
         raise ValueError("statistics CSV must start with header dim,mu,sigma")
-    mu = []
-    sigma = []
+    mu, sigma = [], []
     for i, row in enumerate(rows[1:]):
         if len(row) != 3:
             raise ValueError(f"statistics CSV row {i + 1}: expected 3 columns, got {len(row)}")
         try:
-            d = int(row[0])
-            m = float(row[1])
-            sd = float(row[2])
+            d, m, sd = int(row[0]), float(row[1]), float(row[2])
         except ValueError as exc:
             raise ValueError(f"statistics CSV row {i + 1}: {exc}") from exc
         if d != i:

@@ -12,6 +12,7 @@ import pytest
 from genfields.archgraph import serialize_arch, stylegan2_preset
 from genfields.cli import main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
+from genfields.oracle import numeric_footprint
 from genfields.regularizer import log_likelihood, parse_stats_csv
 
 from helpers import make_arch
@@ -119,6 +120,24 @@ def test_verify_stride1_all_exact(capsys, tmp_path):
     assert code == 0
     rows = [l.split() for l in data_lines(out)[1:]]
     assert all(r[5] == "exact" for r in rows)
+
+
+def test_verify_numeric_disagreement_exits_2(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from genfields import cli
+
+    def off_by_one_on_conv1(arch, layer, *args, **kwargs):
+        result = numeric_footprint(arch, layer, *args, **kwargs)
+        return replace(result, footprint=result.footprint + 1) if layer == 1 else result
+
+    monkeypatch.setattr(cli, "numeric_footprint", off_by_one_on_conv1)
+    code, out, err = run(capsys, "verify", "--preset", "stylegan2-8", "--numeric")
+    assert code == 2
+    assert "note: numeric executor agreement: FAILED\n" in out
+    assert re.search(r"^note: conv1: numeric footprint \d+ != boolean \d+$", out, flags=re.M)
+    assert "conv0:" not in out
+    assert err == "check failed: numeric executor disagreed on 1 layer(s)\n"
 
 
 def test_verify_numeric_agreement(capsys):
@@ -242,6 +261,18 @@ def test_plan_requires_one_mode(capsys):
         capsys, "plan", "--preset", "stylegan2-256", "--config", "1", "--layers", "conv0..conv1"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("span", ["conv0..conv99", "conv3..conv1"])
+def test_plan_layer_range_errors_match_verify(capsys, span):
+    plan = run(capsys, "plan", "--preset", "stylegan2-256", "--layers", span)
+    verify = run(capsys, "verify", "--preset", "stylegan2-256", "--layers", span)
+    assert plan == verify
+    assert plan[:2] == (1, "")
+    assert plan[2] in (
+        "Error: unknown layer id 'conv99' in architecture 'stylegan2-256'\n",
+        "Error: layer range 'conv3..conv1' is reversed\n",
+    )
 
 
 def test_plan_mask_rle_consistent(capsys):
@@ -499,12 +530,32 @@ def test_losses_missing_landmark_file(capsys, tmp_path):
     assert "gone.csv" in err
 
 
-def test_losses_unpaired_inputs(capsys, tmp_path):
+@pytest.mark.parametrize("given, missing", [
+    ("--id-embedding", "--out-embedding"),
+    ("--out-landmarks", "--attr-landmarks"),
+    ("--attr-angles", "--out-angles"),
+    ("--out-image", "--attr-image"),
+], ids=["embeddings", "landmarks", "angles", "images"])
+def test_losses_unpaired_inputs(capsys, tmp_path, given, missing):
     emb = tmp_path / "e.csv"
     save_vectors_csv(str(emb), np.ones(4))
-    code, _, err = run(capsys, "losses", "--id-embedding", str(emb))
-    assert code == 1
-    assert "together" in err
+    value = "0,0,0" if given.endswith("angles") else str(emb)
+    code, out, err = run(capsys, "losses", given, value)
+    assert (code, out) == (1, "")
+    first, second = sorted((given, missing), key=lambda opt: opt.startswith("--out"))
+    assert err == f"Error: {first} and {second} must be given together\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--components", "1,1,1", "--alpha", "7"), "--alpha must lie in [0, 1], got 7.0"),
+    (("--components", "1,1,1", "--alpha", "nan"), "--alpha must lie in [0, 1], got nan"),
+    (("--attr-image", "a.ppm", "--out-image", "b.ppm", "--scales", "0"),
+     "--scales must be in [1, 5], got 0"),
+], ids=["alpha-7", "alpha-nan", "scales-0"])
+def test_losses_out_of_range_alpha_scales_exit_1(capsys, argv, message):
+    # checked up front, so no image is read and --components is refused too
+    code, out, err = run(capsys, "losses", *argv)
+    assert (code, out, err) == (1, "", f"Error: {message}\n")
 
 
 def test_losses_no_inputs(capsys):
@@ -749,6 +800,18 @@ def test_fd_check_passes_on_floored_near_constant_columns(capsys, tmp_path):
     fd = 0.5 * (((lo - stats.mu) / stats.sigma) ** 2 - ((hi - stats.mu) / stats.sigma) ** 2) / (hi - lo)
     g = -(styles - stats.mu) / stats.sigma**2
     assert np.max(np.abs(fd - g) / (1 + np.abs(g))) > 1e-6
+
+
+@pytest.mark.parametrize("sample", ["1e9,0.5", "0.0,1e12", "1e146,0.5", "-3e7,-4e11"])
+def test_fd_check_passes_far_from_the_mean(capsys, tmp_path, sample):
+    # A one-sigma step rounds away on the floored channel or cancels in z^2; at 1e146
+    # an unfactored difference of squares overflows.
+    (tmp_path / "stats.csv").write_text("dim,mu,sigma\n0,0.0,1e-8\n1,0.0,1.0\n")
+    (tmp_path / "far.csv").write_text(sample + "\n")
+    code, out, err = run(capsys, "loglik", str(tmp_path / "stats.csv"), str(tmp_path / "far.csv"),
+                         "--fd-check", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fd_max_relative_error"][0] < 1e-15
 
 
 @pytest.mark.parametrize("extra", [(), ("--fd-check",), ("--grad",)])

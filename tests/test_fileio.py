@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,18 @@ def test_netpbm_errors(tmp_path):
 def test_write_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         write_pgm(str(tmp_path / "x.pgm"), np.full((2, 2), 1.5))
+
+
+@pytest.mark.parametrize("write, shape", [(write_pgm, (2, 2)), (write_ppm, (2, 2, 3))])
+def test_write_rejects_nan_without_warning(tmp_path, write, shape):
+    img = np.full(shape, 0.5)
+    img[1, 0] = np.nan
+    path = tmp_path / "x.img"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN must not reach the uint8 cast
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            write(str(path), img)
+    assert not path.exists()
 
 
 def test_vectors_csv_round_trip(tmp_path):

@@ -230,6 +230,13 @@ def test_parse_stats_csv_skips_comments():
     assert stats.sigma[0] == 2.0
 
 
+def test_parse_stats_csv_skips_blank_rows():
+    # the same rows parse_vectors_csv skips: empty, whitespace-only, all cells empty
+    stats = parse_stats_csv("dim,mu,sigma\n0,0.5,2.0\n  \n,,\n\n1,1.5,3.0\n")
+    assert stats.mu.tolist() == [0.5, 1.5]
+    assert stats.sigma.tolist() == [2.0, 3.0]
+
+
 def test_loaded_sigma_refloored():
     stats = parse_stats_csv("dim,mu,sigma\n0,0.0,0.0\n", epsilon_floor=1e-8)
     assert stats.sigma[0] == 1e-8
