@@ -91,10 +91,24 @@ class ArchSpec:
         return res
 
     def layer_index(self, layer_id: str) -> int:
-        for i, layer in enumerate(self.layers):
-            if layer.id == layer_id:
-                return i
-        raise ArchValidationError(f"unknown layer id {layer_id!r} in architecture {self.name!r}")
+        return _layer_index([layer.id for layer in self.layers], layer_id, self.name)
+
+
+def _layer_index(ids: list[str], layer_id: str, arch_name: str) -> int:
+    """Position of ``layer_id`` in ``ids``, the layer ids of architecture ``arch_name``."""
+    try:
+        return ids.index(layer_id)
+    except ValueError:
+        raise ArchValidationError(
+            f"unknown layer id {layer_id!r} in architecture {arch_name!r}") from None
+
+
+def _layer_span(ids: list[str], first: str, last: str, arch_name: str) -> range:
+    """Positions of the layers ``first..last`` in ``ids``, both ends included."""
+    lo, hi = _layer_index(ids, first, arch_name), _layer_index(ids, last, arch_name)
+    if lo > hi:
+        raise ArchValidationError(f"layer range {first + '..' + last!r} is reversed")
+    return range(lo, hi + 1)
 
 
 # Ids, labels and names are written verbatim into unquoted CSV cells and
@@ -109,6 +123,8 @@ def _is_int(value: object) -> bool:
 
 
 def _validate(arch: ArchSpec) -> ArchSpec:
+    if not isinstance(arch.name, str):
+        raise ArchValidationError(f"architecture name must be a string, got {arch.name!r}")
     if _CONTROL.search(arch.name):
         raise ArchValidationError(f"architecture name {arch.name!r} contains a control character")
     if not arch.layers:
@@ -124,11 +140,17 @@ def _validate(arch: ArchSpec) -> ArchSpec:
         )
     seen: set[str] = set()
     for i, layer in enumerate(arch.layers):
+        if not isinstance(layer.id, str):
+            raise ArchValidationError(f"layer {i} id must be a string, got {layer.id!r}")
         if not layer.id:
             raise ArchValidationError(f"layer {i} has an empty id")
         if _UNSAFE_CELL.search(layer.id):
             raise ArchValidationError(
                 f"layer {i} id {layer.id!r} contains a comma or a control character"
+            )
+        if not isinstance(layer.style_label, (str, type(None))):
+            raise ArchValidationError(
+                f"{layer.id}: style_label must be a string, got {layer.style_label!r}"
             )
         if layer.style_label is not None and _UNSAFE_CELL.search(layer.style_label):
             raise ArchValidationError(
@@ -260,7 +282,7 @@ def load_arch(path: str) -> ArchSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ArchParseError(f"cannot read architecture file {path}: {exc}") from exc
     try:
         return parse_arch(text)

@@ -32,7 +32,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .archgraph import ArchSpec, load_arch, stylegan2_preset
+from .archgraph import ArchSpec, _layer_span, load_arch, stylegan2_preset
 from .fields import CSV_COLUMNS, fields_table, table_csv, table_row
 from .fileio import csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
 from .losses import (
@@ -157,10 +157,7 @@ def _layer_range(arch: ArchSpec, spec: str) -> range:
     first, sep, last = spec.partition("..")
     if not sep or not first or not last:
         raise click.ClickException(f"layer range must look like conv0..conv7, got {spec!r}")
-    lo, hi = arch.layer_index(first), arch.layer_index(last)
-    if lo > hi:
-        raise click.ClickException(f"layer range {spec!r} is reversed")
-    return range(lo, hi + 1)
+    return _layer_span([layer.id for layer in arch.layers], first, last, arch.name)
 
 
 def _paired(first: str, a, second: str, b) -> bool:
@@ -447,14 +444,16 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     params = {"stats": stats_csv_path, "samples": samples_csv, "format": fmt}
     fd_errors, notes = [], []
     if fd_check:
-        # Central difference of each channel's own quadratic term -z_i^2 / 2: exact for any
-        # step but for rounding.  A step of max(sigma_i, |s_i - mu_i|) is never lost in s_i + h;
-        # dividing the factored difference by it first overflows no sooner than the gradient.
-        with np.errstate(over="ignore", invalid="ignore"):  # |s_i| near 1e308: FAILED
-            step = np.maximum(stats.sigma, np.abs(samples - stats.mu))
-            hi, lo = samples + step, samples - step
-            z_hi, z_lo = (hi - stats.mu) / stats.sigma, (lo - stats.mu) / stats.sigma
-            fd = 0.5 * (z_lo - z_hi) / (hi - lo) * (z_lo + z_hi)
+        # Central difference of each channel's own quadratic term -z_i^2 / 2: exact but for
+        # rounding.  The step max(sigma_i, |s_i - mu_i|) survives s_i ± h unless |s_i| dwarfs it.
+        # Halving s, mu and sigma keeps z exact and s_i ± h finite, and dividing the factored
+        # difference by the step first overflows no sooner than the gradient.
+        s, mu, sigma = samples / 2, stats.mu / 2, stats.sigma / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = np.maximum(sigma, np.abs(s - mu))
+            hi, lo = s + step, s - step
+            z_hi, z_lo = (hi - mu) / sigma, (lo - mu) / sigma
+            fd = 0.25 * (z_lo - z_hi) / (hi - lo) * (z_lo + z_hi)
         g = np.array(grads)
         fd_errors = np.max(np.abs(fd - g) / (1.0 + np.abs(g)), axis=1).tolist()
         params["fd_step"] = "sigma"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .archgraph import ArchError, ArchSpec, input_resolution
+from .archgraph import ArchError, ArchSpec, _layer_index, input_resolution
 from .fileio import csv_text
 
 __all__ = [
@@ -73,10 +73,8 @@ class FieldTable:
     notes: tuple[str, ...] = ()
 
     def record(self, layer_id: str) -> FieldRecord:
-        for rec in self.records:
-            if rec.layer_id == layer_id:
-                return rec
-        raise ArchError(f"no field record for layer {layer_id!r}")
+        ids = [rec.layer_id for rec in self.records]
+        return self.records[_layer_index(ids, layer_id, self.arch_name)]
 
 
 def generative_field(arch: ArchSpec, layer: int) -> int:

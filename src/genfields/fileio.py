@@ -100,9 +100,49 @@ _HEADER_CELL = re.compile(r"d\d+$")
 
 
 def _csv_rows(text: str) -> list[list[str]]:
-    """The CSV rows of ``text``, without blank rows and ``#`` comment lines."""
-    return [row for row in csv.reader(io.StringIO(text))
+    """The CSV rows of ``text``, without blank rows and ``#`` comment lines; a CR ends a line."""
+    return [row for row in csv.reader(io.StringIO(text, newline=None))
             if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#")]
+
+
+def _numeric_rows(rows: list[list[str]], what: str, width: int | None = None) -> np.ndarray:
+    """``rows`` as a float matrix, ``width`` (default: the first row's) finite numbers each.
+
+    Errors begin with ``what`` and name the row, counting from 1, and a bad cell's column.
+    """
+    if not rows:
+        raise ValueError(f"{what} contains no data rows")
+    width = len(rows[0]) if width is None else width
+    data = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{what} row {i + 1}: expected {width} columns, got {len(row)}")
+        try:
+            data[i] = [float(cell) for cell in row]
+        except ValueError:
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{what} row {i + 1}, column {j + 1}: {exc}") from None
+    finite = np.isfinite(data)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{what} row {i + 1}, column {j + 1}: non-finite value {data[i, j]}")
+    return data
+
+
+def _load_csv(path: str, what: str, parse, *args):
+    """``parse(text, *args)`` on the text of the file at ``path``; errors name the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return parse(text, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def parse_vectors_csv(text: str) -> np.ndarray:
@@ -112,38 +152,15 @@ def parse_vectors_csv(text: str) -> np.ndarray:
     skipped.  Every cell must be a finite number.
     """
     rows = _csv_rows(text)
-    if not rows:
-        raise ValueError("vector CSV contains no data rows")
-    if all(_HEADER_CELL.match(cell.strip()) for cell in rows[0]):
+    if rows and all(_HEADER_CELL.match(cell.strip()) for cell in rows[0]):
         rows = rows[1:]
         if not rows:
             raise ValueError("vector CSV contains only a header row")
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"vector CSV row {i + 1} has {len(row)} columns, expected {width}")
-        try:
-            data[i] = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise ValueError(f"vector CSV row {i + 1}: {exc}") from exc
-    finite = np.isfinite(data)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"vector CSV row {i + 1}, column {j + 1}: non-finite value {data[i, j]}")
-    return data
+    return _numeric_rows(rows, "vector CSV")
 
 
 def load_vectors_csv(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read vector CSV {path}: {exc}") from exc
-    try:
-        return parse_vectors_csv(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _load_csv(path, "vector CSV", parse_vectors_csv)
 
 
 def csv_text(rows) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import _csv_rows, csv_text
+from .fileio import _csv_rows, _load_csv, _numeric_rows, csv_text
 
 __all__ = [
     "ChannelStats",
@@ -139,7 +139,7 @@ def stats_csv(stats: ChannelStats) -> str:
 
 
 def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
-    """Parse a dim,mu,sigma CSV.  Rows must be dense and ordered 0..D-1.
+    """Parse a dim,mu,sigma CSV of finite numbers.  Rows must be dense and ordered 0..D-1.
 
     Blank rows and lines starting with ``#`` (report header blocks) are
     ignored.  A negative sigma is an error; a sigma below ``epsilon_floor``,
@@ -148,28 +148,14 @@ def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> 
     rows = _csv_rows(text)
     if not rows or [c.strip() for c in rows[0]] != ["dim", "mu", "sigma"]:
         raise ValueError("statistics CSV must start with header dim,mu,sigma")
-    mu, sigma = [], []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 3:
-            raise ValueError(f"statistics CSV row {i + 1}: expected 3 columns, got {len(row)}")
-        try:
-            d, m, sd = int(row[0]), float(row[1]), float(row[2])
-        except ValueError as exc:
-            raise ValueError(f"statistics CSV row {i + 1}: {exc}") from exc
-        if d != i:
-            raise ValueError(f"statistics CSV row {i + 1}: expected dim {i}, got {d}")
-        if sd < 0.0:
-            raise ValueError(f"statistics CSV row {i + 1}: sigma {sd} is negative")
-        mu.append(m)
-        sigma.append(sd)
-    if not mu:
-        raise ValueError("statistics CSV has no data rows")
-    return ChannelStats(
-        mu=np.array(mu),
-        sigma=np.maximum(np.array(sigma), epsilon_floor),
-        sample_count=0,
-        epsilon_floor=epsilon_floor,
-    )
+    dims, mu, sigma = _numeric_rows(rows[1:], "statistics CSV", 3).T
+    bad = np.flatnonzero((dims != np.arange(dims.size)) | (sigma < 0.0))
+    if bad.size:
+        i = bad[0]
+        problem = (f"sigma {sigma[i]} is negative" if dims[i] == i else
+                   f"expected dim {i}, got {np.format_float_positional(dims[i], trim='-')}")
+        raise ValueError(f"statistics CSV row {i + 1}: {problem}")
+    return ChannelStats(mu, np.maximum(sigma, epsilon_floor), 0, epsilon_floor)
 
 
 def save_stats_csv(stats: ChannelStats, path: str) -> None:
@@ -178,9 +164,4 @@ def save_stats_csv(stats: ChannelStats, path: str) -> None:
 
 
 def load_stats_csv(path: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_stats_csv(text, epsilon_floor)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _load_csv(path, "statistics CSV", parse_stats_csv, epsilon_floor)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archgraph import ArchError, ArchSpec
+from .archgraph import ArchError, ArchSpec, _layer_index, _layer_span
 from .fields import FieldTable
 
 __all__ = [
@@ -59,10 +59,8 @@ class StyleLayout:
         return self.ranges[-1].stop if self.ranges else 0
 
     def dims_of_layer(self, layer_id: str) -> range:
-        for r in self.ranges:
-            if r.layer_id == layer_id:
-                return range(r.start, r.stop)
-        raise ArchError(f"unknown layer id {layer_id!r} in layout for {self.arch_name!r}")
+        r = self.ranges[_layer_index([r.layer_id for r in self.ranges], layer_id, self.arch_name)]
+        return range(r.start, r.stop)
 
     def layer_of_dim(self, d: int) -> str:
         if not 0 <= d < self.total_dims:
@@ -174,15 +172,8 @@ def plan_by_layers(
 ) -> MaskPlan:
     """Enable a contiguous run of layers named by their ids."""
     ids = [rec.layer_id for rec in table.records]
-    try:
-        lo = ids.index(first_layer)
-        hi = ids.index(last_layer)
-    except ValueError as exc:
-        missing = first_layer if first_layer not in ids else last_layer
-        raise ArchError(f"unknown layer id {missing!r}") from exc
-    if lo > hi:
-        raise ValueError(f"first layer {first_layer!r} comes after last layer {last_layer!r}")
-    return _build_plan(table, layout, ids[lo : hi + 1])
+    span = _layer_span(ids, first_layer, last_layer, table.arch_name)
+    return _build_plan(table, layout, ids[span.start : span.stop])
 
 
 def face_scale(landmark_sets) -> float:

@@ -217,12 +217,17 @@ def test_load_arch_reports_path(tmp_path):
     (LayerSpec("conv0", 3, True, 4, 4), "conv0: upsample must be an integer"),
     (LayerSpec("conv0", 3, 2, float("inf"), 4), "conv0: channels_in must be an integer"),
     (LayerSpec("conv0", 3, 2, 4, 4.0), "conv0: channels_out must be an integer"),
+    (LayerSpec(5, 3, 1, 4, 4), "layer 0 id must be a string, got 5"),
+    (LayerSpec("conv0", 3, 1, 4, 4, 7), "conv0: style_label must be a string, got 7"),
+    (ArchSpec(None, 4, (LayerSpec("conv0", 3, 1, 4, 4),)),
+     "architecture name must be a string, got None"),
 ])
 def test_non_integer_layer_sizes_rejected(layer, message):
     from genfields.archgraph import validate_arch
 
+    arch = layer if isinstance(layer, ArchSpec) else ArchSpec("x", 4, (layer,))
     with pytest.raises(ArchValidationError, match=message):
-        validate_arch(ArchSpec("x", 4, (layer,)))
+        validate_arch(arch)
 
 
 @pytest.mark.parametrize("base", [4.5, 4.0, float("nan"), True])

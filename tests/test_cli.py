@@ -769,6 +769,25 @@ def test_fd_check_catches_wrong_gradient(capsys, tmp_path, monkeypatch, stats_na
     assert err == "check failed: analytic gradient disagrees with finite differences\n"
 
 
+@pytest.mark.parametrize("sample", ["0.0,1.5e308", "0.0,-1.7976931348623157e308"])
+def test_fd_check_passes_at_the_top_of_the_float64_range(capsys, tmp_path, sample):
+    # s_i + h_i would overflow here; the check steps at half scale instead
+    (tmp_path / "st.csv").write_text("dim,mu,sigma\n0,0.0,1e-8\n1,0.0,1e200\n")
+    (tmp_path / "s.csv").write_text(sample + "\n")
+    code, out, err = run(capsys, "loglik", str(tmp_path / "st.csv"), str(tmp_path / "s.csv"),
+                         "--fd-check")
+    assert (code, err) == (0, "")
+    assert "(ok, tolerance 1e-06)" in out
+
+
+def test_loglik_non_finite_stats_names_file_row_and_column(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nf.csv").write_text("dim,mu,sigma\n0,0.0,1.0\n1,nan,1.0\n")
+    (tmp_path / "s.csv").write_text("0.0,0.0\n")
+    assert run(capsys, "loglik", "nf.csv", "s.csv") == (
+        1, "", "Error: nf.csv: statistics CSV row 2, column 2: non-finite value nan\n")
+
+
 def test_fd_check_evaluates_loglik_once_per_sample(capsys, tmp_path, monkeypatch):
     from genfields import cli
 

@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genfields.archgraph import ArchParseError, load_arch
 from genfields.fileio import (
     load_landmarks_csv,
     load_vectors_csv,
@@ -14,6 +17,7 @@ from genfields.fileio import (
     write_pgm,
     write_ppm,
 )
+from genfields.regularizer import load_stats_csv, parse_stats_csv
 
 
 def test_ppm_round_trip(tmp_path):
@@ -112,6 +116,39 @@ def test_vectors_csv_empty_rejected():
         parse_vectors_csv("d0,d1\n")
 
 
+def test_bare_carriage_returns_end_lines():
+    # as in a file opened in text mode, not csv's "new-line character seen in unquoted field"
+    np.testing.assert_array_equal(parse_vectors_csv("1,2\r3,4\n"), [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(parse_vectors_csv("1,2\r\n3,4\r"), [[1.0, 2.0], [3.0, 4.0]])
+    assert parse_stats_csv("dim,mu,sigma\r0,0.0,1.0\r").mu.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("cells, vector_message, stats_message", [
+    ("1,nan", "row 2, column 2: non-finite value nan", "row 2, column 3: non-finite value nan"),
+    ("-inf,1", "row 2, column 1: non-finite value -inf", "row 2, column 2: non-finite value -inf"),
+    ("1,x", "row 2, column 2: could not convert string to float: 'x'",
+     "row 2, column 3: could not convert string to float: 'x'"),
+    ("1", "row 2: expected 2 columns, got 1", "row 2: expected 3 columns, got 2"),
+])
+def test_vector_and_stats_readers_share_row_errors(cells, vector_message, stats_message):
+    # the same cells, after a dim column in the statistics CSV
+    with pytest.raises(ValueError) as vector_error:
+        parse_vectors_csv(f"0,1\n{cells}\n")
+    assert str(vector_error.value) == f"vector CSV {vector_message}"
+    with pytest.raises(ValueError) as stats_error:
+        parse_stats_csv(f"dim,mu,sigma\n0,0,1\n1,{cells}\n")
+    assert str(stats_error.value) == f"statistics CSV {stats_message}"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dims: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dims, max_size=dims),
+    min_size=1, max_size=6)), st.booleans())
+def test_vectors_csv_round_trip_bitwise_property(rows, header):
+    matrix = np.array(rows)
+    assert parse_vectors_csv(vectors_csv(matrix, header)).tobytes() == matrix.tobytes()
+
+
 def test_vectors_csv_single_vector_shape():
     text = vectors_csv(np.array([1.0, 2.0, 3.0]))
     assert text == "1.0,2.0,3.0\n"
@@ -155,6 +192,16 @@ def test_landmarks_bad_shapes(tmp_path):
     save_vectors_csv(str(path), np.zeros((2, 5)))
     with pytest.raises(ValueError, match="columns"):
         load_landmarks_csv(str(path))
+
+
+def test_undecodable_files_name_the_path(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xff1,2\n")
+    for load, what in [(load_vectors_csv, "vector CSV"), (load_stats_csv, "statistics CSV")]:
+        with pytest.raises(ValueError, match=f"^cannot read {what} .*latin1.csv: 'utf-8' codec"):
+            load(str(path))
+    with pytest.raises(ArchParseError, match="^cannot read architecture file .*latin1.csv: "):
+        load_arch(str(path))
 
 
 def test_missing_file_mentions_path():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genfields.regularizer import (
     ChannelStats,
@@ -235,6 +237,36 @@ def test_parse_stats_csv_skips_blank_rows():
     stats = parse_stats_csv("dim,mu,sigma\n0,0.5,2.0\n  \n,,\n\n1,1.5,3.0\n")
     assert stats.mu.tolist() == [0.5, 1.5]
     assert stats.sigma.tolist() == [2.0, 3.0]
+
+
+def test_stats_dim_column_is_checked_as_a_number():
+    # dims are compared on the parsed float matrix: 1.0 and 1e0 are dim 1
+    assert parse_stats_csv("dim,mu,sigma\n0.0,0.5,2.0\n1e0,1.5,3.0\n").mu.tolist() == [0.5, 1.5]
+    with pytest.raises(ValueError, match="row 2: expected dim 1, got 1.5$"):
+        parse_stats_csv("dim,mu,sigma\n0,0.5,2.0\n1.5,1.5,3.0\n")
+
+
+def _sigmas(floor):
+    return st.one_of(
+        st.just(floor),  # floored
+        st.floats(floor, floor * 4),  # tiny
+        st.floats(1e300, 1.7976931348623157e308),  # huge
+        st.floats(floor, 1e6),
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([1e-8, 1e-300]).flatmap(lambda floor: st.tuples(
+    st.just(floor),
+    st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), _sigmas(floor)),
+             min_size=1, max_size=8),
+)))
+def test_stats_csv_round_trip_bitwise_property(floor_and_channels):
+    floor, channels = floor_and_channels
+    mu, sigma = (np.array(column) for column in zip(*channels))
+    loaded = parse_stats_csv(stats_csv(ChannelStats(mu, sigma, 0, floor)), floor)
+    assert loaded.mu.tobytes() == mu.tobytes()
+    assert loaded.sigma.tobytes() == sigma.tobytes()
 
 
 def test_loaded_sigma_refloored():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from genfields.archgraph import stylegan2_preset
+from genfields.archgraph import ArchValidationError, stylegan2_preset
+from genfields.cli import _layer_range
 from genfields.fields import fields_table, generative_field
 from genfields.stylespace import (
     apply_control,
@@ -169,8 +170,28 @@ def test_plan_by_layers_errors(preset256):
     _, table, layout = preset256
     with pytest.raises(Exception, match="conv99"):
         plan_by_layers(table, layout, "conv0", "conv99")
-    with pytest.raises(ValueError, match="after"):
+    with pytest.raises(ValueError, match=r"layer range 'conv5\.\.conv2' is reversed"):
         plan_by_layers(table, layout, "conv5", "conv2")
+
+
+def test_layer_lookups_share_one_message(preset256):
+    arch, table, layout = preset256
+    lookups = [arch.layer_index, table.record, layout.dims_of_layer,
+               lambda layer_id: plan_by_layers(table, layout, "conv0", layer_id),
+               lambda layer_id: _layer_range(arch, f"conv0..{layer_id}")]
+    for lookup in lookups:
+        with pytest.raises(ArchValidationError) as info:
+            lookup("conv99")
+        assert str(info.value) == "unknown layer id 'conv99' in architecture 'stylegan2-256'"
+
+
+def test_range_resolvers_share_one_message(preset256):
+    arch, table, layout = preset256
+    for resolve in (lambda: _layer_range(arch, "conv5..conv2"),
+                    lambda: plan_by_layers(table, layout, "conv5", "conv2")):
+        with pytest.raises(ArchValidationError) as info:
+            resolve()
+        assert str(info.value) == "layer range 'conv5..conv2' is reversed"
 
 
 def test_plan_mask_matches_enabled_ranges(preset256):
