@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 __all__ = [
     "ArchError",
@@ -117,20 +117,36 @@ _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _UNSAFE_CELL = re.compile(r"[,\x00-\x1f\x7f-\x9f]")
 
 
+# The file format is the dataclasses' fields; a layer's id and style_label are optional.
+_TOP_LEVEL_FIELDS = {f.name for f in fields(ArchSpec)}
+_LAYER_FIELDS = {f.name for f in fields(LayerSpec)}
+# In field order, so that of several bad sizes the same one is reported every run.
+_LAYER_REQUIRED = tuple(f.name for f in fields(LayerSpec) if f.name not in ("id", "style_label"))
+
+
 def _is_int(value: object) -> bool:
     # bool is an int subclass; reject it explicitly.
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate(arch: ArchSpec) -> ArchSpec:
+class _ArchTypeError(ArchParseError, ArchValidationError):
+    """A field of the wrong type: malformed as a file and invalid as a spec."""
+
+
+def validate_arch(arch: ArchSpec) -> ArchSpec:
+    """Check every type and value rule of an ArchSpec; return it unchanged.
+
+    Architecture files and presets are validated on construction; call this
+    on a spec built directly in code.
+    """
     if not isinstance(arch.name, str):
-        raise ArchValidationError(f"architecture name must be a string, got {arch.name!r}")
+        raise _ArchTypeError(f"architecture name must be a string, got {arch.name!r}")
     if _CONTROL.search(arch.name):
         raise ArchValidationError(f"architecture name {arch.name!r} contains a control character")
     if not arch.layers:
         raise ArchValidationError(f"architecture {arch.name!r} has no layers")
     if not _is_int(arch.base_resolution):
-        raise ArchValidationError(
+        raise _ArchTypeError(
             f"architecture {arch.name!r}: base_resolution must be an integer, "
             f"got {arch.base_resolution!r}"
         )
@@ -141,7 +157,7 @@ def _validate(arch: ArchSpec) -> ArchSpec:
     seen: set[str] = set()
     for i, layer in enumerate(arch.layers):
         if not isinstance(layer.id, str):
-            raise ArchValidationError(f"layer {i} id must be a string, got {layer.id!r}")
+            raise _ArchTypeError(f"layer {i} id must be a string, got {layer.id!r}")
         if not layer.id:
             raise ArchValidationError(f"layer {i} has an empty id")
         if _UNSAFE_CELL.search(layer.id):
@@ -149,7 +165,7 @@ def _validate(arch: ArchSpec) -> ArchSpec:
                 f"layer {i} id {layer.id!r} contains a comma or a control character"
             )
         if not isinstance(layer.style_label, (str, type(None))):
-            raise ArchValidationError(
+            raise _ArchTypeError(
                 f"{layer.id}: style_label must be a string, got {layer.style_label!r}"
             )
         if layer.style_label is not None and _UNSAFE_CELL.search(layer.style_label):
@@ -160,9 +176,9 @@ def _validate(arch: ArchSpec) -> ArchSpec:
         if layer.id in seen:
             raise ArchValidationError(f"duplicate layer id {layer.id!r}")
         seen.add(layer.id)
-        for field in ("kernel", "upsample", "channels_in", "channels_out"):
+        for field in _LAYER_REQUIRED:
             if not _is_int(getattr(layer, field)):
-                raise ArchValidationError(
+                raise _ArchTypeError(
                     f"{layer.id}: {field} must be an integer, got {getattr(layer, field)!r}"
                 )
         if layer.kernel < 1:
@@ -184,25 +200,14 @@ def _validate(arch: ArchSpec) -> ArchSpec:
     return arch
 
 
-_TOP_LEVEL_FIELDS = {"name", "base_resolution", "layers"}
-_LAYER_FIELDS = {"id", "kernel", "upsample", "channels_in", "channels_out", "style_label"}
-_LAYER_REQUIRED = {"kernel", "upsample", "channels_in", "channels_out"}
-
-
-def _expect_int(value: object, where: str) -> int:
-    if not _is_int(value):
-        raise ArchParseError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def parse_arch(text: str) -> ArchSpec:
     """Parse an architecture file (JSON document) into a validated ArchSpec.
 
-    The document must contain exactly the top-level fields ``name`` (string),
-    ``base_resolution`` (int) and ``layers`` (array of layer objects).  Layer
-    objects carry ``kernel``, ``upsample``, ``channels_in``, ``channels_out``
-    and optionally ``id`` and ``style_label``; unknown fields are rejected.
-    Missing ids are canonicalized to ``conv0..convN-1``.
+    The document holds exactly the fields of :class:`ArchSpec`, with
+    ``layers`` an array of objects holding the fields of :class:`LayerSpec`;
+    ``id`` and ``style_label`` are optional and unknown fields are rejected.
+    Missing ids are canonicalized to ``conv0..convN-1``.  Types and values
+    are checked by :func:`validate_arch`.
     """
     try:
         doc = json.loads(text)
@@ -219,61 +224,29 @@ def parse_arch(text: str) -> ArchSpec:
     missing = _TOP_LEVEL_FIELDS - set(doc)
     if missing:
         raise ArchParseError(f"missing top-level field(s): {', '.join(sorted(missing))}")
-
-    name = doc["name"]
-    if not isinstance(name, str):
-        raise ArchParseError(f"name: expected a string, got {name!r}")
-    base_resolution = _expect_int(doc["base_resolution"], "base_resolution")
-    raw_layers = doc["layers"]
-    if not isinstance(raw_layers, list):
+    if not isinstance(doc["layers"], list):
         raise ArchParseError("layers: expected an array of layer objects")
 
     layers: list[LayerSpec] = []
-    for i, raw in enumerate(raw_layers):
+    for i, raw in enumerate(doc["layers"]):
         where = f"layers[{i}]"
         if not isinstance(raw, dict):
             raise ArchParseError(f"{where}: expected a layer object")
         unknown = set(raw) - _LAYER_FIELDS
         if unknown:
             raise ArchParseError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
-        missing = _LAYER_REQUIRED - set(raw)
+        missing = set(_LAYER_REQUIRED) - set(raw)
         if missing:
             raise ArchParseError(f"{where}: missing field(s): {', '.join(sorted(missing))}")
-        layer_id = raw.get("id", f"conv{i}")
-        if not isinstance(layer_id, str):
-            raise ArchParseError(f"{where}: id must be a string, got {layer_id!r}")
-        style_label = raw.get("style_label")
-        if style_label is not None and not isinstance(style_label, str):
-            raise ArchParseError(f"{where}: style_label must be a string, got {style_label!r}")
-        layers.append(
-            LayerSpec(
-                id=layer_id,
-                kernel=_expect_int(raw["kernel"], f"{where}.kernel"),
-                upsample=_expect_int(raw["upsample"], f"{where}.upsample"),
-                channels_in=_expect_int(raw["channels_in"], f"{where}.channels_in"),
-                channels_out=_expect_int(raw["channels_out"], f"{where}.channels_out"),
-                style_label=style_label,
-            )
-        )
+        layers.append(LayerSpec(**{"id": f"conv{i}", **raw}))
 
-    return _validate(ArchSpec(name=name, base_resolution=base_resolution, layers=tuple(layers)))
+    return validate_arch(ArchSpec(**{**doc, "layers": tuple(layers)}))
 
 
 def serialize_arch(arch: ArchSpec) -> str:
     """Render an ArchSpec back to its file form.  Round-trips through parse_arch."""
-    layers = []
-    for layer in arch.layers:
-        obj: dict[str, object] = {
-            "id": layer.id,
-            "kernel": layer.kernel,
-            "upsample": layer.upsample,
-            "channels_in": layer.channels_in,
-            "channels_out": layer.channels_out,
-        }
-        if layer.style_label is not None:
-            obj["style_label"] = layer.style_label
-        layers.append(obj)
-    doc = {"name": arch.name, "base_resolution": arch.base_resolution, "layers": layers}
+    # Only an unset style_label can be None; the file form omits it.
+    doc = asdict(arch, dict_factory=lambda items: {k: v for k, v in items if v is not None})
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -349,7 +322,7 @@ def stylegan2_preset(resolution: int) -> ArchSpec:
         )
         block += 1
         res *= 2
-    return _validate(
+    return validate_arch(
         ArchSpec(name=f"stylegan2-{resolution}", base_resolution=base, layers=tuple(layers))
     )
 
@@ -366,8 +339,3 @@ def input_resolution(arch: ArchSpec, layer: int) -> int:
     for spec in arch.layers[:layer]:
         res *= spec.upsample
     return res
-
-
-def validate_arch(arch: ArchSpec) -> ArchSpec:
-    """Validate a directly-constructed ArchSpec (parse/preset paths validate already)."""
-    return _validate(arch)

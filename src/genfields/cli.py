@@ -445,14 +445,15 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     fd_errors, notes = [], []
     if fd_check:
         # Central difference of each channel's own quadratic term -z_i^2 / 2: exact but for
-        # rounding.  The step max(sigma_i, |s_i - mu_i|) survives s_i ± h unless |s_i| dwarfs it.
-        # Halving s, mu and sigma keeps z exact and s_i ± h finite, and dividing the factored
-        # difference by the step first overflows no sooner than the gradient.
-        s, mu, sigma = samples / 2, stats.mu / 2, stats.sigma / 2
+        # rounding.  It is stepped in d = s - mu, finite once every gradient is, so the step
+        # max(sigma_i, |d_i|) never rounds away in d_i ± h.  Halving d and sigma keeps z exact
+        # and d_i ± h finite, and dividing the factored difference by the step first overflows
+        # no sooner than the gradient.
+        d, sigma = (samples - stats.mu) / 2, stats.sigma / 2
         with np.errstate(over="ignore", invalid="ignore"):
-            step = np.maximum(sigma, np.abs(s - mu))
-            hi, lo = s + step, s - step
-            z_hi, z_lo = (hi - mu) / sigma, (lo - mu) / sigma
+            step = np.maximum(sigma, np.abs(d))
+            hi, lo = d + step, d - step
+            z_hi, z_lo = hi / sigma, lo / sigma
             fd = 0.25 * (z_lo - z_hi) / (hi - lo) * (z_lo + z_hi)
         g = np.array(grads)
         fd_errors = np.max(np.abs(fd - g) / (1.0 + np.abs(g)), axis=1).tolist()

@@ -12,9 +12,10 @@ single shared scale would contradict per-channel statistics.  L(S) <= 0
 always, with equality exactly at the mean.
 
 The analytic gradient is provided for optimizer use.  ``loglik --fd-check``
-checks it per channel by a central difference stepped by max(sigma_i,
-|s_i - mu_i|), a step that neither rounds away nor cancels far from the mean.  The
-log-likelihood and its gradient raise ValueError where they overflow float64.
+checks it per channel by a central difference taken in s_i - mu_i and stepped
+by max(sigma_i, |s_i - mu_i|), a step that neither rounds away nor cancels far
+from the mean.  The log-likelihood and its gradient raise ValueError where they
+overflow float64.
 """
 
 from __future__ import annotations
@@ -111,14 +112,16 @@ def log_likelihood(s, stats: ChannelStats) -> float:
     arr = _check_vector(s, stats)
     with np.errstate(over="ignore"):
         z = (arr - stats.mu) / stats.sigma
-        return _finite(float(-0.5 * np.dot(z, z)), "log-likelihood")
+        # 0.0 - x, not -x: the value at the mean is 0.0, never -0.0.
+        return _finite(float(0.0 - 0.5 * np.dot(z, z)), "log-likelihood")
 
 
 def log_likelihood_grad(s, stats: ChannelStats) -> np.ndarray:
     """Gradient of :func:`log_likelihood`: -(s_i - mu_i) / sigma_i^2."""
     arr = _check_vector(s, stats)
     with np.errstate(over="ignore"):
-        return _finite(-(arr - stats.mu) / (stats.sigma**2), "log-likelihood gradient")
+        # mu - s, not -(s - mu): 0.0 at the mean, never -0.0.
+        return _finite((stats.mu - arr) / stats.sigma**2, "log-likelihood gradient")
 
 
 def regularized_objective(base_loss: float, s, stats: ChannelStats, weight: float) -> float:

@@ -110,6 +110,8 @@ def _as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} values must be finite")
     return arr
 
 
@@ -117,7 +119,8 @@ def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:
     """Return ``s_id + mask * delta``; with no plan the mask is all-true.
 
     Disabled dimensions zero the control signal, never the style signal:
-    outside the plan the result re-emits ``s_id`` values unchanged.
+    outside the plan the result re-emits ``s_id`` values unchanged.  Both
+    vectors must be finite, in disabled dimensions too.
     """
     s = _as_vector(s_id, "style vector")
     d = _as_vector(delta, "control signal")

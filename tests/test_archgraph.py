@@ -262,3 +262,74 @@ def test_control_character_in_name_rejected():
         parse_arch(json.dumps(doc))
     doc["name"] = "min, imal"  # a comma in the name breaks no report
     assert parse_arch(json.dumps(doc)).name == "min, imal"
+
+
+# ------------------------------------------------------------ properties ---
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# Names may hold commas; ids and labels may not, and none may hold a control character.
+_names = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8)
+_cells = st.text(st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters=","),
+                 min_size=1, max_size=6)
+
+
+@st.composite
+def valid_archs(draw):
+    depth = draw(st.integers(1, 6))
+    channels = draw(st.lists(st.integers(1, 512), min_size=depth + 1, max_size=depth + 1))
+    ids = draw(st.one_of(st.just([f"conv{i}" for i in range(depth)]),
+                         st.lists(_cells, min_size=depth, max_size=depth, unique=True)))
+    layers = tuple(
+        LayerSpec(ids[i], draw(st.integers(1, 7)), draw(st.integers(1, 4)),
+                  channels[i], channels[i + 1], draw(st.none() | _cells))
+        for i in range(depth)
+    )
+    return ArchSpec(draw(_names), draw(st.integers(1, 64)), layers)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(valid_archs())
+def test_serialize_parse_round_trip(arch):
+    text = serialize_arch(arch)
+    assert parse_arch(text) == arch
+    if [layer.id for layer in arch.layers] == [f"conv{i}" for i in range(arch.depth)]:
+        doc = json.loads(text)
+        for layer in doc["layers"]:
+            del layer["id"]
+        assert parse_arch(json.dumps(doc)) == arch
+
+
+_not_int = st.one_of(st.floats(), st.text(max_size=3), st.booleans(), st.none(),
+                     st.lists(st.integers(), max_size=2))
+_not_str = st.one_of(st.integers(), st.floats(), st.booleans(), st.lists(st.text(), max_size=2))
+_WRONG_TYPES = {"kernel": _not_int, "upsample": _not_int, "channels_in": _not_int,
+                "channels_out": _not_int, "id": _not_str | st.none(), "style_label": _not_str}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(valid_archs(), st.data())
+def test_wrong_field_type_is_a_parse_and_a_validation_error(arch, data):
+    doc = json.loads(serialize_arch(arch))
+    i = data.draw(st.integers(0, arch.depth - 1))
+    field = data.draw(st.sampled_from(sorted(_WRONG_TYPES)))
+    doc["layers"][i][field] = data.draw(_WRONG_TYPES[field])
+    with pytest.raises(ArchParseError) as info:
+        parse_arch(json.dumps(doc))
+    assert isinstance(info.value, ArchValidationError)
+    named = f"layer {i} id " if field == "id" else f"{arch.layers[i].id}: {field} "
+    assert str(info.value).startswith(named)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("name", 5, "architecture name must be a string, got 5"),
+    ("base_resolution", 4.0, "architecture 'minimal': base_resolution must be an integer, got 4.0"),
+])
+def test_wrong_top_level_type_is_a_parse_and_a_validation_error(field, value, message):
+    doc = json.loads(MINIMAL)
+    doc[field] = value
+    with pytest.raises(ArchParseError) as info:
+        parse_arch(json.dumps(doc))
+    assert isinstance(info.value, ArchValidationError)
+    assert str(info.value) == message

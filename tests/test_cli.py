@@ -833,6 +833,29 @@ def test_fd_check_passes_far_from_the_mean(capsys, tmp_path, sample):
     assert json.loads(out)["fd_max_relative_error"][0] < 1e-15
 
 
+def test_fd_check_passes_near_a_mean_far_above_sigma(capsys, tmp_path):
+    # s_i ± max(sigma_i, |s_i - mu_i|) rounds back to s_i at 1e20; the step is taken in s - mu.
+    (tmp_path / "stats.csv").write_text("dim,mu,sigma\n0,1e20,1.0\n")
+    (tmp_path / "near.csv").write_text("1e20\n100000000000000016384\n")
+    code, out, err = run(capsys, "loglik", str(tmp_path / "stats.csv"), str(tmp_path / "near.csv"),
+                         "--fd-check", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fd_max_relative_error"] == [0.0, 0.0]
+
+
+def test_loglik_and_gradient_at_the_mean_are_positive_zero(capsys, tmp_path):
+    (tmp_path / "stats.csv").write_text("dim,mu,sigma\n0,1e20,1.0\n")
+    (tmp_path / "mean.csv").write_text("1e20\n")
+    code, out, err = run(capsys, "loglik", str(tmp_path / "stats.csv"), str(tmp_path / "mean.csv"),
+                         "--grad", "--fd-check")
+    assert (code, err) == (0, "")
+    assert data_lines(out) == [
+        "sample 0: loglik = 0.0",
+        "  gradient: 0.0",
+        "note: finite-difference check: max relative error 0.000e+00 (ok, tolerance 1e-06)",
+    ]
+
+
 @pytest.mark.parametrize("extra", [(), ("--fd-check",), ("--grad",)])
 def test_loglik_overflow_exits_1(capsys, tmp_path, extra):
     (tmp_path / "stats.csv").write_text("dim,mu,sigma\n0,0.0,1e-8\n1,0.0,1.0\n")
@@ -858,6 +881,15 @@ def test_report_breaking_arch_names_exit_1(capsys, tmp_path, field, value, named
         code, out, err = run(capsys, "fields", "--arch", str(path), "--format", fmt)
         assert (code, out) == (1, "")
         assert "comma.arch" in err and named in err
+
+
+def test_arch_type_error_names_file_layer_and_field(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(serialize_arch(stylegan2_preset(8)))
+    doc["layers"][0]["kernel"] = 1.5
+    (tmp_path / "my.arch").write_text(json.dumps(doc))
+    assert run(capsys, "fields", "--arch", "my.arch") == (
+        1, "", "Error: my.arch: conv0: kernel must be an integer, got 1.5\n")
 
 
 def test_analyze_histogram_size_limit_exits_1(capsys, monkeypatch, tmp_path):

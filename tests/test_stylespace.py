@@ -105,6 +105,19 @@ def test_apply_control_length_mismatch():
         apply_control(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("s_id, delta, named", [
+    ([1.0, 2.0], [np.nan, 0.5], "control signal"),  # dim 0: enabled by the plan
+    ([1.0, 2.0], [0.5, np.nan], "control signal"),  # dim 1: masked out by the plan
+    ([1.0, np.inf], [0.5, 0.5], "style vector"),
+])
+def test_apply_control_rejects_non_finite_values(s_id, delta, named):
+    arch = make_arch("two", [3, 3], [1, 1], channels=1)
+    plan = plan_by_layers(fields_table(arch), style_layout(arch), "conv0", "conv0")
+    for p in (None, plan):
+        with pytest.raises(ValueError, match=f"^{named} values must be finite$"):
+            apply_control(s_id, delta, p)
+
+
 def test_mask_idempotent():
     arch = stylegan2_preset(8)
     table, layout = fields_table(arch), style_layout(arch)
