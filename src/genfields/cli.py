@@ -106,7 +106,7 @@ def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), not
             "subcommand": subcommand,
             "parameters": {k: str(v) for k, v in params.items()},
         }
-        return json.dumps({**meta, **payload()}, indent=2) + "\n"
+        return json.dumps({**meta, **payload()}, indent=2, allow_nan=False) + "\n"
     rendered = " ".join(f"{k}={v}" for k, v in params.items())
     out = [f"# genfields {__version__}", f"# subcommand: {subcommand}", f"# parameters: {rendered}"]
     if fmt == "csv":

@@ -5,6 +5,10 @@ Images use the binary netpbm formats: P6 (PPM, RGB) and P5 (PGM, grayscale),
 control signals, embeddings) are CSV with one vector per row and an optional
 ``d0,d1,...`` header.  Landmark files hold one 68-point face per 68 rows of
 x,y,z -- or, equivalently, one face per 204-column row.
+
+Every numeric CSV is read by :func:`_numeric_csv`: numpy's C reader for a
+plain file, the exact reader (csv rows, then ``float()`` per cell) for
+anything else and for every error, with the same values either way.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 
 import numpy as np
 
@@ -99,10 +104,18 @@ def write_pgm(path: str, img) -> None:
 _HEADER_CELL = re.compile(r"d\d+$")
 
 
-def _csv_rows(text: str) -> list[list[str]]:
-    """The CSV rows of ``text``, without blank rows and ``#`` comment lines; a CR ends a line."""
-    return [row for row in csv.reader(io.StringIO(text, newline=None))
-            if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#")]
+def _csv_rows(text: str, what: str) -> list[list[str]]:
+    """The CSV rows of ``text``, without blank rows and ``#`` comment lines; a CR ends a line.
+
+    A line csv cannot read (a cell over ``csv.field_size_limit()`` characters; on
+    Python 3.10, a NUL) raises ValueError naming it, counting lines from 1.
+    """
+    reader = csv.reader(io.StringIO(text, newline=None))
+    try:
+        return [row for row in reader
+                if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#")]
+    except csv.Error as exc:
+        raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 def _numeric_rows(rows: list[list[str]], what: str, width: int | None = None) -> np.ndarray:
@@ -132,6 +145,81 @@ def _numeric_rows(rows: list[list[str]], what: str, width: int | None = None) ->
     return data
 
 
+def _long_cell(text: str, limit: int) -> bool:
+    """Whether ``text``, cut at every comma and line break, has a piece over ``limit`` characters.
+
+    Jumps to the last cut within ``limit + 1`` characters, so it costs one pass, not one step a cell.
+    """
+    start = 0
+    while len(text) - start > limit:
+        last = max(text.rfind(cut, start, start + limit + 1) for cut in ",\n\r")
+        if last < 0:
+            return True
+        start = last + 1
+    return False
+
+
+def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
+    """What :func:`_numeric_csv` returns for ``text``, read by numpy's C reader; None if it may differ.
+
+    Only the leading comment and blank lines and the header row are read here;
+    loadtxt rejects any later comment, blank-looking or quoted line.  It
+    converts a cell with ``PyOS_string_to_double``, as ``float()`` does, so the
+    values agree bitwise, and rejects the cells only ``float()`` reads
+    (``1_0``, Unicode digits).  This also declines on a quote or a NUL (which
+    csv refuses on Python 3.10) before the data, a ragged, empty or non-finite
+    matrix, and a cell longer than csv reads.
+    """
+    buf = io.StringIO(text, newline=None)
+    start = 0
+    for line in iter(buf.readline, ""):
+        if '"' in line or "\0" in line:
+            return None
+        if line.strip() and not line.lstrip().startswith("#"):
+            break
+        start = buf.tell()
+    else:
+        return None
+    try:
+        if header([cell.strip() for cell in line.split(",")]):
+            start = buf.tell()
+    except ValueError:
+        return None
+    buf.seek(start)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" is a UserWarning
+            data = np.loadtxt(buf, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except (ValueError, Warning):
+        return None
+    if ((width is not None and data.shape[1] != width) or not np.isfinite(data).all()
+            or _long_cell(text, csv.field_size_limit())):
+        return None
+    return data
+
+
+def _numeric_csv(text: str, what: str, header, width: int | None = None,
+                 header_only: str | None = None) -> np.ndarray:
+    """The rows of ``text`` after any header row as a float matrix: see :func:`_numeric_rows`.
+
+    ``header(cells)`` gets the first row's stripped cells, or None if there is
+    no row, and says whether that row is a header; it raises ValueError for a
+    text that has the wrong one.  A header with no row after it raises
+    ``header_only``, if given, or else the error for no rows.  numpy's C reader
+    reads a plain text (:func:`_loadtxt`); anything else, and every error, is
+    the exact reader's: csv rows, then ``float()`` per cell.
+    """
+    data = _loadtxt(text, header, width)
+    if data is not None:
+        return data
+    rows = _csv_rows(text, what)
+    if header([cell.strip() for cell in rows[0]] if rows else None):
+        rows = rows[1:]
+        if not rows and header_only:
+            raise ValueError(f"{what} {header_only}")
+    return _numeric_rows(rows, what, width)
+
+
 def _load_csv(path: str, what: str, parse, *args):
     """``parse(text, *args)`` on the text of the file at ``path``; errors name the file."""
     try:
@@ -145,18 +233,17 @@ def _load_csv(path: str, what: str, parse, *args):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _vector_header(cells: list[str] | None) -> bool:
+    return bool(cells) and all(_HEADER_CELL.match(cell) for cell in cells)
+
+
 def parse_vectors_csv(text: str) -> np.ndarray:
     """Parse CSV rows of equal width into a (rows, dims) float matrix.
 
     A leading ``d0,d1,...`` header row, blank rows and ``#`` comment lines are
     skipped.  Every cell must be a finite number.
     """
-    rows = _csv_rows(text)
-    if rows and all(_HEADER_CELL.match(cell.strip()) for cell in rows[0]):
-        rows = rows[1:]
-        if not rows:
-            raise ValueError("vector CSV contains only a header row")
-    return _numeric_rows(rows, "vector CSV")
+    return _numeric_csv(text, "vector CSV", _vector_header, header_only="contains only a header row")
 
 
 def load_vectors_csv(path: str) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import _csv_rows, _load_csv, _numeric_rows, csv_text
+from .fileio import _load_csv, _numeric_csv, csv_text
 
 __all__ = [
     "ChannelStats",
@@ -141,6 +141,12 @@ def stats_csv(stats: ChannelStats) -> str:
                                                   stats.sigma.tolist())])
 
 
+def _stats_header(cells: list[str] | None) -> bool:
+    if cells != ["dim", "mu", "sigma"]:
+        raise ValueError("statistics CSV must start with header dim,mu,sigma")
+    return True
+
+
 def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
     """Parse a dim,mu,sigma CSV of finite numbers.  Rows must be dense and ordered 0..D-1.
 
@@ -148,10 +154,7 @@ def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> 
     ignored.  A negative sigma is an error; a sigma below ``epsilon_floor``,
     zero included, is raised to it, as :func:`estimate_stats` does.
     """
-    rows = _csv_rows(text)
-    if not rows or [c.strip() for c in rows[0]] != ["dim", "mu", "sigma"]:
-        raise ValueError("statistics CSV must start with header dim,mu,sigma")
-    dims, mu, sigma = _numeric_rows(rows[1:], "statistics CSV", 3).T
+    dims, mu, sigma = _numeric_csv(text, "statistics CSV", _stats_header, 3).T
     bad = np.flatnonzero((dims != np.arange(dims.size)) | (sigma < 0.0))
     if bad.size:
         i = bad[0]

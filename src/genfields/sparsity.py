@@ -162,8 +162,15 @@ def topk_set(delta, k: int = DEFAULT_TOP_K) -> TopKSet:
     arr = _as_signal(delta)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    order = np.argsort(-np.abs(arr), kind="stable")
-    return TopKSet(k=k, dims=frozenset(int(d) for d in order[:k]))
+    magnitudes = np.abs(arr)
+    if k >= magnitudes.size:
+        return TopKSet(k=k, dims=frozenset(range(magnitudes.size)))
+    # Every dim above the k-th largest magnitude, then the first dims equal to it:
+    # the set a stable descending sort would put first.
+    kth = np.partition(magnitudes, magnitudes.size - k)[magnitudes.size - k]
+    above = np.flatnonzero(magnitudes > kth)
+    ties = np.flatnonzero(magnitudes == kth)[: k - above.size]
+    return TopKSet(k=k, dims=frozenset(above.tolist() + ties.tolist()))
 
 
 def reuse_rates(sets) -> ReuseTable:

@@ -901,3 +901,26 @@ def test_analyze_histogram_size_limit_exits_1(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "analyze", str(path), "--bins", "34")
     assert (code, out) == (1, "")
     assert err == "Error: bins=34 over 3 tests needs 102 histogram cells, above the limit of 100\n"
+
+
+# ------------------------------------------------------- input and output limits ---
+
+def test_over_limit_csv_cell_exits_1(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("0.5,1.0\n1.5," + "2" * 140_001 + "\n")
+    code, out, err = run(capsys, "stats", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"Error: {path}: vector CSV line 2: field larger than field limit (131072)\n"
+
+
+def test_json_report_refuses_non_finite(capsys, stats_and_samples, tmp_path, monkeypatch):
+    stats_path, data = stats_and_samples
+    sample_path = tmp_path / "sample.csv"
+    save_vectors_csv(str(sample_path), data[:1])
+    monkeypatch.setattr("genfields.cli.log_likelihood", lambda s, stats: float("nan"))
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "loglik", str(stats_path), str(sample_path), "--format", "json",
+                         "--output", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("Error: Out of range float values are not JSON compliant")
+    assert not out_path.exists()

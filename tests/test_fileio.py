@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genfields import fileio
 from genfields.archgraph import ArchParseError, load_arch
 from genfields.fileio import (
     load_landmarks_csv,
@@ -17,7 +19,13 @@ from genfields.fileio import (
     write_pgm,
     write_ppm,
 )
-from genfields.regularizer import load_stats_csv, parse_stats_csv
+from genfields.regularizer import (
+    _stats_header,
+    estimate_stats,
+    load_stats_csv,
+    parse_stats_csv,
+    stats_csv,
+)
 
 
 def test_ppm_round_trip(tmp_path):
@@ -207,3 +215,108 @@ def test_undecodable_files_name_the_path(tmp_path):
 def test_missing_file_mentions_path():
     with pytest.raises(ValueError, match="nowhere.csv"):
         load_vectors_csv("/nowhere.csv")
+
+
+# ------------------------------------------- numpy's reader against the exact one ---
+
+def read_both(parse, text):
+    """The outcome of ``parse(text)``, then the same with numpy's reader switched off.
+
+    An outcome is the error message, or the dtype, shape and bytes of each array.
+    """
+    def outcome():
+        try:
+            result = parse(text)
+        except ValueError as exc:
+            return "error", str(exc)
+        arrays = (result,) if isinstance(result, np.ndarray) else (result.mu, result.sigma)
+        return "ok", [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    fast = outcome()
+    with mock.patch.object(fileio, "_loadtxt", lambda *args: None):
+        return fast, outcome()
+
+
+def served_by_loadtxt(text):
+    return fileio._loadtxt(text, fileio._vector_header, None) is not None
+
+
+TOKENS = [*"0123456789.eE+-,\n\r \t#\"_d\x0c", "nan", "inf", "-inf", "1.5", "-2e-3",
+          "d0,d1\n", "d0,d1,d2\n", "dim,mu,sigma\n"]
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-9, 9).map(str), st.sampled_from([" 1 ", "-0.0", "1e-320"]))
+CELLS = st.one_of(NUMBERS, st.sampled_from(["nan", "-inf", "1e400", "1_0", ""]))
+
+
+@st.composite
+def numeric_csv_texts(draw):
+    """Mostly readable vector or statistics CSVs, a few characters changed or inserted."""
+    cells = draw(st.sampled_from([NUMBERS, CELLS]))
+    lines = draw(st.lists(st.sampled_from(["# note", "  # x", "", " ", "\x0c"]), max_size=2))
+    if draw(st.booleans()):
+        lines.append("dim,mu,sigma")
+        lines += [f"{i},{draw(cells)},{draw(cells)}" for i in range(draw(st.integers(0, 4)))]
+    else:
+        width = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            lines.append(",".join(f"d{j}" for j in range(width)))
+        lines += [",".join(draw(st.lists(cells, min_size=width, max_size=width)))
+                  for _ in range(draw(st.integers(0, 4)))]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    for token in draw(st.just([]) | st.lists(st.sampled_from(TOKENS), max_size=2)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + token + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(TOKENS), max_size=30).map("".join),
+                 numeric_csv_texts()))
+def test_numpy_reader_agrees_with_exact_reader_property(text):
+    for parse in (parse_vectors_csv, parse_stats_csv):
+        fast, exact = read_both(parse, text)
+        assert fast == exact
+
+
+@pytest.mark.parametrize("text, served", [
+    ("1_0,2\n", False),  # float() reads underscores, loadtxt does not
+    ("\u0661,\u0662\n", False),  # Unicode digits, likewise
+    ('"1.0",2\n', False),  # a quoted cell
+    ("1,2\n# later comment\n3,4\n", False),
+    ("1,2\n \n3,4\n", False),  # blank to csv, a cell to loadtxt
+    ("1,2\n\x0c\n3,4\n", False),
+    (" , \n1,2\n", False),
+    ('#a,"b\n1,2\n3,4\n', False),  # the comment's quoted cell runs to the end: no data rows
+    ("# a\x00b\n1,2\n", False),  # csv refuses a NUL on Python 3.10
+    ("1,0.5" + " " * 140_000 + "\n", False),  # a cell over csv's field limit is an error
+    ("1,0.5" + " " * 131_069 + "\n", True),  # and one at the limit is not
+    ("1,2\r3,4\r\n5,6", True),
+    ("# c\n\n d0 , d1 \n1,2\n\n3,4", True),
+    ("1\u00a0, 2\u3000\n", True),  # Unicode spaces around a number, stripped by both
+    ("1e-320,-0.0,+.5,1E+2\n", True),
+])
+def test_numpy_reader_divergences(text, served):
+    fast, exact = read_both(parse_vectors_csv, text)
+    assert fast == exact
+    assert served_by_loadtxt(text) == served
+
+
+def test_numpy_reader_serves_the_tools_own_files():
+    matrix = np.random.default_rng(5).normal(size=(4, 6))
+    for text in (vectors_csv(matrix), vectors_csv(matrix, header=True), vectors_csv(matrix[0])):
+        assert served_by_loadtxt(text)
+    report = "# genfields 0.1.0\n# subcommand: stats\n# parameters: styles=s.csv\n"
+    text = report + stats_csv(estimate_stats(matrix))
+    assert fileio._loadtxt(text, _stats_header, 3) is not None
+    assert read_both(parse_stats_csv, text)[0] == read_both(parse_stats_csv, text)[1]
+
+
+@pytest.mark.parametrize("cell", ["1" * 140_001, "0.5" + " " * 140_000])
+def test_over_limit_cell_names_the_line(cell):
+    message = "line 2: field larger than field limit (131072)"
+    with pytest.raises(ValueError) as vector_error:
+        parse_vectors_csv(f"1,2\n3,{cell}\n")
+    assert str(vector_error.value) == f"vector CSV {message}"
+    with pytest.raises(ValueError) as stats_error:
+        parse_stats_csv(f"dim,mu,sigma\n0,{cell},1\n")
+    assert str(stats_error.value) == f"statistics CSV {message}"

@@ -297,3 +297,27 @@ def test_matrix_paths_equal_reference_loops_1000_cases():
 def test_matrix_paths_equal_reference_loops_property(matrix_and_k, bins):
     rows, k = matrix_and_k
     assert_matches_reference(np.array(rows), k, bins)
+
+
+def reference_topk_dims(delta, k) -> frozenset[int]:
+    """The first k dims of a stable sort by descending magnitude."""
+    return frozenset(np.argsort(-np.abs(np.asarray(delta, dtype=float)), kind="stable")[:k].tolist())
+
+
+def test_topk_equals_stable_sort_1000_cases():
+    rng = np.random.default_rng(77)
+    for case in range(1000):
+        dim = int(rng.integers(1, 40))
+        if case % 2:  # few magnitudes, both signs and zeros: ties at the k-th value
+            delta = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0], size=dim)
+        else:
+            delta = rng.normal(size=dim)
+        k = int(rng.integers(1, dim + 4))  # k >= dim included
+        assert topk_set(delta, k).dims == reference_topk_dims(delta, k)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.6, -0.6, 1.0, -1.0, 1e-300, 5e-324]), min_size=1,
+                max_size=30), st.integers(1, 33))
+def test_topk_equals_stable_sort_property(delta, k):
+    assert topk_set(delta, k).dims == reference_topk_dims(delta, k)
