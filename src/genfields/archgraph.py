@@ -85,10 +85,7 @@ class ArchSpec:
     @property
     def output_resolution(self) -> int:
         """Side length of the final feature map: base times all upsamples."""
-        res = self.base_resolution
-        for layer in self.layers:
-            res *= layer.upsample
-        return res
+        return map_sides(self)[-1]
 
     def layer_index(self, layer_id: str) -> int:
         return _layer_index([layer.id for layer in self.layers], layer_id, self.name)
@@ -333,9 +330,18 @@ def input_resolution(arch: ArchSpec, layer: int) -> int:
     This is the true input resolution: an upsampling layer is reported at the
     resolution it consumes, not the one it produces.
     """
+    _check_layer(arch, layer)
+    return map_sides(arch)[layer]
+
+
+def _check_layer(arch: ArchSpec, layer: int) -> None:
     if not 0 <= layer < arch.depth:
         raise ArchError(f"layer index {layer} out of range [0, {arch.depth})")
-    res = arch.base_resolution
-    for spec in arch.layers[:layer]:
-        res *= spec.upsample
-    return res
+
+
+def map_sides(arch: ArchSpec, base: int | None = None) -> list[int]:
+    """Side of the map entering each layer, then of the output; ``base`` replaces the base resolution."""
+    sides = [arch.base_resolution if base is None else base]
+    for layer in arch.layers:
+        sides.append(sides[-1] * layer.upsample)
+    return sides

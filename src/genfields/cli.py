@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -32,7 +33,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .archgraph import ArchSpec, _layer_span, load_arch, stylegan2_preset
+from .archgraph import _CONTROL, ArchSpec, _layer_span, load_arch, stylegan2_preset
 from .fields import CSV_COLUMNS, fields_table, table_csv, table_row
 from .fileio import csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
 from .losses import (
@@ -107,7 +108,7 @@ def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), not
             "parameters": {k: str(v) for k, v in params.items()},
         }
         return json.dumps({**meta, **payload()}, indent=2, allow_nan=False) + "\n"
-    rendered = " ".join(f"{k}={v}" for k, v in params.items())
+    rendered = " ".join(f"{k}={_escaped(v)}" for k, v in params.items())
     out = [f"# genfields {__version__}", f"# subcommand: {subcommand}", f"# parameters: {rendered}"]
     if fmt == "csv":
         out += [f"# note: {n}" for n in notes] + [f"# {line}" for line in lines]
@@ -118,6 +119,11 @@ def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), not
         out += _render_table(columns, rows)
     out += [f"note: {n}" for n in notes]
     return "\n".join(out) + "\n"
+
+
+def _escaped(value) -> str:
+    """``str(value)`` with each C0 and C1 control character written ``\\xNN``, so it stays on one line."""
+    return _CONTROL.sub(lambda m: f"\\x{ord(m[0]):02x}", str(value))
 
 
 def _render_table(columns, rows) -> list[str]:
@@ -141,14 +147,10 @@ def _resolve_arch(preset: str | None, arch_path: str | None) -> ArchSpec:
     if (preset is None) == (arch_path is None):
         raise click.ClickException("pass exactly one of --preset or --arch")
     if preset is not None:
-        name = preset.removeprefix("stylegan2-")
-        try:
-            resolution = int(name)
-        except ValueError:
-            raise click.ClickException(
-                f"unknown preset {preset!r}; use e.g. stylegan2-256"
-            ) from None
-        return stylegan2_preset(resolution)
+        match = re.fullmatch(r"stylegan2-([1-9][0-9]*)", preset)
+        if match is None:
+            raise click.ClickException(f"unknown preset {preset!r}; use e.g. stylegan2-256")
+        return stylegan2_preset(int(match[1]))
     return load_arch(arch_path)
 
 
@@ -403,7 +405,10 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
     styles = load_vectors_csv(styles_csv)
-    stats = estimate_stats(styles, epsilon_floor=epsilon_floor)
+    try:
+        stats = estimate_stats(styles, epsilon_floor=epsilon_floor)
+    except ValueError as exc:
+        raise click.ClickException(f"{styles_csv}: {exc}") from None
     params = {
         "input": styles_csv,
         "samples": stats.sample_count,

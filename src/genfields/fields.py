@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .archgraph import ArchError, ArchSpec, _layer_index, input_resolution
+from .archgraph import ArchSpec, _check_layer, _layer_index, map_sides
 from .fileio import csv_text
 
 __all__ = [
@@ -83,9 +83,7 @@ def generative_field(arch: ArchSpec, layer: int) -> int:
     Exact integer evaluation of the formula in the module docstring; never
     clipped to the output resolution.
     """
-    n = arch.depth
-    if not 0 <= layer < n:
-        raise ArchError(f"layer index {layer} out of range [0, {n})")
+    _check_layer(arch, layer)
     total = 1
     suffix_stride = 1
     # Walk the stack backwards; suffix_stride accumulates prod s_i from the
@@ -98,11 +96,12 @@ def generative_field(arch: ArchSpec, layer: int) -> int:
 
 def fields_table(arch: ArchSpec) -> FieldTable:
     """Compute the full per-layer field table for an architecture."""
+    sides = map_sides(arch)
     records = tuple(
         FieldRecord(
             layer_id=spec.id,
             style_label=spec.style_label,
-            input_resolution=input_resolution(arch, i),
+            input_resolution=sides[i],
             generative_field=generative_field(arch, i),
             channels_in=spec.channels_in,
         )

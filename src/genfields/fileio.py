@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _MAXVAL_LIMIT = 255
+# After the magic number: width, height and maxval, each after whitespace or
+# '#' comments, then exactly one whitespace byte before the raster.
+_NETPBM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d+))" * 3 + rb"\s")
 
 
 def _read_netpbm(path: str, magic: bytes, samples_per_pixel: int) -> np.ndarray:
@@ -43,24 +46,16 @@ def _read_netpbm(path: str, magic: bytes, samples_per_pixel: int) -> np.ndarray:
         data = fh.read()
     if not data.startswith(magic):
         raise ValueError(f"{path}: expected {magic.decode()} image data")
-    # Header is ASCII tokens (width, height, maxval) with '#' comments,
-    # terminated by a single whitespace byte before the raster.
-    pos = len(magic)
-    tokens: list[int] = []
-    while len(tokens) < 3:
-        match = re.match(rb"(?:\s+|#[^\n]*\n)*(\d+)", data[pos:])
-        if match is None:
-            raise ValueError(f"{path}: truncated or malformed header")
-        tokens.append(int(match.group(1)))
-        pos += match.end()
-    width, height, maxval = tokens
+    match = _NETPBM_HEADER.match(data, len(magic))
+    if match is None:
+        raise ValueError(f"{path}: truncated or malformed header")
+    width, height, maxval = map(int, match.groups())
     if width < 1 or height < 1:
         raise ValueError(f"{path}: image dimensions must be positive, got {width}x{height}")
     if not 0 < maxval <= _MAXVAL_LIMIT:
         raise ValueError(f"{path}: only 8-bit images supported, got maxval {maxval}")
-    pos += 1  # single whitespace separating header from raster
     expected = width * height * samples_per_pixel
-    raster = data[pos : pos + expected]
+    raster = data[match.end() : match.end() + expected]
     if len(raster) != expected:
         raise ValueError(f"{path}: expected {expected} raster bytes, got {len(raster)}")
     arr = np.frombuffer(raster, dtype=np.uint8).astype(float) / maxval

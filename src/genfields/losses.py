@@ -90,19 +90,41 @@ class EvalMetrics(NamedTuple):
     pose: float
 
 
-def as_embedding(values) -> np.ndarray:
+def _finite_array(values, what: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a non-empty float array of ``ndim`` axes, all finite; errors begin with ``what``."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"embedding must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("embedding values must be finite")
+    if arr.ndim != ndim or arr.size == 0:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise ValueError(f"{what} must be a non-empty {ndim}-D {kind}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} values must be finite")
     return arr
+
+
+def _same_shape(check, a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``check(a)`` and ``check(b)``, which must have the same shape."""
+    x, y = check(a), check(b)
+    if x.shape != y.shape:
+        raise ValueError(f"{what} shape mismatch: {x.shape} vs {y.shape}")
+    return x, y
+
+
+def _components(*values: float) -> str:
+    """``values`` as errors quote them, once each is checked to be finite and >= 0."""
+    shown = ", ".join(map(str, values))
+    if not all(0.0 <= v < math.inf for v in values):
+        raise ValueError(f"loss components must be finite and >= 0, got {shown}")
+    return shown
+
+
+def as_embedding(values) -> np.ndarray:
+    return _finite_array(values, "embedding")
 
 
 def as_landmarks(points) -> np.ndarray:
     """Validate a 68-point landmark set; 2-D sets gain a zero z column."""
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != LANDMARK_COUNT or arr.shape[1] not in (2, 3):
+    arr = _finite_array(points, "landmark set", ndim=2)
+    if arr.shape[0] != LANDMARK_COUNT or arr.shape[1] not in (2, 3):
         raise ValueError(
             f"landmark set must have exactly {LANDMARK_COUNT} points with 2 or 3 "
             f"coordinates, got shape {arr.shape}"
@@ -129,10 +151,7 @@ def as_image(values) -> np.ndarray:
 
 def identity_loss(f_id, f_out) -> float:
     """Sum of absolute embedding differences (plain L1 norm, no normalization)."""
-    a = as_embedding(f_id)
-    b = as_embedding(f_out)
-    if a.shape != b.shape:
-        raise ValueError(f"embedding length mismatch: {a.size} vs {b.size}")
+    a, b = _same_shape(as_embedding, f_id, f_out, "embedding")
     return float(np.abs(a - b).sum())
 
 
@@ -157,10 +176,9 @@ def pose_loss(a: EulerAngles, b: EulerAngles) -> float:
 
 def attr_loss(lnd: float, pose: float) -> float:
     """Attribute loss: landmark term plus pose term."""
-    if not all(0.0 <= v < math.inf for v in (lnd, pose)):
-        raise ValueError(f"loss components must be finite and >= 0, got {lnd}, {pose}")
+    shown = _components(lnd, pose)
     if lnd + pose == math.inf:
-        raise ValueError(f"attribute loss overflows for components {lnd}, {pose}")
+        raise ValueError(f"attribute loss overflows for components {shown}")
     return lnd + pose
 
 
@@ -260,10 +278,7 @@ def ms_ssim(a, b, scales: int = 5) -> float:
     Requires min(height, width) >= 11 * 2^(scales-1), i.e. 176 pixels for the
     default 5 scales; pass a smaller ``scales`` (1..5) for smaller images.
     """
-    ia = as_image(a)
-    ib = as_image(b)
-    if ia.shape != ib.shape:
-        raise ValueError(f"image shape mismatch: {ia.shape} vs {ib.shape}")
+    ia, ib = _same_shape(as_image, a, b, "image")
     need = min_side_for_scales(scales)
     if min(ia.shape[0], ia.shape[1]) < need:
         raise ValueError(
@@ -286,10 +301,7 @@ def reconstruction_loss(
     term is a mean so alpha mixes quantities on comparable scales.  Otherwise
     the loss is exactly 0 regardless of content.
     """
-    ia = as_image(i_attr)
-    ib = as_image(i_out)
-    if ia.shape != ib.shape:
-        raise ValueError(f"image shape mismatch: {ia.shape} vs {ib.shape}")
+    ia, ib = _same_shape(as_image, i_attr, i_out, "image")
     _check_alpha(alpha)
     if not same_inputs:
         return 0.0
@@ -307,15 +319,14 @@ def total_loss(
     lambda_rec: float = DEFAULT_LAMBDAS[2],
 ) -> float:
     """Weighted sum of the loss components; defaults are (1, 0.01, 0.02)."""
-    if not all(0.0 <= v < math.inf for v in (l_id, l_attr, l_rec)):
-        raise ValueError(f"loss components must be finite and >= 0, got {l_id}, {l_attr}, {l_rec}")
+    shown = _components(l_id, l_attr, l_rec)
     if not all(math.isfinite(v) for v in (lambda_id, lambda_attr, lambda_rec)):
         raise ValueError(
             f"loss weights must be finite, got {lambda_id}, {lambda_attr}, {lambda_rec}"
         )
     total = lambda_id * l_id + lambda_attr * l_attr + lambda_rec * l_rec
     if not math.isfinite(total):
-        raise ValueError(f"total loss overflows for components {l_id}, {l_attr}, {l_rec}")
+        raise ValueError(f"total loss overflows for components {shown}")
     return total
 
 
@@ -335,10 +346,7 @@ def eval_metrics(
     resolution, making it comparable across resolutions.  Pose is the mean
     squared deviation of the three Euler angles.
     """
-    a = as_embedding(f_id)
-    b = as_embedding(f_out)
-    if a.shape != b.shape:
-        raise ValueError(f"embedding length mismatch: {a.size} vs {b.size}")
+    a, b = _same_shape(as_embedding, f_id, f_out, "embedding")
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     norm_a = float(np.linalg.norm(a))

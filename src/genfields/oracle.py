@@ -54,7 +54,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .archgraph import ArchError, ArchSpec
+from .archgraph import ArchSpec, LayerSpec, _check_layer, map_sides
 from .fields import generative_field
 from .fileio import csv_text
 
@@ -74,6 +74,7 @@ AFFECTED_THRESHOLD = 1e-9
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
 # Largest map, in cells, either oracle accepts; neither allocates it.  The
 # limit keeps every position index and generator ``advance`` step bounded.
+# It also caps each stage's positions x taps array, which both oracles build.
 MAX_ORACLE_CELLS = 2**26
 
 
@@ -109,9 +110,9 @@ class FootprintResult:
         return MATCH_OVER
 
 
-def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> None:
-    if not 0 <= layer < arch.depth:
-        raise ArchError(f"layer index {layer} out of range [0, {arch.depth})")
+def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> list[int]:
+    """The map sides at ``sim_base`` (see :func:`map_sides`), once the arguments are checked."""
+    _check_layer(arch, layer)
     if dims not in (1, 2):
         raise ValueError(f"dims must be 1 or 2, got {dims}")
     if sim_base < 3:
@@ -120,38 +121,42 @@ def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> None:
         )
     # Maps only grow along the stack, so the first map over the limit names
     # the layer; checked before anything is allocated.
-    length = sim_base
-    for spec in arch.layers:
-        length *= spec.upsample
-        if length**dims > MAX_ORACLE_CELLS:
+    sides = map_sides(arch, sim_base)
+    for spec, side in zip(arch.layers, sides[1:]):
+        if side**dims > MAX_ORACLE_CELLS:
             raise ValueError(
                 f"layer {spec.id}: its output map at sim_base {sim_base} has "
-                f"{length**dims} cells in {dims}-D, above the oracle limit of "
+                f"{side**dims} cells in {dims}-D, above the oracle limit of "
                 f"{MAX_ORACLE_CELLS}; use a smaller sim_base"
             )
+    return sides
 
 
-def _input_length(arch: ArchSpec, layer: int, sim_base: int) -> int:
-    length = sim_base
-    for spec in arch.layers[:layer]:
-        length *= spec.upsample
-    return length
+def _check_stage(spec: LayerSpec, cells: int) -> None:
+    """Refuse a stage whose positions x taps array, its largest, passes the oracle limit."""
+    if cells > MAX_ORACLE_CELLS:
+        raise ValueError(
+            f"layer {spec.id}: kernel {spec.kernel} needs {cells} position x tap cells, "
+            f"above the oracle limit of {MAX_ORACLE_CELLS}; use a smaller kernel or sim_base"
+        )
 
 
 # --------------------------------------------------------------------------
 # Boolean route: track the sorted affected positions along one axis.
 
-def _spread(pos: np.ndarray, k: int, u: int, semantics: Semantics, length: int) -> np.ndarray:
+def _spread(pos: np.ndarray, spec: LayerSpec, semantics: Semantics, length: int) -> np.ndarray:
     """The outputs, sorted and clipped to [0, length), that inputs ``pos`` affect.
 
     Zero-insert (u > 1): p reaches u*p .. u*p+k-1.  Otherwise p repeats to
     u*p .. u*p+u-1 and the SAME window spreads q to q-k//2 .. q+(k-1)//2.
     """
+    k, u = spec.kernel, spec.upsample
     if u > 1 and semantics is Semantics.ZERO_INSERT:
-        offsets = np.arange(k)
+        lo, hi = 0, k
     else:
-        offsets = np.arange(-(k // 2), u + (k - 1) // 2)
-    out = np.sort(u * pos[:, None] + offsets, axis=None)
+        lo, hi = -(k // 2), u + (k - 1) // 2
+    _check_stage(spec, pos.size * (hi - lo))
+    out = np.sort(u * pos[:, None] + np.arange(lo, hi), axis=None)
     # Not np.unique: its first call imports numpy.ma, about 1.6 MB of RSS.
     first = np.diff(out, prepend=out[0] - 1) > 0
     return out[first & (out >= 0) & (out < length)]
@@ -172,13 +177,11 @@ def boolean_footprint(
     measured span is a lower bound.
     """
     semantics = Semantics(semantics)
-    _check_args(arch, layer, sim_base, dims)
-    length = _input_length(arch, layer, sim_base)
-    pos = np.array([length // 2])
+    sides = _check_args(arch, layer, sim_base, dims)
+    pos = np.array([sides[layer] // 2])
     clipped = False
-    for spec in arch.layers[layer:]:
-        length *= spec.upsample
-        pos = _spread(pos, spec.kernel, spec.upsample, semantics, length)
+    for spec, length in zip(arch.layers[layer:], sides[layer + 1 :]):
+        pos = _spread(pos, spec, semantics, length)
         clipped |= bool(pos[0] == 0 or pos[-1] == length - 1)
     return FootprintResult(
         layer_index=layer,
@@ -212,9 +215,9 @@ def _z_reads(window: tuple[int, int], k: int, off: int, length: int) -> tuple[in
 
 
 def _cone(
-    arch: ArchSpec, layer: int, semantics: Semantics, n: int
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """Map length and window to compute per stage; index 0 is the layer input.
+    arch: ArchSpec, layer: int, semantics: Semantics, lengths: list[int]
+) -> list[tuple[int, int]]:
+    """Window to compute per stage, on maps of ``lengths``; index 0 is the layer input.
 
     Forward, D_s is where the two passes may differ: D_0 = [c, c+1) is the
     impulse and D_s = [u*a - off - k + 1, u*b - off), clipped to the map, for
@@ -222,21 +225,19 @@ def _cone(
     one is the hull of D_{s-1} and the inputs the next window reads.
     """
     specs = arch.layers[layer:]
-    lengths = [n]
-    diff = [(n // 2, n // 2 + 1)]
-    for spec in specs:
+    diff = [(lengths[0] // 2, lengths[0] // 2 + 1)]
+    for spec, length in zip(specs, lengths[1:]):
         k, u = spec.kernel, spec.upsample
         off = _offset(k, u, semantics)
         a, b = diff[-1]
-        lengths.append(lengths[-1] * u)
-        diff.append((max(0, u * a - off - k + 1), min(lengths[-1], u * b - off)))
+        diff.append((max(0, u * a - off - k + 1), min(length, u * b - off)))
     windows = [diff[-1]]
     for s in range(len(specs), 0, -1):
         k, u = specs[s - 1].kernel, specs[s - 1].upsample
         zl, zh = _z_reads(windows[0], k, _offset(k, u, semantics), lengths[s])
         a, b = diff[s - 1]
         windows.insert(0, (min(a, zl // u), max(b, -(-zh // u))))
-    return lengths, windows
+    return windows
 
 
 def _expand(x: np.ndarray, u: int, semantics: Semantics) -> np.ndarray:
@@ -350,12 +351,16 @@ def numeric_footprint(
     rest, so the cost follows the field size, not ``sim_base``.
     """
     semantics = Semantics(semantics)
-    _check_args(arch, layer, sim_base, dims)
+    lengths = _check_args(arch, layer, sim_base, dims)[layer:]
     if magnitude == 0.0:
         raise ValueError("impulse magnitude must be nonzero")
     rng = np.random.default_rng(seed)
-    n = _input_length(arch, layer, sim_base)
-    lengths, windows = _cone(arch, layer, semantics, n)
+    n = lengths[0]
+    windows = _cone(arch, layer, semantics, lengths)
+    for spec, (lo, hi) in zip(arch.layers[layer:], windows[1:]):
+        # Both passes' positions x taps; with at least one position, it bounds
+        # the padded window, 2 * (hi - lo + k - 1)**dims, and the k**dims weights.
+        _check_stage(spec, 2 * ((hi - lo) * spec.kernel) ** dims)
     x = np.stack([_base_window(rng, n, dims, windows[0])] * 2)
     x[(1,) + (n // 2 - windows[0][0],) * dims] += magnitude
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import _load_csv, _numeric_csv, csv_text
+from .losses import _finite_array
 
 __all__ = [
     "ChannelStats",
@@ -73,30 +74,28 @@ class ChannelStats:
         return self.mu.size
 
 
-def _as_matrix(styles) -> np.ndarray:
-    arr = np.asarray(styles, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a (samples, dims) matrix of style vectors, got shape {arr.shape}")
-    return arr
-
-
 def estimate_stats(styles, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
     """Per-channel mean and population standard deviation of a style dataset.
 
     Standard deviations below ``epsilon_floor`` (e.g. constant channels) are
-    raised to the floor so downstream divisions stay finite.
+    raised to the floor so downstream divisions stay finite.  A channel whose
+    mean or standard deviation overflows float64 raises ValueError naming it.
     """
-    arr = _as_matrix(styles)
+    arr = _finite_array(styles, "style dataset", ndim=2)
     if arr.shape[0] < 2:
         raise ValueError(f"need at least 2 style vectors to estimate statistics, got {arr.shape[0]}")
-    mu = arr.mean(axis=0)
-    sigma = np.maximum(arr.std(axis=0), epsilon_floor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = arr.mean(axis=0)
+        sigma = np.maximum(arr.std(axis=0), epsilon_floor)
+    overflow = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sigma)))
+    if overflow.size:
+        raise ValueError(f"dim {overflow[0]}: its mean or standard deviation overflows float64")
     return ChannelStats(mu=mu, sigma=sigma, sample_count=arr.shape[0], epsilon_floor=epsilon_floor)
 
 
 def _check_vector(s, stats: ChannelStats) -> np.ndarray:
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim != 1 or arr.size != stats.dims:
+    arr = _finite_array(s, "style vector")
+    if arr.size != stats.dims:
         raise ValueError(f"style vector has shape {arr.shape}, expected ({stats.dims},)")
     return arr
 
@@ -130,9 +129,14 @@ def regularized_objective(base_loss: float, s, stats: ChannelStats, weight: floa
     No default weight is provided; the trade-off against the base loss is a
     caller decision.
     """
-    if weight < 0.0:
-        raise ValueError(f"weight must be >= 0, got {weight}")
-    return base_loss + weight * (-log_likelihood(s, stats))
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"weight must be finite and >= 0, got {weight}")
+    if not math.isfinite(base_loss):
+        raise ValueError(f"base loss must be finite, got {base_loss}")
+    total = base_loss + weight * (-log_likelihood(s, stats))
+    if not math.isfinite(total):
+        raise ValueError(f"regularized objective overflows for base loss {base_loss}, weight {weight}")
+    return total
 
 
 def stats_csv(stats: ChannelStats) -> str:

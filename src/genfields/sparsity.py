@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _finite_array
+
 __all__ = [
     "SparsityReport",
     "TopKSet",
@@ -71,12 +73,7 @@ class ReuseTable:
 
 
 def _as_signal(delta) -> np.ndarray:
-    arr = np.asarray(delta, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"control signal must be a non-empty 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("control signal values must be finite")
-    return arr
+    return _finite_array(delta, "control signal")
 
 
 def _normalize(signals: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .archgraph import ArchError, ArchSpec, _layer_index, _layer_span
 from .fields import FieldTable
+from .losses import _finite_array
 
 __all__ = [
     "LayerRange",
@@ -106,15 +107,6 @@ class MaskPlan:
         return int(np.count_nonzero(self.mask))
 
 
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} values must be finite")
-    return arr
-
-
 def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:
     """Return ``s_id + mask * delta``; with no plan the mask is all-true.
 
@@ -122,8 +114,8 @@ def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:
     outside the plan the result re-emits ``s_id`` values unchanged.  Both
     vectors must be finite, in disabled dimensions too.
     """
-    s = _as_vector(s_id, "style vector")
-    d = _as_vector(delta, "control signal")
+    s = _finite_array(s_id, "style vector")
+    d = _finite_array(delta, "control signal")
     if s.shape != d.shape:
         raise ValueError(f"length mismatch: style vector {s.size} vs control signal {d.size}")
     if plan is None:
@@ -193,8 +185,8 @@ def face_scale(landmark_sets) -> float:
         raise ValueError("face_scale requires at least one landmark set")
     distances = []
     for i, points in enumerate(sets):
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 17 or arr.shape[1] < 2:
+        arr = _finite_array(points, f"landmark set {i}", ndim=2)
+        if arr.shape[0] < 17 or arr.shape[1] < 2:
             raise ValueError(
                 f"landmark set {i} must have at least 17 points with (x, y) coordinates, "
                 f"got shape {arr.shape}"

@@ -94,6 +94,16 @@ def test_fields_requires_exactly_one_source(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("preset", [
+    "256", "stylegan2-2_56", "stylegan2-+256", "stylegan2-0256", "stylegan2-\u0662\u0665\u0666",
+    "stylegan2- 256", "stylegan2-256\n", "stylegan2-0",
+])
+def test_preset_must_be_stylegan2_and_plain_digits(capsys, preset):
+    code, out, err = run(capsys, "fields", "--preset", preset)
+    assert (code, out) == (1, "")
+    assert err == f"Error: unknown preset {preset!r}; use e.g. stylegan2-256\n"
+
+
 def test_fields_bad_arch_file(capsys, tmp_path):
     bad = tmp_path / "bad.arch"
     bad.write_text("{not json")
@@ -382,6 +392,32 @@ def test_stats_single_sample_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "stats", str(path))
     assert code == 1
     assert "at least 2" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_stats_overflow_names_file_and_dim(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("1e308,1\n-1e308,2\n")
+    code, out, err = run(capsys, "stats", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"Error: {path}: dim 0: its mean or standard deviation overflows float64\n"
+
+
+def test_control_characters_in_parameters_stay_on_one_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("we\nird.csv").write_text("0,1\n2,5\n")
+    assert main(["stats", "we\nird.csv", "--output", "s.csv"]) == 0
+    header = Path("s.csv").read_text().splitlines()[2]
+    assert header == "# parameters: input=we\\x0aird.csv samples=2 dims=2 epsilon_floor=1e-08"
+    code, out, _ = run(capsys, "loglik", "s.csv", "we\nird.csv", "--format", "csv")
+    assert code == 0
+    assert data_lines(out)[1:] == ["0,-1.0", "1,-1.0"]
+    code, out, _ = run(capsys, "losses", "--components", "1,1,1\n\x85")
+    assert code == 0
+    assert out.splitlines()[2:4] == [
+        "# parameters: alpha=0.84 lambdas=1.0,0.01,0.02 format=table components=1,1,1\\x0a\\x85",
+        "identity_loss = 1.0",
+    ]
 
 
 # ---------------------------------------------------------------- loglik ---

@@ -70,6 +70,19 @@ def test_netpbm_errors(tmp_path):
         read_pgm(str(wide))
 
 
+@pytest.mark.parametrize("data", [
+    b"P61 1 255\n\x01\x02\x03",  # no whitespace after the magic number
+    b"P6 1 1 255#c\n\x01\x02\x03",  # a comment, not one whitespace byte, after maxval
+    b"P6 1 1 255",  # nothing after maxval
+    b"P6 1 1",
+])
+def test_netpbm_malformed_header(tmp_path, data):
+    path = tmp_path / "h.ppm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="truncated or malformed header"):
+        read_ppm(str(path))
+
+
 def test_write_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         write_pgm(str(tmp_path / "x.pgm"), np.full((2, 2), 1.5))

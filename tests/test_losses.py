@@ -405,3 +405,76 @@ def test_loss_combiners_reject_overflow():
         attr_loss(1e308, 1e308)
     with pytest.raises(ValueError, match="overflows"):
         total_loss(1.0, 1.0, 1.0, 1e308, 1e308, 1e308)
+
+
+# ------------------------------------------------------ the argument rule --
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from genfields.regularizer import (  # noqa: E402
+    estimate_stats,
+    log_likelihood,
+    log_likelihood_grad,
+    regularized_objective,
+)
+from genfields.sparsity import histogram_counts, mean_histogram, normalize_abs, topk_set  # noqa: E402
+from genfields.stylespace import apply_control, face_scale  # noqa: E402
+
+_STYLES = np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 2.5]])
+_STATS = estimate_stats(_STYLES)
+_VEC = np.array([0.5, -1.0, 2.0])
+_LM = landmarks(1)
+_POSE = EulerAngles(0.1, 0.2, 0.3)
+
+
+def _metrics(f_id=_VEC, f_out=_VEC, lm_attr=_LM, lm_out=_LM):
+    return eval_metrics(f_id, f_out, lm_attr, lm_out, _POSE, _POSE, 256)
+
+
+# Every public function taking an array, once per array argument: a call with
+# that argument x and valid others, and a valid x.
+ARRAY_ARGUMENTS = {
+    "normalize_abs": (normalize_abs, _VEC),
+    "histogram_counts": (histogram_counts, np.array([0.1, 0.5, 1.0])),
+    "mean_histogram": (lambda x: mean_histogram([_VEC, x]), _VEC),
+    "topk_set": (lambda x: topk_set(x, 2), _VEC),
+    "apply_control s_id": (lambda x: apply_control(x, _VEC), _VEC),
+    "apply_control delta": (lambda x: apply_control(_VEC, x), _VEC),
+    "identity_loss f_id": (lambda x: identity_loss(x, _VEC), _VEC),
+    "identity_loss f_out": (lambda x: identity_loss(_VEC, x), _VEC),
+    "landmark_loss a": (lambda x: landmark_loss(x, _LM), _LM),
+    "landmark_loss b": (lambda x: landmark_loss(_LM, x), _LM),
+    "eval_metrics f_id": (lambda x: _metrics(f_id=x), _VEC),
+    "eval_metrics f_out": (lambda x: _metrics(f_out=x), _VEC),
+    "eval_metrics lm_attr": (lambda x: _metrics(lm_attr=x), _LM),
+    "eval_metrics lm_out": (lambda x: _metrics(lm_out=x), _LM),
+    "face_scale": (lambda x: face_scale([_LM, x]), _LM),
+    "estimate_stats": (estimate_stats, _STYLES),
+    "log_likelihood": (lambda x: log_likelihood(x, _STATS), _VEC),
+    "log_likelihood_grad": (lambda x: log_likelihood_grad(x, _STATS), _VEC),
+    "regularized_objective": (lambda x: regularized_objective(1.0, x, _STATS, 0.5), _VEC),
+}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_ARGUMENTS)), st.integers(min_value=0),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_array_arguments_reject_non_finite_values(name, where, bad):
+    call, valid = ARRAY_ARGUMENTS[name]
+    call(valid)
+    x = valid.copy()
+    x.flat[where % x.size] = bad
+    with pytest.raises(ValueError, match=r"^[\w ]+ values must be finite$"):
+        call(x)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("misshape", [
+    lambda x: x[:0], lambda x: x[0], lambda x: x[np.newaxis],
+], ids=["empty", "one-axis-too-few", "one-axis-too-many"])
+def test_array_arguments_reject_empty_or_wrong_ndim(name, misshape):
+    call, valid = ARRAY_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=r"must be a non-empty [12]-D (vector|matrix), got shape \("):
+        call(misshape(valid))
+

@@ -246,7 +246,7 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
                       threshold=AFFECTED_THRESHOLD):
     """Full-map base and perturbed passes per stage, and the footprint result."""
     rng = np.random.default_rng(seed)
-    n = oracle._input_length(arch, layer, sim_base)
+    n = oracle.map_sides(arch, sim_base)[layer]
     shape = (n,) * dims
     base = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=shape)
     perturbed = base.copy()
@@ -343,8 +343,8 @@ def test_cone_width_does_not_grow_with_sim_base():
         for layer in range(arch.depth):
             widths = []
             for sim_base in (64, 1024):
-                n = oracle._input_length(arch, layer, sim_base)
-                lengths, windows = oracle._cone(arch, layer, sem, n)
+                lengths = oracle.map_sides(arch, sim_base)[layer:]
+                windows = oracle._cone(arch, layer, sem, lengths)
                 assert all(b - a < length for (a, b), length in zip(windows, lengths))
                 widths.append([b - a for a, b in windows])
             assert widths[0] == widths[1], (sem, layer)
@@ -374,6 +374,20 @@ def test_size_guard_applies_to_both_oracles(monkeypatch):
         with pytest.raises(ValueError, match="conv0"):
             fn(arch, 0, sim_base=51)
         assert fn(arch, 0, sim_base=50).footprint >= 1
+
+
+def test_kernel_guard_applies_to_both_oracles(monkeypatch):
+    # A 3-cell map passes the map limit; a kernel's positions x taps array may not.
+    monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", 100)
+    for fn in (boolean_footprint, numeric_footprint):
+        with pytest.raises(ValueError, match=r"^layer conv0: kernel 101 needs \d+ position x tap"):
+            fn(make_arch("wide", [101], [1]), 0, sim_base=3)
+        with pytest.raises(ValueError, match="conv1: kernel 60 needs"):
+            fn(make_arch("late", [3, 60], [1, 1]), 0, sim_base=3)
+        assert fn(make_arch("narrow", [15], [1]), 0, sim_base=3).footprint == 3
+        # the map limit is checked first, and keeps its message
+        with pytest.raises(ValueError, match="its output map at sim_base 101"):
+            fn(make_arch("both", [101], [1]), 0, sim_base=101)
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +462,7 @@ def reference_boolean(arch, layer, semantics, sim_base, dims):
     """Full-map boolean masks per stage, and the footprint result."""
     semantics = Semantics(semantics)
     oracle._check_args(arch, layer, sim_base, dims)
-    n = oracle._input_length(arch, layer, sim_base)
+    n = oracle.map_sides(arch, sim_base)[layer]
     shape = (n,) * dims
     mask = np.zeros(shape, dtype=bool)
     mask[tuple(n // 2 for _ in range(dims))] = True

@@ -195,6 +195,29 @@ def test_regularized_objective():
         regularized_objective(1.0, stats.mu, stats, weight=-0.5)
 
 
+@pytest.mark.parametrize("base_loss, weight, message", [
+    (math.nan, 1.0, "base loss must be finite"),
+    (math.inf, 1.0, "base loss must be finite"),
+    (1.0, math.nan, "weight must be finite"),
+    (1.0, math.inf, "weight must be finite"),
+    (1e308, 1e308, "regularized objective overflows"),
+])
+def test_regularized_objective_never_returns_non_finite(base_loss, weight, message):
+    stats = ChannelStats(np.array([0.0]), np.array([1.0]), 2, 1e-8)
+    with pytest.raises(ValueError, match=message):
+        regularized_objective(base_loss, np.array([4.0]), stats, weight=weight)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("styles, dim", [
+    ([[1e308, 1.0], [-1e308, 2.0]], 0),  # the squared deviation overflows
+    ([[1.0, 1e308], [2.0, 1e308]], 1),  # the sum for the mean overflows
+])
+def test_estimate_stats_names_the_overflowing_dim(styles, dim):
+    with pytest.raises(ValueError, match=f"^dim {dim}: its mean or standard deviation overflows"):
+        estimate_stats(np.array(styles))
+
+
 def test_stats_csv_round_trip_lossless(tmp_path):
     rng = np.random.default_rng(55)
     data = rng.normal(size=(9, 7)) * 1e3
