@@ -30,9 +30,9 @@ import sys
 from dataclasses import asdict
 
 import click
-import numpy as np
 
 from . import __version__
+from ._np import np
 from .archgraph import _CONTROL, ArchSpec, _layer_span, load_arch, stylegan2_preset
 from .fields import CSV_COLUMNS, fields_table, table_csv, table_row
 from .fileio import csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
@@ -263,9 +263,10 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
         columns=VERIFY_CSV_COLUMNS, rows=rows, notes=notes,
     ), output)
 
-    over = [r for r in results if r.match_class == MATCH_OVER]
+    over = [arch.layers[r.layer_index].id for r in results if r.match_class == MATCH_OVER]
     if over:
-        raise CheckFailure(f"verification found {len(over)} OVER-BUG row(s)")
+        raise CheckFailure(f"verification found {len(over)} OVER-BUG row(s) under {sem.value}: "
+                           + " ".join(over))
     if disagreements:
         raise CheckFailure(f"numeric executor disagreed on {len(disagreements)} layer(s)")
 

@@ -18,8 +18,7 @@ import io
 import re
 import warnings
 
-import numpy as np
-
+from ._np import np
 from .losses import LANDMARK_COUNT, as_image
 
 __all__ = [

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+from ._np import np
 
 __all__ = [
     "EulerAngles",
@@ -117,6 +117,13 @@ def _components(*values: float) -> str:
     return shown
 
 
+def _finite_result(value, what: str) -> float:
+    """``value`` as a float; ValueError naming ``what`` if it overflowed to inf."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows float64")
+    return float(value)
+
+
 def as_embedding(values) -> np.ndarray:
     return _finite_array(values, "embedding")
 
@@ -152,7 +159,8 @@ def as_image(values) -> np.ndarray:
 def identity_loss(f_id, f_out) -> float:
     """Sum of absolute embedding differences (plain L1 norm, no normalization)."""
     a, b = _same_shape(as_embedding, f_id, f_out, "embedding")
-    return float(np.abs(a - b).sum())
+    with np.errstate(over="ignore"):
+        return _finite_result(np.abs(a - b).sum(), "identity loss")
 
 
 def landmark_loss(a, b, inner_only: bool = True) -> float:
@@ -166,7 +174,8 @@ def landmark_loss(a, b, inner_only: bool = True) -> float:
     if inner_only:
         pa = pa[INNER_LANDMARK_START:]
         pb = pb[INNER_LANDMARK_START:]
-    return float(np.linalg.norm(pa - pb))
+    with np.errstate(over="ignore"):
+        return _finite_result(np.linalg.norm(pa - pb), "landmark loss")
 
 
 def pose_loss(a: EulerAngles, b: EulerAngles) -> float:

@@ -51,9 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
+from ._np import np
 from .archgraph import ArchSpec, LayerSpec, _check_layer, map_sides
 from .fields import generative_field
 from .fileio import csv_text
@@ -149,6 +147,9 @@ def _spread(pos: np.ndarray, spec: LayerSpec, semantics: Semantics, length: int)
 
     Zero-insert (u > 1): p reaches u*p .. u*p+k-1.  Otherwise p repeats to
     u*p .. u*p+u-1 and the SAME window spreads q to q-k//2 .. q+(k-1)//2.
+    ``pos`` is sorted and every window has the same width, so the clipped
+    windows merge into runs wherever one starts past the previous one's end;
+    the runs are expanded directly, in memory linear in the output.
     """
     k, u = spec.kernel, spec.upsample
     if u > 1 and semantics is Semantics.ZERO_INSERT:
@@ -156,10 +157,13 @@ def _spread(pos: np.ndarray, spec: LayerSpec, semantics: Semantics, length: int)
     else:
         lo, hi = -(k // 2), u + (k - 1) // 2
     _check_stage(spec, pos.size * (hi - lo))
-    out = np.sort(u * pos[:, None] + np.arange(lo, hi), axis=None)
-    # Not np.unique: its first call imports numpy.ma, about 1.6 MB of RSS.
-    first = np.diff(out, prepend=out[0] - 1) > 0
-    return out[first & (out >= 0) & (out < length)]
+    # Each window holds u*p, which lies in [0, length), so none clips to empty.
+    starts = np.maximum(u * pos + lo, 0)
+    ends = np.minimum(u * pos + hi, length)
+    new_run = np.flatnonzero(starts[1:] > ends[:-1]) + 1
+    run_starts = starts[np.concatenate(([0], new_run))]
+    sizes = ends[np.append(new_run - 1, -1)] - run_starts
+    return np.arange(sizes.sum()) + np.repeat(run_starts - (np.cumsum(sizes) - sizes), sizes)
 
 
 def boolean_footprint(
@@ -279,9 +283,10 @@ def _stage(
             w = w[(slice(None, None, -1),) * dims]
     z = z[(slice(None),) + (slice(zl - u * xl, zh - u * xl),) * dims]
     zp = np.pad(z, ((0, 0),) + ((zl - (lo + off), hi + off + k - 1 - zh),) * dims)
+    window_view = np.lib.stride_tricks.sliding_window_view
     if dims == 1:
-        return sliding_window_view(zp, k, axis=1) @ w
-    return np.einsum("pqrij,ij->pqr", sliding_window_view(zp, (k, k), axis=(1, 2)), w)
+        return window_view(zp, k, axis=1) @ w
+    return np.einsum("pqrij,ij->pqr", window_view(zp, (k, k), axis=(1, 2)), w)
 
 
 def _base_window(

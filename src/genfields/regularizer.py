@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .fileio import _load_csv, _numeric_csv, csv_text
 from .losses import _finite_array
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .archgraph import ArchError, ArchSpec, _layer_index, _layer_span
 from .fields import FieldTable
-from .losses import _finite_array
+from .losses import _finite_array, _finite_result
 
 __all__ = [
     "LayerRange",
@@ -183,7 +182,7 @@ def face_scale(landmark_sets) -> float:
     sets = list(landmark_sets)
     if not sets:
         raise ValueError("face_scale requires at least one landmark set")
-    distances = []
+    temples = []
     for i, points in enumerate(sets):
         arr = _finite_array(points, f"landmark set {i}", ndim=2)
         if arr.shape[0] < 17 or arr.shape[1] < 2:
@@ -191,10 +190,10 @@ def face_scale(landmark_sets) -> float:
                 f"landmark set {i} must have at least 17 points with (x, y) coordinates, "
                 f"got shape {arr.shape}"
             )
-        left = arr[0, :2]
-        right = arr[16, :2]
-        distances.append(float(np.hypot(*(right - left))))
-    return float(np.mean(distances))
+        temples.append(arr[[0, 16], :2])
+    with np.errstate(over="ignore"):
+        distances = [np.hypot(*(right - left)) for left, right in temples]
+        return _finite_result(np.mean(distances), "face scale")
 
 
 def mask_rle(mask: np.ndarray) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import re
 import subprocess
 import sys
@@ -169,6 +170,18 @@ def test_verify_over_bug_exits_2(capsys, tmp_path):
     assert code == 2
     assert "OVER-BUG" in out
     assert "OVER-BUG" in err
+
+
+def test_verify_over_bug_names_semantics_and_layers(capsys, tmp_path):
+    # conv0 is under its field and conv2 exact: only conv1 is named.
+    path = tmp_path / "mixed.arch"
+    path.write_text(serialize_arch(make_arch("mixed", [3, 1, 3], [2, 2, 1])))
+    code, out, err = run(capsys, "verify", "--arch", str(path), "--semantics",
+                         "nearest-upsample-conv", "--sim-base", "8", "--format", "csv")
+    assert code == 2
+    assert [line.rsplit(",", 1)[1] for line in data_lines(out)[1:]] == ["under", "OVER-BUG", "exact"]
+    assert err == ("check failed: verification found 1 OVER-BUG row(s) under "
+                   "nearest-upsample-conv: conv1\n")
 
 
 def test_verify_layer_filter(capsys):
@@ -664,6 +677,14 @@ def test_losses_non_finite_triple_exits_1(capsys, argv, message):
     assert message in err
 
 
+def test_losses_far_apart_embeddings_exit_1(capsys, tmp_path):
+    (tmp_path / "e1.csv").write_text("1e308,0\n")
+    (tmp_path / "e2.csv").write_text("-1e308,0\n")
+    assert run(capsys, "losses", "--id-embedding", str(tmp_path / "e1.csv"),
+               "--out-embedding", str(tmp_path / "e2.csv")) == (
+        1, "", "Error: identity loss overflows float64\n")
+
+
 # ---------------------------------------------------- verify, numeric golden ---
 
 # stdout of `verify --preset stylegan2-1024 --numeric --sim-base 1024`, taken
@@ -750,15 +771,17 @@ GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encodi
 SUBCOMMANDS = ("fields", "verify", "plan", "analyze", "stats", "loglik", "losses")
 
 
-def run_golden(argv, directory, monkeypatch, capsys):
-    """Run one corpus invocation in ``directory``; return what it produced."""
-    inputs = {name: text.encode() for name, text in GOLDEN["inputs"].items()}
-    inputs.update((name, base64.b64decode(data)) for name, data in GOLDEN["images"].items())
-    for name, data in inputs.items():
+GOLDEN_INPUTS = {name: text.encode() for name, text in GOLDEN["inputs"].items()}
+GOLDEN_INPUTS.update((name, base64.b64decode(data)) for name, data in GOLDEN["images"].items())
+
+
+def write_golden_inputs(directory):
+    for name, data in GOLDEN_INPUTS.items():
         (directory / name).write_bytes(data)
-    monkeypatch.chdir(directory)
-    monkeypatch.setenv("COLUMNS", "80")  # click wraps --help to the terminal width
-    code, out, err = run(capsys, *argv)
+
+
+def golden_result(argv, directory, code, out, err):
+    """What one corpus invocation run in ``directory`` produced, as the corpus records it."""
     # click names the program after the running interpreter's argv[0].
     out = re.sub(
         r"^Usage: .*?(?= \[OPTIONS\]| (?:%s) \[OPTIONS\])" % "|".join(SUBCOMMANDS),
@@ -767,15 +790,79 @@ def run_golden(argv, directory, monkeypatch, capsys):
     files = {
         p.name: p.read_text(encoding="utf-8")
         for p in sorted(directory.iterdir())
-        if p.name not in inputs
+        if p.name not in GOLDEN_INPUTS
     }
     return {"argv": list(argv), "code": code, "out": out, "err": err, "files": files}
+
+
+def run_golden(argv, directory, monkeypatch, capsys):
+    """Run one corpus invocation in ``directory``; return what it produced."""
+    write_golden_inputs(directory)
+    monkeypatch.chdir(directory)
+    monkeypatch.setenv("COLUMNS", "80")  # click wraps --help to the terminal width
+    return golden_result(argv, directory, *run(capsys, *argv))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN["cases"]))
 def test_golden_report(case, tmp_path, monkeypatch, capsys):
     expected = GOLDEN["cases"][case]
     assert run_golden(expected["argv"], tmp_path, monkeypatch, capsys) == expected
+
+
+# This process imported numpy before genfields, so the cases above never take the
+# lazy binding's load path.  Each subcommand's cases therefore run again in one fresh
+# interpreter that imports genfields.cli first.  The cases matching NO_NUMPY run
+# first there and must leave every numpy submodule unloaded.
+NO_NUMPY = re.compile(r"fields-|losses-components-|help|error-bad-preset$|error-corrupt-arch$")
+FRESH_CHILD = """
+import contextlib, io, json, os, sys
+from genfields.cli import main
+results = {}
+for name, argv, directory in json.load(sys.stdin):
+    os.chdir(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    numpy = sorted(m for m in sys.modules if m.startswith("numpy."))[:3]
+    results[name] = {"code": code, "out": out.getvalue(), "err": err.getvalue(), "numpy": numpy}
+json.dump(results, sys.stdout)
+"""
+
+
+def _subcommand(argv):
+    return next((a for a in argv if a in SUBCOMMANDS), "genfields")
+
+
+def test_numpy_imported_first_is_the_bound_module():
+    import genfields._np
+
+    assert genfields._np.np is sys.modules["numpy"]
+
+
+@pytest.mark.parametrize("subcommand", sorted({_subcommand(c["argv"]) for c in GOLDEN["cases"].values()}))
+def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
+    import genfields
+
+    names = sorted((n for n, c in GOLDEN["cases"].items() if _subcommand(c["argv"]) == subcommand),
+                   key=lambda n: (not NO_NUMPY.match(n), n))
+    jobs = []
+    for name in names:
+        (tmp_path / name).mkdir()
+        write_golden_inputs(tmp_path / name)
+        jobs.append((name, GOLDEN["cases"][name]["argv"], str(tmp_path / name)))
+    src = str(Path(genfields.__file__).parents[1])
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", FRESH_CHILD], input=json.dumps(jobs),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for name, argv, directory in jobs:
+        got = results[name]
+        assert golden_result(argv, Path(directory), got["code"], got["out"], got["err"]) \
+            == GOLDEN["cases"][name], name
+        if NO_NUMPY.match(name):
+            assert got["numpy"] == [], name
 
 
 # ------------------------------------------------------ loglik --fd-check ---

@@ -478,3 +478,31 @@ def test_array_arguments_reject_empty_or_wrong_ndim(name, misshape):
     with pytest.raises(ValueError, match=r"must be a non-empty [12]-D (vector|matrix), got shape \("):
         call(misshape(valid))
 
+
+
+
+def _far_apart(scale=1.0):
+    """Two landmark sets whose one differing point is 2e308 * scale apart in x."""
+    a, b = np.zeros((68, 2)), np.zeros((68, 2))
+    a[20], b[20] = (1e308 * scale, 0.0), (-1e308 * scale, 0.0)
+    return a, b
+
+
+def _temples(left_x, right_x):
+    """A 17-point set with its temple landmarks (points 1 and 17) at these x."""
+    points = np.zeros((17, 2))
+    points[0, 0], points[16, 0] = left_x, right_x
+    return points
+
+
+@pytest.mark.parametrize("call, term", [
+    (lambda: identity_loss([1e308, 0.0], [-1e308, 0.0]), "identity loss"),
+    (lambda: landmark_loss(*_far_apart()), "landmark loss"),
+    (lambda: landmark_loss(*_far_apart(1e-150)), "landmark loss"),  # only the norm overflows
+    (lambda: _metrics(_VEC, _VEC, *_far_apart()), "landmark loss"),
+    (lambda: face_scale([_temples(-1e308, 1e308)]), "face scale"),
+], ids=["identity", "landmark-difference", "landmark-norm", "eval-metrics", "face-scale"])
+def test_far_apart_inputs_name_the_overflowing_term(call, term):
+    # Under the suite's filterwarnings = error, a leaked numpy overflow warning fails too.
+    with pytest.raises(ValueError, match=f"^{term} overflows float64$"):
+        call()

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genfields.archgraph import stylegan2_preset
+from genfields.archgraph import LayerSpec, stylegan2_preset
 from genfields.fields import generative_field
 from genfields.oracle import (
     Semantics,
@@ -507,3 +509,40 @@ def test_boolean_cost_does_not_grow_with_sim_base():
             tracemalloc.stop()
         assert peak < 4 * 2**20, (sem, peak)
         assert large.footprint == small.footprint and not large.clipped, sem
+
+
+def test_boolean_cost_does_not_grow_with_kernel():
+    # One interior position under a 10^6-tap kernel on a 3-cell map: the output is 3 cells.
+    arch = make_arch("wide", [10**6], [1])
+    tracemalloc.start()
+    try:
+        result = boolean_footprint(arch, 0, sim_base=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.footprint, result.clipped) == (3, True)
+    assert peak < 2**20, peak
+
+
+def _reference_spread(pos, spec, semantics, length):
+    """The sort-and-dedupe body of oracle._spread that the run merge replaced, kept verbatim."""
+    k, u = spec.kernel, spec.upsample
+    if u > 1 and semantics is Semantics.ZERO_INSERT:
+        lo, hi = 0, k
+    else:
+        lo, hi = -(k // 2), u + (k - 1) // 2
+    out = np.sort(u * pos[:, None] + np.arange(lo, hi), axis=None)
+    first = np.diff(out, prepend=out[0] - 1) > 0
+    return out[first & (out >= 0) & (out < length)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(side=st.integers(1, 40), k=st.integers(1, 12), u=st.integers(1, 4),
+       semantics=st.sampled_from(list(Semantics)), data=st.data())
+def test_spread_equals_sort_and_dedupe(side, k, u, semantics, data):
+    pos = np.array(sorted(data.draw(st.sets(st.integers(0, side - 1), min_size=1))))
+    spec = LayerSpec("conv0", k, u, 1, 1)
+    expected = _reference_spread(pos, spec, semantics, u * side)
+    result = oracle._spread(pos, spec, semantics, u * side)
+    assert result.dtype == expected.dtype
+    assert np.array_equal(result, expected)
