@@ -192,8 +192,14 @@ def face_scale(landmark_sets) -> float:
             )
         temples.append(arr[[0, 16], :2])
     with np.errstate(over="ignore"):
-        distances = [np.hypot(*(right - left)) for left, right in temples]
-        return _finite_result(np.mean(distances), "face scale")
+        distances = np.array([np.hypot(*(right - left)) for left, right in temples])
+        mean = np.mean(distances)
+        if mean == np.inf:
+            # The sum overflowed. Divided first by a power of two above the
+            # count, the sum stays below the largest distance.
+            scale = 2.0 ** len(distances).bit_length()
+            mean = np.mean(distances / scale) * scale
+        return _finite_result(mean, "face scale")
 
 
 def mask_rle(mask: np.ndarray) -> list[tuple[int, int]]:

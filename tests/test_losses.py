@@ -1,14 +1,17 @@
 import math
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from genfields import __version__
+from genfields import __version__, losses
 from genfields.cli import main
 from genfields.fileio import write_ppm
 from genfields.losses import (
     EulerAngles,
     SSIM_C1,
+    SSIM_C2,
     _gaussian_window,
     _gfilter_valid,
     attr_loss,
@@ -206,16 +209,19 @@ def noisy_pair(shape, seed):
     return a, np.clip(a + rng.normal(0.0, 0.1, shape), 0.0, 1.0)
 
 
-# Reports print repr(float), so these literals pin every bit.  They were
-# computed with the scipy.ndimage filter the numpy one replaced.  300x177
-# leaves 290 valid rows at the first scale: above one 64-row filter block
-# and not a multiple of it.
+# Reports print repr(float), so these literals pin every bit.  The first three
+# were computed with the scipy.ndimage filter the numpy one replaced, the last
+# with the whole-plane SSIM maps the blocked ones replaced.  300x177 leaves 290
+# valid rows at the first scale: above one 64-row filter block and not a
+# multiple of it.  600x560 leaves 590x550 valid cells, above THREAD_MIN_CELLS,
+# so its first scale is filled by one thread per usable CPU.
 @pytest.mark.parametrize(
     "shape, scales, seed, expected",
     [
         ((11, 11), 1, 1, "0.9465669449774949"),
         ((75, 90), 2, 2, "0.9452426213883465"),
         ((300, 177, 3), 5, 3, "0.9561194883011236"),
+        ((600, 560, 3), 5, 6, "0.9539178712148618"),
     ],
 )
 def test_ms_ssim_golden_bits(shape, scales, seed, expected):
@@ -252,6 +258,72 @@ def test_gfilter_valid_matches_ndimage_bitwise(shape):
         ref = ndimage.correlate1d(plane, window, axis=0, mode="nearest")
         ref = ndimage.correlate1d(ref, window, axis=1, mode="nearest")
         np.testing.assert_array_equal(_gfilter_valid(plane, window), ref[half:-half, half:-half])
+
+
+def _ssim_plane_whole(a, b, window):
+    """The whole-plane SSIM means that the blocked ``losses._ssim_plane`` must equal bitwise."""
+    mu_a = _gfilter_valid(a, window)
+    mu_b = _gfilter_valid(b, window)
+    var_a = _gfilter_valid(a * a, window) - mu_a * mu_a
+    var_b = _gfilter_valid(b * b, window) - mu_b * mu_b
+    cov = _gfilter_valid(a * b, window) - mu_a * mu_b
+    cs_map = (2.0 * cov + SSIM_C2) / (var_a + var_b + SSIM_C2)
+    lum_map = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a * mu_a + mu_b * mu_b + SSIM_C1)
+    ssim_map = lum_map * cs_map
+    return float(ssim_map.mean()), float(cs_map.mean())
+
+
+def _force_threads(monkeypatch, workers, min_cells):
+    monkeypatch.setattr(losses, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(losses, "THREAD_MIN_CELLS", min_cells)
+
+
+@pytest.mark.parametrize("valid_rows", [1, 63, 64, 65, 129, 290])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("at_floor", [True, False], ids=["at-floor", "below-floor"])
+def test_ssim_plane_blocks_match_whole_plane_bitwise(monkeypatch, valid_rows, workers, at_floor):
+    window = _gaussian_window()
+    a, b = noisy_pair((valid_rows + 10, 37), valid_rows)
+    cells = valid_rows * 27
+    _force_threads(monkeypatch, workers, cells if at_floor else cells + 1)
+    threads = set()
+
+    def spy(plane, w):
+        threads.add(threading.current_thread())
+        return _gfilter_valid(plane, w)
+
+    monkeypatch.setattr(losses, "_gfilter_valid", spy)
+    assert losses._ssim_plane(a, b, window) == _ssim_plane_whole(a, b, window)
+    blocks = -(-valid_rows // losses.FILTER_BLOCK_ROWS)
+    assert len(threads) == (min(workers, blocks) if at_floor else 1)
+
+
+def test_ssim_plane_worker_exception_reaches_caller(monkeypatch):
+    _force_threads(monkeypatch, 3, 0)
+    caller = threading.current_thread()
+
+    def failing(plane, w):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        return _gfilter_valid(plane, w)
+
+    monkeypatch.setattr(losses, "_gfilter_valid", failing)
+    before = threading.active_count()
+    a, b = noisy_pair((300, 40), 8)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        losses._ssim_plane(a, b, _gaussian_window())
+    assert threading.active_count() == before
+
+
+def test_ms_ssim_errstate_reaches_worker_threads(monkeypatch):
+    # 590 valid rows make 10 blocks, in runs of 3, 3 and 4. Only the last run
+    # reads the 1e-200 rows, whose squares underflow, so this raises only if
+    # the caller's np.errstate reaches the worker threads.
+    _force_threads(monkeypatch, 3, 0)
+    img = np.full((600, 600), 0.5)
+    img[400:, 1::2] = 1e-200
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        ms_ssim(img, img, scales=1)
 
 
 # ----------------------------------------------------------- reconstruction --
@@ -506,3 +578,33 @@ def test_far_apart_inputs_name_the_overflowing_term(call, term):
     # Under the suite's filterwarnings = error, a leaked numpy overflow warning fails too.
     with pytest.raises(ValueError, match=f"^{term} overflows float64$"):
         call()
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=1, max_size=8),
+       st.integers(-900, 900), st.integers(-900, 900))
+def test_eval_metrics_identity_holds_its_bits_at_any_power_of_two_scale(pairs, k, j):
+    # Contiguous, as the scaled copies are: BLAS may sum a strided dot in another order.
+    a, b = np.array(pairs).T.copy()
+    if not (a.any() and b.any()):
+        with pytest.raises(ValueError, match="zero-norm embedding"):
+            _metrics(a, b)
+        return
+    plain = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+    assert repr(_metrics(a, b).identity) == repr(plain)
+    assert repr(_metrics(np.ldexp(a, k), np.ldexp(b, j)).identity) == repr(plain)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(st.floats(0.0, np.finfo(float).max), min_size=1, max_size=6))
+def test_face_scale_is_the_mean_temple_width_whenever_that_is_finite(widths):
+    got = face_scale([_temples(0.0, w) for w in widths])
+    with np.errstate(over="ignore"):
+        plain = np.mean(widths)
+    if math.isfinite(plain):
+        assert repr(got) == repr(float(plain))
+    exact = float(sum(map(Fraction, widths)) / len(widths))
+    assert got == pytest.approx(exact, rel=2e-15)
