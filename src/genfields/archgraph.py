@@ -17,6 +17,8 @@ import json
 import re
 from dataclasses import asdict, dataclass, fields
 
+from .fileio import _load
+
 __all__ = [
     "ArchError",
     "ArchParseError",
@@ -112,6 +114,8 @@ def _layer_span(ids: list[str], first: str, last: str, arch_name: str) -> range:
 # line-oriented report headers.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _UNSAFE_CELL = re.compile(r"[,\x00-\x1f\x7f-\x9f]")
+# A lone surrogate (from a JSON \ud800 escape) has no UTF-8 form, so no report can hold it.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 # The file format is the dataclasses' fields; a layer's id and style_label are optional.
@@ -130,6 +134,11 @@ class _ArchTypeError(ArchParseError, ArchValidationError):
     """A field of the wrong type: malformed as a file and invalid as a spec."""
 
 
+def _check_encodable(what: str, text: str) -> None:
+    if _SURROGATE.search(text):
+        raise ArchValidationError(f"{what} {text!r} contains a lone surrogate")
+
+
 def validate_arch(arch: ArchSpec) -> ArchSpec:
     """Check every type and value rule of an ArchSpec; return it unchanged.
 
@@ -140,6 +149,7 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
         raise _ArchTypeError(f"architecture name must be a string, got {arch.name!r}")
     if _CONTROL.search(arch.name):
         raise ArchValidationError(f"architecture name {arch.name!r} contains a control character")
+    _check_encodable("architecture name", arch.name)
     if not arch.layers:
         raise ArchValidationError(f"architecture {arch.name!r} has no layers")
     if not _is_int(arch.base_resolution):
@@ -161,6 +171,7 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
             raise ArchValidationError(
                 f"layer {i} id {layer.id!r} contains a comma or a control character"
             )
+        _check_encodable(f"layer {i} id", layer.id)
         if not isinstance(layer.style_label, (str, type(None))):
             raise _ArchTypeError(
                 f"{layer.id}: style_label must be a string, got {layer.style_label!r}"
@@ -170,6 +181,8 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
                 f"{layer.id}: style_label {layer.style_label!r} contains a comma or a "
                 f"control character"
             )
+        if layer.style_label is not None:
+            _check_encodable(f"{layer.id}: style_label", layer.style_label)
         if layer.id in seen:
             raise ArchValidationError(f"duplicate layer id {layer.id!r}")
         seen.add(layer.id)
@@ -249,15 +262,7 @@ def serialize_arch(arch: ArchSpec) -> str:
 
 def load_arch(path: str) -> ArchSpec:
     """Read and parse an architecture file from disk."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ArchParseError(f"cannot read architecture file {path}: {exc}") from exc
-    try:
-        return parse_arch(text)
-    except ArchError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _load(path, "architecture file", parse_arch, error=ArchParseError)
 
 
 def _block_width(block_resolution: int) -> int:

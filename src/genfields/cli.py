@@ -35,7 +35,7 @@ from . import __version__
 from ._np import np
 from .archgraph import _CONTROL, ArchSpec, _layer_span, load_arch, stylegan2_preset
 from .fields import CSV_COLUMNS, fields_table, table_csv, table_row
-from .fileio import csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
+from .fileio import _save, csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
 from .losses import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDAS,
@@ -137,8 +137,7 @@ def _render_table(columns, rows) -> list[str]:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _save(output, text)
     else:
         click.echo(text, nl=False)
 

@@ -1,4 +1,4 @@
-"""Binary image readers/writers and CSV loaders for vectors and landmarks.
+"""Every file read and write: binary images, and CSV vectors and landmarks.
 
 Images use the binary netpbm formats: P6 (PPM, RGB) and P5 (PGM, grayscale),
 8-bit only, mapped to floats in [0, 1] on load.  Vectors (style vectors,
@@ -9,13 +9,18 @@ x,y,z -- or, equivalently, one face per 204-column row.
 Every numeric CSV is read by :func:`_numeric_csv`: numpy's C reader for a
 plain file, the exact reader (csv rows, then ``float()`` per cell) for
 anything else and for every error, with the same values either way.
+Every path is opened by :func:`_load` or :func:`_save`, which name it in
+every error; other modules read and write their files through them.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
+import os
 import re
+import stat
 import warnings
 
 from ._np import np
@@ -40,23 +45,78 @@ _MAXVAL_LIMIT = 255
 _NETPBM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d+))" * 3 + rb"\s")
 
 
-def _read_netpbm(path: str, magic: bytes, samples_per_pixel: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _load(path: str, what: str, parse, *args, binary: bool = False, error=ValueError):
+    """``parse(data, *args)`` on the file at ``path``, read as UTF-8 text unless ``binary``.
+
+    A read failure raises ``error`` naming ``what`` and the file; a ValueError
+    from ``parse`` is raised again, of the same type, with the path before it.
+    """
+    try:
+        with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
+            data = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return parse(data, *args)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _save(path: str, data: str | bytes) -> None:
+    """Write ``data``, text as UTF-8 (file names' undecodable bytes as they were), to ``path``.
+
+    A regular file, or a new one, is written whole or not at all: to a
+    temporary file beside it (beside a symlink's target, so the link stays),
+    with its mode or, if new, 0o666 less the umask, then renamed over it.  A
+    file the caller may not write is refused, as opening it would be.
+    Anything else, such as a pipe, a terminal or ``/dev/null``, is written in
+    place.  Errors name ``path``; a failure leaves no temporary file.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogateescape")
+    try:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "wb") as fh:
+                fh.write(data)
+            return
+        target = os.path.realpath(path) if os.path.islink(path) else path
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                fh.write(data)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def _parse_netpbm(data: bytes, magic: bytes, samples_per_pixel: int) -> np.ndarray:
     if not data.startswith(magic):
-        raise ValueError(f"{path}: expected {magic.decode()} image data")
+        raise ValueError(f"expected {magic.decode()} image data")
     match = _NETPBM_HEADER.match(data, len(magic))
     if match is None:
-        raise ValueError(f"{path}: truncated or malformed header")
+        raise ValueError("truncated or malformed header")
     width, height, maxval = map(int, match.groups())
     if width < 1 or height < 1:
-        raise ValueError(f"{path}: image dimensions must be positive, got {width}x{height}")
+        raise ValueError(f"image dimensions must be positive, got {width}x{height}")
     if not 0 < maxval <= _MAXVAL_LIMIT:
-        raise ValueError(f"{path}: only 8-bit images supported, got maxval {maxval}")
+        raise ValueError(f"only 8-bit images supported, got maxval {maxval}")
     expected = width * height * samples_per_pixel
     raster = data[match.end() : match.end() + expected]
     if len(raster) != expected:
-        raise ValueError(f"{path}: expected {expected} raster bytes, got {len(raster)}")
+        raise ValueError(f"expected {expected} raster bytes, got {len(raster)}")
     arr = np.frombuffer(raster, dtype=np.uint8).astype(float) / maxval
     if samples_per_pixel == 1:
         return arr.reshape(height, width)
@@ -65,20 +125,18 @@ def _read_netpbm(path: str, magic: bytes, samples_per_pixel: int) -> np.ndarray:
 
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary P6 PPM file into an (h, w, 3) array in [0, 1]."""
-    return _read_netpbm(path, b"P6", 3)
+    return _load(path, "image", _parse_netpbm, b"P6", 3, binary=True)
 
 
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary P5 PGM file into an (h, w) array in [0, 1]."""
-    return _read_netpbm(path, b"P5", 1)
+    return _load(path, "image", _parse_netpbm, b"P5", 1, binary=True)
 
 
 def _write_netpbm(path: str, magic: str, arr: np.ndarray) -> None:
     arr = as_image(arr)
     raster = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
-        fh.write(raster.tobytes())
+    _save(path, f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode() + raster.tobytes())
 
 
 def write_ppm(path: str, img) -> None:
@@ -214,19 +272,6 @@ def _numeric_csv(text: str, what: str, header, width: int | None = None,
     return _numeric_rows(rows, what, width)
 
 
-def _load_csv(path: str, what: str, parse, *args):
-    """``parse(text, *args)`` on the text of the file at ``path``; errors name the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return parse(text, *args)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _vector_header(cells: list[str] | None) -> bool:
     return bool(cells) and all(_HEADER_CELL.match(cell) for cell in cells)
 
@@ -241,7 +286,7 @@ def parse_vectors_csv(text: str) -> np.ndarray:
 
 
 def load_vectors_csv(path: str) -> np.ndarray:
-    return _load_csv(path, "vector CSV", parse_vectors_csv)
+    return _load(path, "vector CSV", parse_vectors_csv)
 
 
 def csv_text(rows) -> str:
@@ -261,8 +306,19 @@ def vectors_csv(matrix, header: bool = False) -> str:
 
 
 def save_vectors_csv(path: str, matrix, header: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(vectors_csv(matrix, header))
+    _save(path, vectors_csv(matrix, header))
+
+
+def _landmark_faces(text: str) -> list[np.ndarray]:
+    data = parse_vectors_csv(text)
+    if data.shape[1] == 3:
+        if data.shape[0] % LANDMARK_COUNT != 0:
+            raise ValueError(f"3-column landmark CSV must hold a multiple of {LANDMARK_COUNT} rows, "
+                             f"got {data.shape[0]}")
+        return [data[i : i + LANDMARK_COUNT] for i in range(0, data.shape[0], LANDMARK_COUNT)]
+    if data.shape[1] == 3 * LANDMARK_COUNT:
+        return [row.reshape(LANDMARK_COUNT, 3) for row in data]
+    raise ValueError(f"landmark CSV must have 3 or {3 * LANDMARK_COUNT} columns, got {data.shape[1]}")
 
 
 def load_landmarks_csv(path: str) -> list[np.ndarray]:
@@ -271,19 +327,4 @@ def load_landmarks_csv(path: str) -> list[np.ndarray]:
     Accepts rows of 3 columns (x, y, z; 68 rows per face, stacked) or rows of
     204 columns (one face per row, x1,y1,z1,x2,...).
     """
-    data = load_vectors_csv(path)
-    if data.shape[1] == 3:
-        if data.shape[0] % LANDMARK_COUNT != 0:
-            raise ValueError(
-                f"{path}: 3-column landmark CSV must hold a multiple of "
-                f"{LANDMARK_COUNT} rows, got {data.shape[0]}"
-            )
-        return [
-            data[i : i + LANDMARK_COUNT]
-            for i in range(0, data.shape[0], LANDMARK_COUNT)
-        ]
-    if data.shape[1] == 3 * LANDMARK_COUNT:
-        return [row.reshape(LANDMARK_COUNT, 3) for row in data]
-    raise ValueError(
-        f"{path}: landmark CSV must have 3 or {3 * LANDMARK_COUNT} columns, got {data.shape[1]}"
-    )
+    return _load(path, "vector CSV", _landmark_faces)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
-from .fileio import _load_csv, _numeric_csv, csv_text
+from .fileio import _load, _numeric_csv, _save, csv_text
 from .losses import _finite_array
 
 __all__ = [
@@ -168,9 +168,8 @@ def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> 
 
 
 def save_stats_csv(stats: ChannelStats, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(stats_csv(stats))
+    _save(path, stats_csv(stats))
 
 
 def load_stats_csv(path: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
-    return _load_csv(path, "statistics CSV", parse_stats_csv, epsilon_floor)
+    return _load(path, "statistics CSV", parse_stats_csv, epsilon_floor)

@@ -245,6 +245,8 @@ def test_non_integer_base_resolution_rejected(base):
     ("conv0", "s,1", "conv0: style_label 's,1'"),
     ("conv0", "s\n1", "conv0: style_label 's\\n1'"),
     ("conv0", "s\t1", "conv0: style_label"),
+    ("c\ud800", None, "layer 0 id 'c\\ud800' contains a lone surrogate"),
+    ("conv0", "s\udfff", "conv0: style_label 's\\udfff' contains a lone surrogate"),
 ])
 def test_report_breaking_ids_and_labels_rejected(layer_id, label, message):
     doc = json.loads(MINIMAL)
@@ -259,6 +261,9 @@ def test_control_character_in_name_rejected():
     doc = json.loads(MINIMAL)
     doc["name"] = "min\rimal"
     with pytest.raises(ArchValidationError, match="control character"):
+        parse_arch(json.dumps(doc))
+    doc["name"] = "min\ud800imal"  # a lone surrogate has no UTF-8 form, so no report can hold it
+    with pytest.raises(ArchValidationError, match="name 'min.ud800imal' contains a lone surrogate"):
         parse_arch(json.dumps(doc))
     doc["name"] = "min, imal"  # a comma in the name breaks no report
     assert parse_arch(json.dumps(doc)).name == "min, imal"

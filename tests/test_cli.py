@@ -433,6 +433,27 @@ def test_control_characters_in_parameters_stay_on_one_line(capsys, tmp_path, mon
     ]
 
 
+@pytest.mark.skipif(sys.getfilesystemencoding().lower() not in ("utf-8", "utf8"),
+                    reason="file names decode with surrogateescape only under UTF-8")
+def test_output_of_a_report_naming_an_undecodable_file(tmp_path):
+    import genfields
+
+    (tmp_path / os.fsdecode(b"a\xff.csv")).write_text("0,1\n2,5\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(genfields.__file__).parents[1])}
+
+    def stats(*args):  # in UTF-8 mode, stdout writes an undecodable byte back as it was
+        argv = [sys.executable, "-X", "utf8", "-m", "genfields", "stats", b"a\xff.csv", *args]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout
+
+    out = stats()
+    assert b"# parameters: input=a\xff.csv samples=2" in out
+    assert stats("--output", "out.csv") == b""
+    assert (tmp_path / "out.csv").read_bytes() == out
+    assert sorted(os.listdir(tmp_path)) == sorted([os.fsdecode(b"a\xff.csv"), "out.csv"])
+
+
 # ---------------------------------------------------------------- loglik ---
 
 @pytest.fixture()

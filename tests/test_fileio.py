@@ -1,3 +1,6 @@
+import errno
+import os
+import re
 import warnings
 from unittest import mock
 
@@ -215,14 +218,76 @@ def test_landmarks_bad_shapes(tmp_path):
         load_landmarks_csv(str(path))
 
 
+# Each reader, the error type it raises, the name its read failures give the
+# file, and a file it reads but cannot parse, with the start of that message.
+READERS = [
+    (load_arch, ArchParseError, "architecture file", b"{", "malformed architecture file"),
+    (load_vectors_csv, ValueError, "vector CSV", b"1,x\n", "vector CSV row 1, column 2"),
+    (load_stats_csv, ValueError, "statistics CSV", b"1,2\n", "statistics CSV must start with header"),
+    (load_landmarks_csv, ValueError, "vector CSV", b"1,2\n", "landmark CSV must have 3 or 204"),
+    (read_ppm, ValueError, "image", b"P5\n1 1\n255\n\0", "expected P6 image data"),
+    (read_pgm, ValueError, "image", b"P5\n2 2\n255\n\0\0\0", "expected 4 raster bytes, got 3"),
+]
+
+
 def test_undecodable_files_name_the_path(tmp_path):
-    path = tmp_path / "latin1.csv"
-    path.write_bytes(b"\xff1,2\n")
-    for load, what in [(load_vectors_csv, "vector CSV"), (load_stats_csv, "statistics CSV")]:
-        with pytest.raises(ValueError, match=f"^cannot read {what} .*latin1.csv: 'utf-8' codec"):
-            load(str(path))
-    with pytest.raises(ArchParseError, match="^cannot read architecture file .*latin1.csv: "):
-        load_arch(str(path))
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(b"\xff1,2\n")
+    for load, error, what, _, _ in READERS:
+        cases = [(tmp_path / "gone", "No such file"), (tmp_path, "Is a directory")]
+        if what != "image":  # images are read as bytes: there, such a file is a bad header
+            cases.append((undecodable, "'utf-8' codec"))
+        for path, reason in cases:
+            message = f"^cannot read {what} {re.escape(str(path))}: .*{reason}"
+            with pytest.raises(error, match=message) as info:
+                load(str(path))
+            assert info.type is error
+
+
+@pytest.mark.parametrize("load, error, data, message", [r[:2] + r[3:] for r in READERS])
+def test_malformed_files_name_the_path(tmp_path, load, error, data, message):
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: {re.escape(message)}") as info:
+        load(str(path))
+    assert info.type is error
+
+
+def _raise(exc):
+    def fake(*args):
+        raise exc
+    return fake
+
+
+@pytest.mark.parametrize("name, fake, error", [
+    ("replace", _raise(OSError(errno.ENOSPC, "No space left on device")), OSError),
+    ("replace", _raise(KeyboardInterrupt()), KeyboardInterrupt),
+    ("access", lambda *args: False, PermissionError),  # a read-only file, to a user other than root
+])
+def test_failed_write_keeps_the_target(tmp_path, monkeypatch, name, fake, error):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(fileio.os, name, fake)
+    with pytest.raises(error) as info:
+        save_vectors_csv(str(path), np.ones((3, 4)))
+    if error is not KeyboardInterrupt:
+        assert str(info.value).endswith(f": {str(path)!r}")
+    assert path.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_writes_keep_symlinks_and_modes(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target.name)  # dangling until the first write
+    save_vectors_csv(str(link), [[1.0]])
+    target.chmod(0o640)
+    save_vectors_csv(str(link), [[1.5, 2.0]])
+    assert link.is_symlink() and target.read_text() == "1.5,2.0\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    with pytest.raises(OSError, match=re.escape(repr(str(tmp_path / "new") + os.sep))):
+        save_vectors_csv(str(tmp_path / "new") + os.sep, [[1.0]])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+    save_vectors_csv(os.devnull, [[1.0]])  # not a regular file: written in place
 
 
 def test_missing_file_mentions_path():
