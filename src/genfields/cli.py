@@ -23,11 +23,11 @@ consistency check failed.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -107,7 +107,7 @@ def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), not
             "subcommand": subcommand,
             "parameters": {k: str(v) for k, v in params.items()},
         }
-        return json.dumps({**meta, **payload()}, indent=2, allow_nan=False) + "\n"
+        return _json_text({**meta, **payload()}) + "\n"
     rendered = " ".join(f"{k}={_escaped(v)}" for k, v in params.items())
     out = [f"# genfields {__version__}", f"# subcommand: {subcommand}", f"# parameters: {rendered}"]
     if fmt == "csv":
@@ -119,6 +119,53 @@ def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), not
         out += _render_table(columns, rows)
     out += [f"note: {n}" for n in notes]
     return "\n".join(out) + "\n"
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``; keys must be str.
+
+    The stdlib runs its pure-Python encoder whenever ``indent`` is set, one
+    chunk per scalar; here a list of plain ints or of finite plain floats is
+    one join.
+    """
+    out: list[str] = []
+    _json_into(obj, "\n", out)
+    return "".join(out)
+
+
+def _json_into(obj, newline: str, out: list[str]) -> None:
+    """Append ``obj`` to ``out``, nested at the indent ``newline`` ends in."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple, dict)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (list, tuple)):
+        kind = set(map(type, obj))
+        if kind == {int} or kind == {float} and all(map(math.isfinite, obj)):
+            out += ["[", inner, ("," + inner).join(map(kind.pop().__repr__, obj)), newline, "]"]
+            return
+        for i, item in enumerate(obj):
+            out.append(("," if i else "[") + inner)
+            _json_into(item, inner, out)
+        out += [newline, "]"]
+    elif isinstance(obj, dict):
+        for i, (key, value) in enumerate(obj.items()):
+            out += [("," if i else "{") + inner, encode_basestring_ascii(key), ": "]
+            _json_into(value, inner, out)
+        out += [newline, "}"]
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float) and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, float):
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _escaped(value) -> str:
@@ -135,11 +182,16 @@ def _render_table(columns, rows) -> list[str]:
     return lines
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | None, *files: tuple[str, str]) -> None:
+    """Write the report ``text`` to ``output`` or stdout, and the ``(path, text)`` ``files``.
+
+    With ``output``, all are written together: a failure changes none of them.
+    """
     if output:
-        _save(output, text)
+        _save((output, text), *files)
     else:
         click.echo(text, nl=False)
+        _save(*files)
 
 
 def _resolve_arch(preset: str | None, arch_path: str | None) -> ArchSpec:
@@ -374,6 +426,11 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
     if fmt == "table":  # the union is listed in table output only
         lines.append(f"union_size: {len(reuse.union_dims)}")
         lines.append("union_dims: " + " ".join(str(d) for d in reuse.union_dims))
+    files = []
+    if membership_out:
+        header = ("test", *(f"d{d}" for d in reuse.union_dims))
+        members = ((t, *row) for t, row in enumerate(reuse.membership.tolist()))
+        files.append((membership_out, csv_text(itertools.chain([header], members))))
     _emit(_report(
         "analyze", params, fmt,
         lambda: {
@@ -388,12 +445,7 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
         columns=("dim", "reuse_rate"),
         rows=((d, reuse.rates[d]) for d in reuse.union_dims),
         lines=lines, notes=notes,
-    ), output)
-
-    if membership_out:
-        header = ("test", *(f"d{d}" for d in reuse.union_dims))
-        members = ((t, *row) for t, row in enumerate(reuse.membership.tolist()))
-        _emit(csv_text(itertools.chain([header], members)), membership_out)
+    ), output, *files)
 
 
 # ----------------------------------------------------------------- stats ---

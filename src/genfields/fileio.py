@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import errno
 import io
+import itertools
 import os
 import re
 import stat
@@ -62,44 +63,50 @@ def _load(path: str, what: str, parse, *args, binary: bool = False, error=ValueE
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _save(path: str, data: str | bytes) -> None:
-    """Write ``data``, text as UTF-8 (file names' undecodable bytes as they were), to ``path``.
+def _save(*files: tuple[str, str | bytes]) -> None:
+    """Write each ``(path, data)``, text as UTF-8 (file names' undecodable bytes as they were).
 
-    A regular file, or a new one, is written whole or not at all: to a
+    Regular files, and new ones, are written whole or not at all: each to a
     temporary file beside it (beside a symlink's target, so the link stays),
-    with its mode or, if new, 0o666 less the umask, then renamed over it.  A
-    file the caller may not write is refused, as opening it would be.
-    Anything else, such as a pipe, a terminal or ``/dev/null``, is written in
-    place.  Errors name ``path``; a failure leaves no temporary file.
+    with its mode or, if new, 0o666 less the umask, and only once every one
+    is written are they renamed over their targets.  A file the caller may
+    not write is refused, as opening it would be.  Anything else, such as a
+    pipe, a terminal or ``/dev/null``, is written in place.  Errors name the
+    path at fault; a failure leaves no temporary file.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogateescape")
+    staged = []  # (path, temporary file, target) not yet renamed
     try:
-        try:
-            mode = os.stat(path).st_mode
-        except FileNotFoundError:
-            mode = None
-        if mode is not None and not os.access(path, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
-        if mode is not None and not stat.S_ISREG(mode):
-            with open(path, "wb") as fh:
-                fh.write(data)
-            return
-        target = os.path.realpath(path) if os.path.islink(path) else path
-        head, tail = os.path.split(target)
-        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, data in files:
+            if isinstance(data, str):
+                data = data.encode("utf-8", "surrogateescape")
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            if mode is not None and not stat.S_ISREG(mode):
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                continue
+            target = os.path.realpath(path) if os.path.islink(path) else path
+            head, tail = os.path.split(target)
+            tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((path, tmp, target))
             with open(fd, "wb") as fh:
                 if mode is not None:
                     os.fchmod(fd, stat.S_IMODE(mode))
                 fh.write(data)
+        while staged:
+            path, tmp, target = staged[0]
             os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            del staged[0]
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        for _, tmp, _ in staged:
+            os.unlink(tmp)
 
 
 def _parse_netpbm(data: bytes, magic: bytes, samples_per_pixel: int) -> np.ndarray:
@@ -136,7 +143,7 @@ def read_pgm(path: str) -> np.ndarray:
 def _write_netpbm(path: str, magic: str, arr: np.ndarray) -> None:
     arr = as_image(arr)
     raster = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    _save(path, f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode() + raster.tobytes())
+    _save((path, f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode() + raster.tobytes()))
 
 
 def write_ppm(path: str, img) -> None:
@@ -211,6 +218,15 @@ def _long_cell(text: str, limit: int) -> bool:
     return False
 
 
+def _lines(text: str):
+    """The lines of ``text``, each with its ``\\n`` (the last one may have none)."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
     """What :func:`_numeric_csv` returns for ``text``, read by numpy's C reader; None if it may differ.
 
@@ -221,27 +237,31 @@ def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
     (``1_0``, Unicode digits).  This also declines on a quote or a NUL (which
     csv refuses on Python 3.10) before the data, a ragged, empty or non-finite
     matrix, and a cell longer than csv reads.
+
+    numpy gets the lines one at a time, cut at each ``\\n`` after CR and CRLF
+    became ``\\n`` (csv's line ends; ``str.splitlines`` also cuts at ``\\x0c``
+    and others), so the text is held once and never as a 4-byte-per-character
+    buffer.
     """
-    buf = io.StringIO(text, newline=None)
-    start = 0
-    for line in iter(buf.readline, ""):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    rest = _lines(text)
+    for line in rest:
         if '"' in line or "\0" in line:
             return None
         if line.strip() and not line.lstrip().startswith("#"):
             break
-        start = buf.tell()
     else:
         return None
     try:
-        if header([cell.strip() for cell in line.split(",")]):
-            start = buf.tell()
+        if not header([cell.strip() for cell in line.split(",")]):
+            rest = itertools.chain([line], rest)
     except ValueError:
         return None
-    buf.seek(start)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data" is a UserWarning
-            data = np.loadtxt(buf, delimiter=",", comments=None, ndmin=2, dtype=float)
+            data = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2, dtype=float)
     except (ValueError, Warning):
         return None
     if ((width is not None and data.shape[1] != width) or not np.isfinite(data).all()
@@ -306,7 +326,7 @@ def vectors_csv(matrix, header: bool = False) -> str:
 
 
 def save_vectors_csv(path: str, matrix, header: bool = False) -> None:
-    _save(path, vectors_csv(matrix, header))
+    _save((path, vectors_csv(matrix, header)))
 
 
 def _landmark_faces(text: str) -> list[np.ndarray]:

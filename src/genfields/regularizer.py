@@ -168,7 +168,7 @@ def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> 
 
 
 def save_stats_csv(stats: ChannelStats, path: str) -> None:
-    _save(path, stats_csv(stats))
+    _save((path, stats_csv(stats)))
 
 
 def load_stats_csv(path: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:

@@ -204,11 +204,9 @@ def face_scale(landmark_sets) -> float:
 
 def mask_rle(mask: np.ndarray) -> list[tuple[int, int]]:
     """Run-length encode a boolean mask as (value, run_length) pairs."""
-    runs: list[tuple[int, int]] = []
-    for v in np.asarray(mask, dtype=bool):
-        bit = int(v)
-        if runs and runs[-1][0] == bit:
-            runs[-1] = (bit, runs[-1][1] + 1)
-        else:
-            runs.append((bit, 1))
-    return runs
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.size:
+        return []
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(mask)) + 1))
+    lengths = np.diff(starts, append=mask.size)
+    return list(zip(mask[starts].astype(int).tolist(), lengths.tolist()))

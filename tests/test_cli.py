@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genfields.archgraph import serialize_arch, stylegan2_preset
-from genfields.cli import main
+from genfields.cli import _json_text, main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
 from genfields.oracle import numeric_footprint
 from genfields.regularizer import log_likelihood, parse_stats_csv
@@ -357,6 +359,18 @@ def test_analyze_membership_csv(capsys, tmp_path):
     lines = member_path.read_text().strip().splitlines()
     assert lines[0].startswith("test,d")
     assert len(lines) == 3
+
+
+def test_analyze_failing_pair_changes_neither_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_vectors_csv("deltas.csv", np.random.default_rng(3).normal(size=(2, 6)))
+    Path("r.csv").write_bytes(b"old report\n")
+    code, out, err = run(capsys, "analyze", "deltas.csv", "--output", "r.csv",
+                         "--membership-out", "nodir/m.csv")
+    assert (code, out) == (1, "")
+    assert err == "Error: [Errno 2] No such file or directory: 'nodir/m.csv'\n"
+    assert Path("r.csv").read_bytes() == b"old report\n"
+    assert sorted(os.listdir()) == ["deltas.csv", "r.csv"]
 
 
 def test_analyze_ragged_csv_exits_1(capsys, tmp_path):
@@ -1055,6 +1069,44 @@ def test_over_limit_csv_cell_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "stats", str(path))
     assert (code, out) == (1, "")
     assert err == f"Error: {path}: vector CSV line 2: field larger than field limit (131072)\n"
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), FINITE_FLOATS, st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4),
+                            st.lists(st.integers(), max_size=4), st.lists(FINITE_FLOATS, max_size=4)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps_property(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+def test_json_writer_edge_values():
+    for doc in ([-0.0, 5e-324, 1e308, 10**30, -(10**30)], ["h\u00e9llo\x01\"\\\u2028"], [], {}, (), [()],
+                {"a": {}, "b": [[]]}, [np.float64(0.5), 1.0], (1, (2.5, None)), [True, 1], [1.0, 1]):
+        assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("doc", [float("nan"), float("inf"), [1.0, -float("inf")], {"a": [np.float64("nan")]}])
+def test_json_writer_refuses_non_finite(doc):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        _json_text(doc)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("doc", [np.int64(1), [np.bool_(True)], {"a": {1, 2}}, [object()]])
+def test_json_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(TypeError) as got:
+        _json_text(doc)
+    assert str(got.value) == str(expected.value)
 
 
 def test_json_report_refuses_non_finite(capsys, stats_and_samples, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import errno
 import os
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -387,6 +388,20 @@ def test_numpy_reader_serves_the_tools_own_files():
     text = report + stats_csv(estimate_stats(matrix))
     assert fileio._loadtxt(text, _stats_header, 3) is not None
     assert read_both(parse_stats_csv, text)[0] == read_both(parse_stats_csv, text)[1]
+
+
+def test_numpy_reader_holds_no_copy_of_the_text():
+    # The C reader gets the text a line at a time: the peak stays below the
+    # text's own size (about 0.6x; a StringIO of it alone takes 4 bytes a character).
+    text = vectors_csv(np.random.default_rng(0).normal(size=(40, 4928)), header=True)
+    tracemalloc.start()
+    try:
+        data = parse_vectors_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (40, 4928)
+    assert peak < len(text)
 
 
 @pytest.mark.parametrize("cell", ["1" * 140_001, "0.5" + " " * 140_000])
