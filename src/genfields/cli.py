@@ -18,18 +18,21 @@ format and ``stats`` writes csv only.
 
 Exit codes: 0 success; 1 input or usage error; 2 a verification or
 consistency check failed.
+
+The command line is parsed by :mod:`argparse` from the table that
+:func:`_command` fills; ``--help`` is rendered from the same table.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
-
-import click
 
 from . import __version__
 from ._np import np
@@ -73,7 +76,8 @@ from .sparsity import (
     reuse_rates,
     topk_set,
 )
-from .stylespace import mask_rle, plan_by_gf, plan_by_layers, style_layout
+from .stylespace import mask_rle  # noqa: F401 -- unused; bound here for perfbench/tracing.py
+from .stylespace import plan_by_gf, plan_by_layers, style_layout
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -89,6 +93,10 @@ PLAN_CONFIGS = {1: "conv0..conv7", 2: "conv0..conv4", 3: "conv0..conv2", 4: "con
 
 class CheckFailure(Exception):
     """A report was produced but a verification/consistency check failed."""
+
+
+class UsageError(Exception):
+    """A malformed command line; :func:`main` prints the usage before the message."""
 
 
 def _report(subcommand, params, fmt, payload, columns=(), rows=(), lines=(), notes=(),
@@ -190,17 +198,23 @@ def _emit(text: str, output: str | None, *files: tuple[str, str]) -> None:
     if output:
         _save((output, text), *files)
     else:
-        click.echo(text, nl=False)
+        _write(sys.stdout, text)
         _save(*files)
+
+
+def _write(stream, text: str) -> None:
+    """Write ``text`` and flush it, so that a closed pipe fails here, inside :func:`main`."""
+    stream.write(text)
+    stream.flush()
 
 
 def _resolve_arch(preset: str | None, arch_path: str | None) -> ArchSpec:
     if (preset is None) == (arch_path is None):
-        raise click.ClickException("pass exactly one of --preset or --arch")
+        raise ValueError("pass exactly one of --preset or --arch")
     if preset is not None:
         match = re.fullmatch(r"stylegan2-([1-9][0-9]*)", preset)
         if match is None:
-            raise click.ClickException(f"unknown preset {preset!r}; use e.g. stylegan2-256")
+            raise ValueError(f"unknown preset {preset!r}; use e.g. stylegan2-256")
         return stylegan2_preset(int(match[1]))
     return load_arch(arch_path)
 
@@ -209,14 +223,14 @@ def _layer_range(arch: ArchSpec, spec: str) -> range:
     """Indices of the layers ``first..last`` names, both ends included."""
     first, sep, last = spec.partition("..")
     if not sep or not first or not last:
-        raise click.ClickException(f"layer range must look like conv0..conv7, got {spec!r}")
+        raise ValueError(f"layer range must look like conv0..conv7, got {spec!r}")
     return _layer_span([layer.id for layer in arch.layers], first, last, arch.name)
 
 
 def _paired(first: str, a, second: str, b) -> bool:
     """Whether the input pair ``first``/``second`` was given; one alone is an error."""
     if (a is None) != (b is None):
-        raise click.ClickException(f"{first} and {second} must be given together")
+        raise ValueError(f"{first} and {second} must be given together")
     return bool(a)
 
 
@@ -224,31 +238,47 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-_preset_option = click.option("--preset", help="Built-in architecture, e.g. stylegan2-256.")
-_format_option = click.option("--format", "fmt", type=click.Choice(["table", "csv", "json"]),
-                              default="table")
-_output_option = click.option("--output", type=click.Path(), default=None)
+# ------------------------------------------------------- command table ---
+
+# Subcommand name -> (function, params), filled by @_command.  A param is
+# (name, dest, kind, default, help, show_default): an option when the name
+# starts with "--", else a positional argument named by its metavar.  ``kind``
+# is a metavar ("TEXT", "PATH", "INTEGER" or "FLOAT"), a tuple of choices, a
+# range of allowed integers, or None for a flag.
+COMMANDS = {}
+
+ABOUT = """Static generative-field analysis for convolutional generator stacks.
+
+Computes analytic generative fields, verifies them against brute-force
+influence oracles, plans style-space control masks by field thresholds,
+and evaluates control-signal sparsity, Gaussian style regularization and
+editing losses.  All randomized steps are seeded (default seed 7)."""
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="genfields")
-def cli():
-    """Static generative-field analysis for convolutional generator stacks.
+def _option(flag, kind="TEXT", help="", default=None, show_default=False, dest=None):
+    dest = dest or flag.lstrip("-").replace("-", "_").lower()
+    return flag, dest, kind, default, help, show_default
 
-    Computes analytic generative fields, verifies them against brute-force
-    influence oracles, plans style-space control masks by field thresholds,
-    and evaluates control-signal sparsity, Gaussian style regularization and
-    editing losses.  All randomized steps are seeded (default seed 7).
-    """
+
+def _command(name, *params):
+    """Register the decorated function as subcommand ``name``, taking ``params``."""
+    def register(fn):
+        COMMANDS[name] = fn, params
+        return fn
+    return register
+
+
+_PRESET = _option("--preset", help="Built-in architecture, e.g. stylegan2-256.")
+_FORMAT = _option("--format", ("table", "csv", "json"), default="table", dest="fmt")
+_OUTPUT = _option("--output", "PATH")
 
 
 # ---------------------------------------------------------------- fields ---
 
-@cli.command("fields")
-@_preset_option
-@click.option("--arch", "arch_path", type=click.Path(), help="Architecture file to analyze.")
-@_format_option
-@click.option("--output", type=click.Path(), default=None, help="Write the report to a file.")
+@_command(
+    "fields", _PRESET, _option("--arch", "PATH", "Architecture file to analyze.", dest="arch_path"),
+    _FORMAT, _option("--output", "PATH", "Write the report to a file."),
+)
 def cmd_fields(preset, arch_path, fmt, output):
     """Emit the per-layer generative field table."""
     arch = _resolve_arch(preset, arch_path)
@@ -263,22 +293,16 @@ def cmd_fields(preset, arch_path, fmt, output):
 
 # ---------------------------------------------------------------- verify ---
 
-@cli.command("verify")
-@_preset_option
-@click.option("--arch", "arch_path", type=click.Path(), help="Architecture file to verify.")
-@click.option(
-    "--semantics",
-    type=click.Choice([s.value for s in Semantics]),
-    default=Semantics.ZERO_INSERT.value,
-    show_default=True,
+@_command(
+    "verify", _PRESET, _option("--arch", "PATH", "Architecture file to verify.", dest="arch_path"),
+    _option("--semantics", tuple(s.value for s in Semantics), default=Semantics.ZERO_INSERT.value,
+            show_default=True),
+    _option("--sim-base", "INTEGER", "Simulated base resolution (replaces the architecture's).",
+            default=16, show_default=True),
+    _option("--layers", help="Restrict to a range, e.g. conv0..conv3.", dest="layer_span"),
+    _option("--numeric", None, "Also run the numeric executor and check agreement."),
+    _option("--seed", "INTEGER", default=DEFAULT_SEED, show_default=True), _FORMAT, _OUTPUT,
 )
-@click.option("--sim-base", type=int, default=16, show_default=True,
-              help="Simulated base resolution (replaces the architecture's).")
-@click.option("--layers", "layer_span", default=None, help="Restrict to a range, e.g. conv0..conv3.")
-@click.option("--numeric", is_flag=True, help="Also run the numeric executor and check agreement.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@_format_option
-@_output_option
 def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed, fmt, output):
     """Measure impulse footprints and compare them with the analytic fields.
 
@@ -286,7 +310,7 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     a footprint above it is classified OVER-BUG and the command exits 2.
     """
     if numeric and seed < 0:
-        raise click.ClickException(f"--seed must be non-negative with --numeric, got {seed}")
+        raise ValueError(f"--seed must be non-negative with --numeric, got {seed}")
     arch = _resolve_arch(preset, arch_path)
     sem = Semantics(semantics)
     params = {"arch": arch.name, "semantics": sem.value, "sim_base": sim_base, "format": fmt}
@@ -324,16 +348,16 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
 
 # ------------------------------------------------------------------ plan ---
 
-@cli.command("plan")
-@_preset_option
-@click.option("--arch", "arch_path", type=click.Path(), help="Architecture file to plan against.")
-@click.option("--config", "config_index", type=click.IntRange(1, 5), default=None,
-              help="Named control-unit configuration (1..5).")
-@click.option("--min-gf", type=int, default=None, help="Smallest generative field to enable.")
-@click.option("--max-gf", type=int, default=None, help="Largest generative field to enable.")
-@click.option("--layers", "layer_span", default=None, help="Explicit range, e.g. conv0..conv7.")
-@_format_option
-@_output_option
+@_command(
+    "plan", _PRESET,
+    _option("--arch", "PATH", "Architecture file to plan against.", dest="arch_path"),
+    _option("--config", range(1, 6), "Named control-unit configuration (1..5).",
+            dest="config_index"),
+    _option("--min-gf", "INTEGER", "Smallest generative field to enable."),
+    _option("--max-gf", "INTEGER", "Largest generative field to enable."),
+    _option("--layers", help="Explicit range, e.g. conv0..conv7.", dest="layer_span"),
+    _FORMAT, _OUTPUT,
+)
 def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, output):
     """Build a control-signal mask plan from field thresholds or layer ranges."""
     arch = _resolve_arch(preset, arch_path)
@@ -343,7 +367,7 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
     by_gf = min_gf is not None or max_gf is not None
     modes = sum([config_index is not None, by_gf, layer_span is not None])
     if modes != 1:
-        raise click.ClickException(
+        raise ValueError(
             "pass exactly one selection mode: --config, --min-gf/--max-gf, or --layers"
         )
 
@@ -356,7 +380,9 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
     mode = {"config": config_index, "min_gf": min_gf, "max_gf": max_gf, "layers": layer_span}
     params = {"arch": arch.name, **{k: v for k, v in mode.items() if v is not None}, "format": fmt}
 
-    rle = mask_rle(plan.mask)
+    dims = plan.dims  # the mask's runs, read from its span without building the mask
+    runs = ((0, dims.start), (1, len(dims)), (0, plan.total_dims - dims.stop))
+    rle = [run for run in runs if run[1]]
     enabled = set(plan.enabled_layers)
     rows = [
         (
@@ -392,14 +418,12 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
 
 # --------------------------------------------------------------- analyze ---
 
-@cli.command("analyze")
-@click.argument("deltas_csv", type=click.Path())
-@click.option("--top-k", type=int, default=DEFAULT_TOP_K, show_default=True)
-@click.option("--bins", type=int, default=DEFAULT_BINS, show_default=True)
-@_format_option
-@_output_option
-@click.option("--membership-out", type=click.Path(), default=None,
-              help="Write the per-test top-k membership matrix as CSV.")
+@_command(
+    "analyze", _option("DELTAS_CSV"),
+    _option("--top-k", "INTEGER", default=DEFAULT_TOP_K, show_default=True),
+    _option("--bins", "INTEGER", default=DEFAULT_BINS, show_default=True), _FORMAT, _OUTPUT,
+    _option("--membership-out", "PATH", "Write the per-test top-k membership matrix as CSV."),
+)
 def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
     """Sparsity report over control signals (one test per CSV row)."""
     deltas = load_vectors_csv(deltas_csv)
@@ -450,17 +474,17 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 
 # ----------------------------------------------------------------- stats ---
 
-@cli.command("stats")
-@click.argument("styles_csv", type=click.Path())
-@click.option("--epsilon-floor", type=float, default=DEFAULT_EPSILON_FLOOR, show_default=True)
-@_output_option
+@_command(
+    "stats", _option("STYLES_CSV"),
+    _option("--epsilon-floor", "FLOAT", default=DEFAULT_EPSILON_FLOOR, show_default=True), _OUTPUT,
+)
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
     styles = load_vectors_csv(styles_csv)
     try:
         stats = estimate_stats(styles, epsilon_floor=epsilon_floor)
     except ValueError as exc:
-        raise click.ClickException(f"{styles_csv}: {exc}") from None
+        raise ValueError(f"{styles_csv}: {exc}") from None
     params = {
         "input": styles_csv,
         "samples": stats.sample_count,
@@ -472,20 +496,19 @@ def cmd_stats(styles_csv, epsilon_floor, output):
 
 # ---------------------------------------------------------------- loglik ---
 
-@cli.command("loglik")
-@click.argument("stats_csv_path", metavar="STATS_CSV", type=click.Path())
-@click.argument("samples_csv", type=click.Path())
-@click.option("--grad", "with_grad", is_flag=True, help="Also print the analytic gradient.")
-@click.option("--fd-check", is_flag=True,
-              help="Check the gradient against central finite differences (exit 2 on mismatch).")
-@_format_option
-@_output_option
+@_command(
+    "loglik", _option("STATS_CSV", dest="stats_csv_path"), _option("SAMPLES_CSV"),
+    _option("--grad", None, "Also print the analytic gradient.", dest="with_grad"),
+    _option("--fd-check", None,
+            "Check the gradient against central finite differences (exit 2 on mismatch)."),
+    _FORMAT, _OUTPUT,
+)
 def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     """Log-likelihood of style vectors under estimated channel statistics."""
     stats = load_stats_csv(stats_csv_path)
     samples = load_vectors_csv(samples_csv)
     if samples.shape[1] != stats.dims:
-        raise click.ClickException(
+        raise ValueError(
             f"sample dimension {samples.shape[1]} does not match statistics dimension {stats.dims}"
         )
 
@@ -496,7 +519,7 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
             if with_grad or fd_check:
                 grads.append(log_likelihood_grad(row, stats))
         except ValueError as exc:
-            raise click.ClickException(f"{samples_csv}: sample {t}: {exc}") from None
+            raise ValueError(f"{samples_csv}: sample {t}: {exc}") from None
 
     params = {"stats": stats_csv_path, "samples": samples_csv, "format": fmt}
     fd_errors, notes = [], []
@@ -550,13 +573,13 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
 def _parse_triple(text: str, what: str) -> tuple[float, float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        raise click.ClickException(f"{what} must be three comma-separated numbers, got {text!r}")
+        raise ValueError(f"{what} must be three comma-separated numbers, got {text!r}")
     try:
         a, b, c = (float(p) for p in parts)
     except ValueError:
-        raise click.ClickException(f"{what} must be numeric, got {text!r}") from None
+        raise ValueError(f"{what} must be numeric, got {text!r}") from None
     if not all(math.isfinite(v) for v in (a, b, c)):
-        raise click.ClickException(f"{what} must be finite, got {text!r}")
+        raise ValueError(f"{what} must be finite, got {text!r}")
     return a, b, c
 
 
@@ -564,7 +587,7 @@ def _load_one(path: str, load, what: str) -> np.ndarray:
     """The one item, an embedding row or a face, that ``load`` reads from ``path``."""
     items = load(path)
     if len(items) != 1:
-        raise click.ClickException(f"{path}: expected {what}, got {len(items)}")
+        raise ValueError(f"{path}: expected {what}, got {len(items)}")
     return items[0]
 
 
@@ -573,30 +596,26 @@ def _load_image(path: str) -> np.ndarray:
         return read_ppm(path)
     if path.endswith(".pgm"):
         return read_pgm(path)
-    raise click.ClickException(f"{path}: image must be a .ppm (P6) or .pgm (P5) file")
+    raise ValueError(f"{path}: image must be a .ppm (P6) or .pgm (P5) file")
 
 
-@cli.command("losses")
-@click.option("--components", default=None,
-              help="Skip inputs and combine precomputed id,attr,rec components.")
-@click.option("--id-embedding", type=click.Path(), default=None)
-@click.option("--out-embedding", type=click.Path(), default=None)
-@click.option("--attr-landmarks", type=click.Path(), default=None)
-@click.option("--out-landmarks", type=click.Path(), default=None)
-@click.option("--attr-angles", default=None, help="yaw,pitch,roll for the attribute image.")
-@click.option("--out-angles", default=None, help="yaw,pitch,roll for the edited image.")
-@click.option("--attr-image", type=click.Path(), default=None)
-@click.option("--out-image", type=click.Path(), default=None)
-@click.option("--same-inputs", is_flag=True,
-              help="Attribute and identity images are the same source (enables the pixel term).")
-@click.option("--alpha", type=float, default=DEFAULT_ALPHA, show_default=True)
-@click.option("--lambdas", default=None, help="Loss weights id,attr,rec (default 1,0.01,0.02).")
-@click.option("--scales", type=int, default=5, show_default=True,
-              help="MS-SSIM scale count (1..5).")
-@click.option("--all-landmarks", is_flag=True, help="Use all 68 landmarks, not the 51 inner ones.")
-@click.option("--degrees", is_flag=True, help="Interpret --attr-angles/--out-angles in degrees.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-@_output_option
+@_command(
+    "losses",
+    _option("--components", help="Skip inputs and combine precomputed id,attr,rec components."),
+    *(_option(f"--{name}", "PATH") for name in ("id-embedding", "out-embedding", "attr-landmarks",
+                                                "out-landmarks")),
+    _option("--attr-angles", help="yaw,pitch,roll for the attribute image."),
+    _option("--out-angles", help="yaw,pitch,roll for the edited image."),
+    _option("--attr-image", "PATH"), _option("--out-image", "PATH"),
+    _option("--same-inputs", None,
+            "Attribute and identity images are the same source (enables the pixel term)."),
+    _option("--alpha", "FLOAT", default=DEFAULT_ALPHA, show_default=True),
+    _option("--lambdas", help="Loss weights id,attr,rec (default 1,0.01,0.02)."),
+    _option("--scales", "INTEGER", "MS-SSIM scale count (1..5).", default=5, show_default=True),
+    _option("--all-landmarks", None, "Use all 68 landmarks, not the 51 inner ones."),
+    _option("--degrees", None, "Interpret --attr-angles/--out-angles in degrees."),
+    _option("--format", ("table", "json"), default="table", dest="fmt"), _OUTPUT,
+)
 def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_landmarks,
                attr_angles, out_angles, attr_image, out_image, same_inputs, alpha,
                lambdas, scales, all_landmarks, degrees, fmt, output):
@@ -605,7 +624,7 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
         _check_alpha(alpha)
         min_side_for_scales(scales)
     except ValueError as exc:
-        raise click.ClickException(f"--{exc}") from None
+        raise ValueError(f"--{exc}") from None
     lam = _parse_triple(lambdas, "--lambdas") if lambdas else DEFAULT_LAMBDAS
     terms = ("identity_loss", "attr_loss", "reconstruction_loss")
 
@@ -635,7 +654,7 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
                 _load_image(attr_image), _load_image(out_image), alpha=alpha,
                 same_inputs=same_inputs, scales=scales)
         if not parts:
-            raise click.ClickException("no inputs given; see --help for the accepted pairs")
+            raise ValueError("no inputs given; see --help for the accepted pairs")
 
     total = total_loss(*(parts.get(term, 0.0) for term in terms), *lam)
     params = {"alpha": alpha, "lambdas": ",".join(_fmt_float(v) for v in lam), "format": fmt}
@@ -649,20 +668,178 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
     ), output)
 
 
+# ---------------------------------------------------------- command line ---
+
+_TYPES = {"INTEGER": int, "FLOAT": float}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise :class:`UsageError` instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _parse(name: str, args: list[str]) -> dict | None:
+    """Keyword arguments of subcommand ``name`` from ``args``; None if they ask for ``--help``."""
+    parser, valued = _Parser(add_help=False, allow_abbrev=False), set()
+    for flag, dest, kind, default, *_ in COMMANDS[name][1]:
+        if not flag.startswith("--"):
+            parser.add_argument(dest, metavar=flag)
+        elif kind is None:
+            parser.add_argument(flag, dest=dest, action="store_true")
+        else:
+            valued.add(flag)
+            parser.add_argument(flag, dest=dest, default=default,
+                                type=int if isinstance(kind, range) else _TYPES.get(kind, str),
+                                choices=None if isinstance(kind, str) else kind)
+    # An option taking a value takes the next word, even one that starts with "-",
+    # but not "--": every word after "--" is an argument.
+    words, tail = [], iter(args)
+    for arg in tail:
+        if arg == "--":
+            break
+        flag, eq, value = arg.partition("=")
+        if flag in valued:
+            value = value if eq else next(tail, "--")
+            if value == "--":
+                raise UsageError(f"Option '{flag}' requires an argument.")
+            arg = f"{flag}={value}"
+        words.append(arg)
+    if "--help" in words:
+        return None
+    rest = list(tail)
+    return vars(parser.parse_args(words + ["--"] * bool(rest) + rest))
+
+
+def _prog() -> str:
+    """How the program was run: the script's file name, or ``python -m <module>``."""
+    path = os.path.basename(sys.argv[0]) if sys.argv else ""
+    package = getattr(sys.modules.get("__main__"), "__package__", None)
+    if not package:
+        return path
+    name = os.path.splitext(path)[0]
+    return "python -m " + (package if name == "__main__" else f"{package}.{name}").lstrip(".")
+
+
+# --help is laid out as click 8 laid it out when it parsed this command line:
+# text wrapped to the terminal width less 2, from 50 to 78 columns; options
+# and commands in a two-column list whose first column is at most 30 wide.
+
+def _width() -> int:
+    import shutil
+
+    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+
+
+def _usage(command: str | None, width: int) -> list[str]:
+    import textwrap
+
+    prefix = f"Usage: {' '.join(filter(None, (_prog(), command)))} "
+    pieces = " ".join(["[OPTIONS]", *(p[0] for p in COMMANDS[command][1] if p[0][:2] != "--")]
+                      if command else ["[OPTIONS]", "COMMAND", "[ARGS]..."])
+    fits = width >= len(prefix) + 20  # else the arguments start on a line of their own
+    indent = prefix if fits else " " * 11
+    lines = textwrap.wrap(pieces, width, initial_indent=indent, subsequent_indent=" " * len(indent))
+    return lines if fits else [prefix, *lines]
+
+
+def _paragraphs(doc: str) -> list[str]:
+    """``doc``'s paragraphs, each on one line, its lines' indentation dropped; none if None."""
+    lines = "\n".join(line.strip() for line in (doc or "").strip().splitlines())
+    return [paragraph.replace("\n", " ") for paragraph in lines.split("\n\n") if paragraph]
+
+
+def _short_help(doc: str, limit: int) -> str:
+    """The first sentence of ``doc``, or as many words as fit in ``limit`` with "..."."""
+    words = " ".join(_paragraphs(doc)[:1]).split()
+    for i in range(len(words)):
+        head = " ".join(words[: i + 1])
+        if len(head) > limit or len(head) == limit and i + 1 < len(words):
+            break
+        if head.endswith("."):
+            return head
+    else:
+        return " ".join(words)
+    while i and len(" ".join(words[:i])) + 3 > limit:
+        i -= 1
+    return " ".join(words[:i]) + "..."
+
+
+def _help_row(param) -> tuple[str, str]:
+    flag, _, kind, default, text, show_default = param
+    metavar = ("" if kind is None else " INTEGER RANGE" if isinstance(kind, range)
+               else f" [{'|'.join(kind)}]" if isinstance(kind, tuple) else f" {kind}")
+    extra = [f"default: {default}"] * show_default
+    if isinstance(kind, range):
+        extra.append(f"{kind.start}<=x<={kind[-1]}")
+    if extra:
+        text = f"{text}  [{'; '.join(extra)}]" if text else f"[{'; '.join(extra)}]"
+    return flag + metavar, text
+
+
+def _definitions(rows, width: int) -> list[str]:
+    import textwrap
+
+    column = min(max(len(term) for term, _ in rows), 30) + 2
+    pad, out = " " * (column + 2), []
+    for term, text in rows:
+        lines = textwrap.wrap(text, max(width - column - 2, 10)) or [""]
+        lead = f"  {term.ljust(column)}" if len(term) <= column - 2 else f"  {term}\n{pad}"
+        out += [(lead + lines[0]).rstrip(), *(pad + line for line in lines[1:])]
+    return out
+
+
+def _help(command: str | None) -> str:
+    """``--help`` of subcommand ``command``, or of the program when None."""
+    import textwrap
+
+    width = _width()
+    version = _option("--version", None, "Show the version and exit.")
+    fn, params = COMMANDS[command] if command else (None, [version])
+    out = _usage(command, width)
+    for paragraph in _paragraphs(fn.__doc__ if fn else ABOUT):
+        out += ["", *textwrap.wrap(paragraph, width, initial_indent="  ", subsequent_indent="  ")]
+    rows = [_help_row(p) for p in params if p[0].startswith("--")]
+    out += ["", "Options:", *_definitions([*rows, ("--help", "Show this message and exit.")], width)]
+    if not command:
+        limit = width - 6 - max(map(len, COMMANDS))
+        rows = [(name, _short_help(COMMANDS[name][0].__doc__, limit)) for name in sorted(COMMANDS)]
+        out += ["", "Commands:", *_definitions(rows, width)]
+    return "\n".join(out) + "\n"
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    command = args[0] if args and args[0] in COMMANDS else None
     try:
-        cli.main(args=argv, standalone_mode=False)
+        if not args:
+            _write(sys.stderr, _help(None))
+            return EXIT_INPUT_ERROR
+        kwargs = _parse(command, args[1:]) if command else None
+        if kwargs is not None:
+            COMMANDS[command][0](**kwargs)
+        elif command or args[0] == "--help":
+            _write(sys.stdout, _help(command))
+        elif args[0] == "--version":
+            _write(sys.stdout, f"genfields, version {__version__}\n")
+        else:
+            kind = "option" if args[0].startswith("-") else "command"
+            raise UsageError(f"No such {kind} '{args[0]}'.")
+    except UsageError as exc:
+        path = " ".join(filter(None, (_prog(), command)))
+        _write(sys.stderr, "\n".join(_usage(command, _width()))
+               + f"\nTry '{path} --help' for help.\n\nError: {exc}\n")
+        return EXIT_INPUT_ERROR
     except CheckFailure as exc:
-        click.echo(f"check failed: {exc}", err=True)
+        _write(sys.stderr, f"check failed: {exc}\n")
         return EXIT_CHECK_FAILURE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_INPUT_ERROR
     except (ValueError, OSError) as exc:  # library and file errors, ArchError included
-        click.echo(f"Error: {exc}", err=True)
+        _write(sys.stderr, f"Error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
+        _write(sys.stderr, "\n")
         return EXIT_INPUT_ERROR
     return EXIT_OK
 

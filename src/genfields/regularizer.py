@@ -61,8 +61,7 @@ class ChannelStats:
                 f"mu and sigma must be 1-D vectors of equal length, got "
                 f"{self.mu.shape} and {self.sigma.shape}"
             )
-        if not 0.0 < self.epsilon_floor < math.inf:
-            raise ValueError(f"epsilon_floor must be positive and finite, got {self.epsilon_floor}")
+        _check_floor(self.epsilon_floor)
         if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
             raise ValueError("every mu and sigma must be finite")
         if not np.all(self.sigma >= self.epsilon_floor):
@@ -73,6 +72,11 @@ class ChannelStats:
         return self.mu.size
 
 
+def _check_floor(epsilon_floor: float) -> None:
+    if not 0.0 < epsilon_floor < math.inf:
+        raise ValueError(f"epsilon_floor must be positive and finite, got {epsilon_floor}")
+
+
 def estimate_stats(styles, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
     """Per-channel mean and population standard deviation of a style dataset.
 
@@ -80,6 +84,7 @@ def estimate_stats(styles, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> Chan
     raised to the floor so downstream divisions stay finite.  A channel whose
     mean or standard deviation overflows float64 raises ValueError naming it.
     """
+    _check_floor(epsilon_floor)
     arr = _finite_array(styles, "style dataset", ndim=2)
     if arr.shape[0] < 2:
         raise ValueError(f"need at least 2 style vectors to estimate statistics, got {arr.shape[0]}")

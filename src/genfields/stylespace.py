@@ -16,6 +16,7 @@ contiguous run of layers.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 
 from ._np import np
@@ -90,20 +91,29 @@ def style_layout(arch: ArchSpec) -> StyleLayout:
 
 @dataclass(frozen=True, eq=False)
 class MaskPlan:
-    """Enabled-layer set plus the boolean dimension mask it induces.
+    """Enabled-layer run plus the span of style dimensions it owns.
 
     ``gf_range`` is (generative field of the last enabled layer, generative
     field of the first enabled layer) -- the realized (min, max), recomputed
     from the field table rather than copied from any published listing.
+    ``dims`` is the enabled layers' contiguous dimension span, out of
+    ``total_dims``; ``mask`` is that span as a boolean array, built on first use.
     """
 
     enabled_layers: tuple[str, ...]
     gf_range: tuple[int, int]
-    mask: np.ndarray
+    dims: range
+    total_dims: int
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        mask = np.zeros(self.total_dims, dtype=bool)
+        mask[self.dims.start : self.dims.stop] = True
+        return mask
 
     @property
     def enabled_dims(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return len(self.dims)
 
 
 def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:
@@ -127,13 +137,12 @@ def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:
 
 
 def _build_plan(table: FieldTable, layout: StyleLayout, enabled_ids: list[str]) -> MaskPlan:
-    mask = np.zeros(layout.total_dims, dtype=bool)
-    for layer_id in enabled_ids:
-        dims = layout.dims_of_layer(layer_id)
-        mask[dims.start : dims.stop] = True
+    """The plan enabling ``enabled_ids``, a contiguous run of layers."""
+    first, last = layout.dims_of_layer(enabled_ids[0]), layout.dims_of_layer(enabled_ids[-1])
     first_gf = table.record(enabled_ids[0]).generative_field
     last_gf = table.record(enabled_ids[-1]).generative_field
-    return MaskPlan(enabled_layers=tuple(enabled_ids), gf_range=(last_gf, first_gf), mask=mask)
+    return MaskPlan(enabled_layers=tuple(enabled_ids), gf_range=(last_gf, first_gf),
+                    dims=range(first.start, last.stop), total_dims=layout.total_dims)
 
 
 def plan_by_gf(table: FieldTable, layout: StyleLayout, min_gf: int, max_gf: int) -> MaskPlan:

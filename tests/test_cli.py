@@ -430,6 +430,15 @@ def test_stats_overflow_names_file_and_dim(capsys, tmp_path):
     assert err == f"Error: {path}: dim 0: its mean or standard deviation overflows float64\n"
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "0", "-1"])
+def test_stats_bad_epsilon_floor_exits_1(capsys, tmp_path, floor):
+    path = tmp_path / "styles.csv"
+    path.write_text("1,2\n3,5\n")
+    code, out, err = run(capsys, "stats", str(path), "--epsilon-floor", floor)
+    assert (code, out) == (1, "")
+    assert err == f"Error: {path}: epsilon_floor must be positive and finite, got {float(floor)}\n"
+
+
 def test_control_characters_in_parameters_stay_on_one_line(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("we\nird.csv").write_text("0,1\n2,5\n")
@@ -695,6 +704,62 @@ def test_version_flag():
     assert "genfields" in proc.stdout
 
 
+# A valid argv per subcommand; each usage case below changes one thing in it.
+USAGE_BASE = {
+    "fields": ("fields", "--preset", "stylegan2-8"),
+    "verify": ("verify", "--preset", "stylegan2-8"),
+    "plan": ("plan", "--preset", "stylegan2-256"),
+    "analyze": ("analyze", "deltas.csv"),
+    "stats": ("stats", "styles.csv"),
+    "loglik": ("loglik", "stats.csv", "samples.csv"),
+    "losses": ("losses", "--components", "1,1,1"),
+}
+USAGE_NUMBERS = {
+    "verify": ("--sim-base", "--seed"),
+    "plan": ("--config", "--min-gf", "--max-gf"),
+    "analyze": ("--top-k", "--bins"),
+    "stats": ("--epsilon-floor",),
+    "losses": ("--scales", "--alpha"),
+}
+USAGE_CASES = [
+    *((argv, token) for sub, base in USAGE_BASE.items() for argv, token in [
+        ((*base, "--bogus"), "--bogus"),
+        ((*base, "--outp", "r.txt"), "--outp"),  # abbreviations are refused
+        ((*base, "--output"), "--output"),
+        ((*base, "stray"), "stray"),
+        *([((*base, "--format", "xml"), "--format")] if sub != "stats" else []),
+        *(((*base, option, "x"), option) for option in USAGE_NUMBERS.get(sub, ())),
+    ]),
+    (("plan", "--preset", "stylegan2-256", "--config", "0"), "--config"),
+    (("plan", "--preset", "stylegan2-256", "--config", "6"), "--config"),
+    (("verify", "--preset", "stylegan2-8", "--sim-base", "1.5"), "--sim-base"),
+    (("analyze",), "DELTAS_CSV"),
+    (("stats",), "STYLES_CSV"),
+    (("loglik", "stats.csv"), "SAMPLES_CSV"),
+    (("frobnicate",), "frobnicate"),
+    (("--bogus",), "--bogus"),
+]
+
+
+def test_option_values_may_start_with_a_dash(capsys):
+    code, _, err = run(capsys, "losses", "--components", "-1,2,3")  # the library refuses it
+    assert (code, err) == (1, "Error: loss components must be finite and >= 0, got -1.0, 2.0, 3.0\n")
+    code, out, err = run(capsys, "losses", "--attr-angles", "-0.1,0,0", "--out-angles", "-1e-1,0,0")
+    assert (code, err) == (0, "") and "pose_loss = 0.0\n" in out
+    code, _, err = run(capsys, "analyze", "--", "-x.csv")  # after "--", a word is an argument
+    assert (code, err) == (1, "Error: cannot read vector CSV -x.csv: [Errno 2] No such file or "
+                              "directory: '-x.csv'\n")
+
+
+@pytest.mark.parametrize("argv, token", USAGE_CASES, ids=[" ".join(a) for a, _ in USAGE_CASES])
+def test_usage_errors_exit_1_naming_the_option(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    last = err.rstrip("\n").splitlines()[-1]
+    assert last.startswith("Error:") and token in last, err
+
+
 # ------------------------------------------------------------- non-finite --
 
 @pytest.mark.parametrize("argv, message", [
@@ -844,11 +909,53 @@ def test_golden_report(case, tmp_path, monkeypatch, capsys):
     assert run_golden(expected["argv"], tmp_path, monkeypatch, capsys) == expected
 
 
+# `genfields --help` as click 8 printed it on a 52-column terminal.
+HELP_AT_52_COLUMNS = (
+    "Usage: genfields [OPTIONS] COMMAND [ARGS]...\n"
+    "\n"
+    "  Static generative-field analysis for\n"
+    "  convolutional generator stacks.\n"
+    "\n"
+    "  Computes analytic generative fields, verifies\n"
+    "  them against brute-force influence oracles,\n"
+    "  plans style-space control masks by field\n"
+    "  thresholds, and evaluates control-signal\n"
+    "  sparsity, Gaussian style regularization and\n"
+    "  editing losses.  All randomized steps are seeded\n"
+    "  (default seed 7).\n"
+    "\n"
+    "Options:\n"
+    "  --version  Show the version and exit.\n"
+    "  --help     Show this message and exit.\n"
+    "\n"
+    "Commands:\n"
+    "  analyze  Sparsity report over control...\n"
+    "  fields   Emit the per-layer generative...\n"
+    "  loglik   Log-likelihood of style vectors...\n"
+    "  losses   Evaluate editing loss components...\n"
+    "  plan     Build a control-signal mask plan...\n"
+    "  stats    Estimate per-channel Gaussian...\n"
+    "  verify   Measure impulse footprints and...\n"
+)
+
+
+def test_help_wraps_to_the_terminal_up_to_78_columns(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "argv", ["genfields"])  # the program name, as an installed script
+    monkeypatch.setattr(sys.modules["__main__"], "__package__", None)
+    monkeypatch.setenv("COLUMNS", "52")
+    assert run(capsys, "--help") == (0, HELP_AT_52_COLUMNS, "")
+    monkeypatch.setenv("COLUMNS", "200")
+    for case in ("help", "help-verify"):
+        expected = GOLDEN["cases"][case]
+        assert golden_result(expected["argv"], tmp_path, *run(capsys, *expected["argv"])) == expected
+
+
 # This process imported numpy before genfields, so the cases above never take the
 # lazy binding's load path.  Each subcommand's cases therefore run again in one fresh
 # interpreter that imports genfields.cli first.  The cases matching NO_NUMPY run
-# first there and must leave every numpy submodule unloaded.
-NO_NUMPY = re.compile(r"fields-|losses-components-|help|error-bad-preset$|error-corrupt-arch$")
+# first there and must leave every numpy submodule unloaded; no case loads click.
+NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|error-bad-preset$"
+                      r"|error-corrupt-arch$|error-bad-range$|error-plan-|error-two-sources$")
 FRESH_CHILD = """
 import contextlib, io, json, os, sys
 from genfields.cli import main
@@ -859,7 +966,8 @@ for name, argv, directory in json.load(sys.stdin):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     numpy = sorted(m for m in sys.modules if m.startswith("numpy."))[:3]
-    results[name] = {"code": code, "out": out.getvalue(), "err": err.getvalue(), "numpy": numpy}
+    results[name] = {"code": code, "out": out.getvalue(), "err": err.getvalue(), "numpy": numpy,
+                     "click": "click" in sys.modules}
 json.dump(results, sys.stdout)
 """
 
@@ -898,6 +1006,7 @@ def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
             == GOLDEN["cases"][name], name
         if NO_NUMPY.match(name):
             assert got["numpy"] == [], name
+        assert not got["click"], name
 
 
 # ------------------------------------------------------ loglik --fd-check ---

@@ -218,6 +218,14 @@ def test_estimate_stats_names_the_overflowing_dim(styles, dim):
         estimate_stats(np.array(styles))
 
 
+@pytest.mark.parametrize("floor", [math.nan, math.inf, 0.0, -1.0])
+def test_estimate_stats_checks_the_floor_first(floor):
+    # nan and inf once passed through np.maximum into sigma and were
+    # reported as an overflow of dim 0.
+    with pytest.raises(ValueError, match=f"^epsilon_floor must be positive and finite, got {floor}$"):
+        estimate_stats(np.array([[1.0, 2.0], [3.0, 5.0]]), epsilon_floor=floor)
+
+
 def test_stats_csv_round_trip_lossless(tmp_path):
     rng = np.random.default_rng(55)
     data = rng.normal(size=(9, 7)) * 1e3

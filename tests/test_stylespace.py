@@ -1,8 +1,22 @@
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genfields.archgraph import ArchValidationError, stylegan2_preset
-from genfields.cli import _layer_range
+from genfields.archgraph import (
+    ArchSpec,
+    ArchValidationError,
+    LayerSpec,
+    serialize_arch,
+    stylegan2_preset,
+)
+from genfields.cli import _layer_range, main
 from genfields.fields import fields_table, generative_field
 from genfields.stylespace import (
     apply_control,
@@ -85,7 +99,7 @@ def test_apply_control_empty_plan_bitwise_identity():
     table, layout = fields_table(arch), style_layout(arch)
     plan = plan_by_layers(table, layout, "conv0", "conv0")
     empty = plan.__class__(
-        enabled_layers=(), gf_range=plan.gf_range, mask=np.zeros_like(plan.mask)
+        enabled_layers=(), gf_range=plan.gf_range, dims=range(0), total_dims=plan.total_dims
     )
     s = np.array([-0.0, 1.25, 3.7, -2.5])
     out = apply_control(s, np.array([9.0, 9.0, 9.0, 9.0]), empty)
@@ -220,6 +234,52 @@ def test_plan_mask_matches_enabled_ranges(preset256):
     first = arch.layer_index(plan.enabled_layers[0])
     last = arch.layer_index(plan.enabled_layers[-1])
     assert plan.gf_range == (generative_field(arch, last), generative_field(arch, first))
+
+
+STACKS = st.integers(1, 6).flatmap(lambda depth: st.tuples(
+    st.lists(st.sampled_from([1, 3, 5, 7]), min_size=depth, max_size=depth),
+    st.lists(st.sampled_from([1, 2]), min_size=depth, max_size=depth),
+    st.lists(st.integers(1, 9), min_size=depth + 1, max_size=depth + 1),
+))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(STACKS, st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       st.tuples(st.integers(1, 400), st.integers(1, 400)))
+def test_plan_span_matches_the_mask_property(stack, layers, fields):
+    kernels, ups, channels = stack
+    arch = ArchSpec("rand", 4, tuple(LayerSpec(f"conv{i}", k, u, channels[i], channels[i + 1])
+                                     for i, (k, u) in enumerate(zip(kernels, ups))))
+    table, layout = fields_table(arch), style_layout(arch)
+    first, last = sorted(min(i, arch.depth - 1) for i in layers)
+    lo, hi = sorted(fields)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "rand.arch")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_arch(arch))
+        for argv, build in [
+            (["--layers", f"conv{first}..conv{last}"],
+             lambda: plan_by_layers(table, layout, f"conv{first}", f"conv{last}")),
+            (["--min-gf", str(lo), "--max-gf", str(hi)], lambda: plan_by_gf(table, layout, lo, hi)),
+        ]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["plan", "--arch", path, *argv, "--format", "json"])
+            try:
+                plan = build()
+            except ValueError:  # no layer in the field range
+                assert code == 1
+                continue
+            expected = np.zeros(layout.total_dims, dtype=bool)  # the mask as it was once built
+            for layer_id in plan.enabled_layers:
+                dims = layout.dims_of_layer(layer_id)
+                expected[dims.start : dims.stop] = True
+            assert plan.mask.dtype == bool
+            np.testing.assert_array_equal(plan.mask, expected)
+            assert plan.enabled_dims == np.count_nonzero(plan.mask)
+            doc = json.loads(out.getvalue())
+            assert (code, doc["mask_rle"]) == (0, [list(run) for run in mask_rle(plan.mask)])
+            assert doc["enabled_dims"] == plan.enabled_dims
 
 
 def test_face_scale_examples():
