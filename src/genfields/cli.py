@@ -63,6 +63,7 @@ from .oracle import (
 )
 from .regularizer import (
     DEFAULT_EPSILON_FLOOR,
+    _check_floor,
     estimate_stats,
     load_stats_csv,
     log_likelihood,
@@ -72,6 +73,8 @@ from .regularizer import (
 from .sparsity import (
     DEFAULT_BINS,
     DEFAULT_TOP_K,
+    _check_bins,
+    _check_k,
     mean_histogram,
     reuse_rates,
     topk_set,
@@ -426,6 +429,8 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
 )
 def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
     """Sparsity report over control signals (one test per CSV row)."""
+    _check_bins(bins)  # bad options fail before the CSV is read
+    _check_k(top_k)
     deltas = load_vectors_csv(deltas_csv)
     report = mean_histogram(deltas, bins=bins)
     sets = [topk_set(row, top_k) for row in deltas]
@@ -480,6 +485,10 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 )
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
+    try:
+        _check_floor(epsilon_floor)  # a bad floor fails before the CSV is read
+    except ValueError as exc:
+        raise ValueError(f"{styles_csv}: {exc}") from None
     styles = load_vectors_csv(styles_csv)
     try:
         stats = estimate_stats(styles, epsilon_floor=epsilon_floor)
@@ -809,10 +818,30 @@ def _help(command: str | None) -> str:
     return "\n".join(out) + "\n"
 
 
+# Numpy's C extension under its numpy 2 and numpy 1 names.  Importing it loads OpenBLAS,
+# which starts its worker threads.
+_NUMPY_CORE = {"numpy._core._multiarray_umath", "numpy.core._multiarray_umath"}
+
+
+def _quiet_blas() -> bool:
+    """Ask OpenBLAS's idle workers to sleep at once; True if the variable was added.
+
+    Each idle worker otherwise busy-waits for 2**28 cycles (about 0.1 s) before it
+    sleeps, and no genfields call is big enough to give it work.  4 is OpenBLAS's
+    minimum; OpenBLAS reads it once, when numpy loads, so a process that has already
+    loaded numpy, or a timeout the user exported, is left as it is.
+    """
+    if _NUMPY_CORE & sys.modules.keys() or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+        return False
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    return True
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     args = sys.argv[1:] if argv is None else list(argv)
     command = args[0] if args and args[0] in COMMANDS else None
+    quiet_blas = _quiet_blas()
     try:
         if not args:
             _write(sys.stderr, _help(None))
@@ -841,6 +870,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         _write(sys.stderr, "\n")
         return EXIT_INPUT_ERROR
+    finally:
+        if quiet_blas:  # an in-process caller gets its environment back as it was
+            os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
     return EXIT_OK
 
 

@@ -83,10 +83,19 @@ def _normalize(signals: np.ndarray) -> np.ndarray:
     return magnitudes
 
 
-def _counts(values: np.ndarray, bins: int) -> np.ndarray:
-    """Bin counts of each row of a (tests, dims) matrix, by one offset bincount."""
+def _check_bins(bins: int) -> None:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _counts(values: np.ndarray, bins: int) -> np.ndarray:
+    """Bin counts of each row of a (tests, dims) matrix, by one offset bincount."""
+    _check_bins(bins)
     if values.min() < 0.0 or values.max() > 1.0:
         raise ValueError("histogram input must lie in [0, 1]; normalize first")
     n = len(values)
@@ -156,8 +165,7 @@ def topk_set(delta, k: int = DEFAULT_TOP_K) -> TopKSet:
     signal has returns the full index set.
     """
     arr = _as_signal(delta)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     magnitudes = np.abs(arr)
     if k >= magnitudes.size:
         return TopKSet(k=k, dims=frozenset(range(magnitudes.size)))

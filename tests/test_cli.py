@@ -982,10 +982,21 @@ def test_numpy_imported_first_is_the_bound_module():
     assert genfields._np.np is sys.modules["numpy"]
 
 
-@pytest.mark.parametrize("subcommand", sorted({_subcommand(c["argv"]) for c in GOLDEN["cases"].values()}))
-def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
+def _fresh(script, jobs, **env):
+    """The JSON that ``script`` prints, run in a fresh interpreter with ``jobs`` on stdin."""
     import genfields
 
+    src = str(Path(genfields.__file__).parents[1])
+    env = {**os.environ, "COLUMNS": "80", **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], input=json.dumps(jobs),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("subcommand", sorted({_subcommand(c["argv"]) for c in GOLDEN["cases"].values()}))
+def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
     names = sorted((n for n, c in GOLDEN["cases"].items() if _subcommand(c["argv"]) == subcommand),
                    key=lambda n: (not NO_NUMPY.match(n), n))
     jobs = []
@@ -993,13 +1004,7 @@ def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
         (tmp_path / name).mkdir()
         write_golden_inputs(tmp_path / name)
         jobs.append((name, GOLDEN["cases"][name]["argv"], str(tmp_path / name)))
-    src = str(Path(genfields.__file__).parents[1])
-    env = {**os.environ, "COLUMNS": "80",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", FRESH_CHILD], input=json.dumps(jobs),
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
+    results = _fresh(FRESH_CHILD, jobs)
     for name, argv, directory in jobs:
         got = results[name]
         assert golden_result(argv, Path(directory), got["code"], got["out"], got["err"]) \
@@ -1007,6 +1012,64 @@ def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
         if NO_NUMPY.match(name):
             assert got["numpy"] == [], name
         assert not got["click"], name
+
+
+BAD_OPTIONS = {
+    "stats-floor": (["stats", "gone.csv", "--epsilon-floor", "nan"],
+                    "Error: gone.csv: epsilon_floor must be positive and finite, got nan\n"),
+    "analyze-bins": (["analyze", "gone.csv", "--bins", "0"], "Error: bins must be >= 1, got 0\n"),
+    "analyze-top-k": (["analyze", "gone.csv", "--top-k", "0"], "Error: k must be >= 1, got 0\n"),
+    "analyze-both": (["analyze", "gone.csv", "--top-k", "-1", "--bins", "0"],
+                     "Error: bins must be >= 1, got 0\n"),
+}
+
+
+def test_bad_numeric_options_fail_before_the_input_is_read(capsys, tmp_path, monkeypatch):
+    # gone.csv does not exist: the option's own error wins, and no numpy is loaded for it
+    monkeypatch.chdir(tmp_path)
+    for name, (argv, err) in BAD_OPTIONS.items():
+        assert run(capsys, *argv) == (1, "", err), name
+    results = _fresh(FRESH_CHILD, [(name, argv, str(tmp_path)) for name, (argv, _) in BAD_OPTIONS.items()])
+    assert results == {name: {"code": 1, "out": "", "err": err, "numpy": [], "click": False}
+                       for name, (_, err) in BAD_OPTIONS.items()}
+
+
+# Records OPENBLAS_THREAD_TIMEOUT as numpy's C extension, which loads OpenBLAS, is imported.
+BLAS_SPY = """
+import contextlib, io, json, os, sys
+seen = []
+class Spy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.endswith("._multiarray_umath") and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy)
+from genfields.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--preset", "stylegan2-64", "--numeric"])
+json.dump({"code": code, "seen": seen, "after": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("exported", [None, "12"])
+def test_openblas_workers_sleep_at_once_unless_the_user_set_a_timeout(monkeypatch, exported):
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    env = {} if exported is None else {"OPENBLAS_THREAD_TIMEOUT": exported}
+    assert _fresh(BLAS_SPY, [], **env) == {"code": 0, "seen": [exported or "4"], "after": exported}
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False])
+@pytest.mark.parametrize("argv", [["verify", "--preset", "stylegan2-64", "--numeric"],
+                                  ["analyze", "gone.csv"], ["verify", "--bogus"]])
+def test_main_leaves_os_environ_as_it_was(capsys, monkeypatch, argv, numpy_loaded):
+    from genfields import cli
+
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    if not numpy_loaded:  # as in a fresh interpreter, where main adds the variable
+        monkeypatch.setattr(cli, "_NUMPY_CORE", set())
+    before = dict(os.environ)
+    run(capsys, *argv)
+    assert dict(os.environ) == before
 
 
 # ------------------------------------------------------ loglik --fd-check ---
