@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, fields
 
+from ._record import record
 from .fileio import _load
 
 __all__ = [
@@ -53,7 +53,7 @@ class ArchValidationError(ArchError):
     """Raised when a structurally well-formed architecture violates an invariant."""
 
 
-@dataclass(frozen=True)
+@record
 class LayerSpec:
     """One convolution layer: kernel size, spatial upsample factor, channels.
 
@@ -71,7 +71,7 @@ class LayerSpec:
     style_label: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ArchSpec:
     """An ordered convolution stack with a base feature-map resolution."""
 
@@ -118,11 +118,11 @@ _UNSAFE_CELL = re.compile(r"[,\x00-\x1f\x7f-\x9f]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-# The file format is the dataclasses' fields; a layer's id and style_label are optional.
-_TOP_LEVEL_FIELDS = {f.name for f in fields(ArchSpec)}
-_LAYER_FIELDS = {f.name for f in fields(LayerSpec)}
+# The file format is the records' fields; a layer's id and style_label are optional.
+_TOP_LEVEL_FIELDS = set(ArchSpec.__match_args__)
+_LAYER_FIELDS = set(LayerSpec.__match_args__)
 # In field order, so that of several bad sizes the same one is reported every run.
-_LAYER_REQUIRED = tuple(f.name for f in fields(LayerSpec) if f.name not in ("id", "style_label"))
+_LAYER_REQUIRED = tuple(name for name in LayerSpec.__match_args__ if name not in ("id", "style_label"))
 
 
 def _is_int(value: object) -> bool:
@@ -256,7 +256,8 @@ def parse_arch(text: str) -> ArchSpec:
 def serialize_arch(arch: ArchSpec) -> str:
     """Render an ArchSpec back to its file form.  Round-trips through parse_arch."""
     # Only an unset style_label can be None; the file form omits it.
-    doc = asdict(arch, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    layers = [{k: v for k, v in vars(layer).items() if v is not None} for layer in arch.layers]
+    doc = {**vars(arch), "layers": layers}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -31,7 +31,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -288,7 +287,7 @@ def cmd_fields(preset, arch_path, fmt, output):
     table = fields_table(arch)
     _emit(_report(
         "fields", {"arch": arch.name, "format": fmt}, fmt,
-        lambda: {"records": [asdict(r) for r in table.records], "notes": list(table.notes)},
+        lambda: {"records": [vars(r) for r in table.records], "notes": list(table.notes)},
         columns=CSV_COLUMNS, rows=map(table_row, table.records), notes=table.notes,
         csv=lambda: table_csv(table),
     ), output)

@@ -16,8 +16,7 @@ is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .archgraph import ArchSpec, _check_layer, _layer_index, map_sides
 from .fileio import csv_text
 
@@ -53,7 +52,7 @@ REFERENCE_FIELDS: dict[str, dict[str, int]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FieldRecord:
     """Per-layer generative field joined with layer metadata."""
 
@@ -64,7 +63,7 @@ class FieldRecord:
     channels_in: int
 
 
-@dataclass(frozen=True)
+@record
 class FieldTable:
     """One FieldRecord per layer, in layer order, plus discrepancy notes."""
 

@@ -32,10 +32,10 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._np import np
+from ._record import record
 
 __all__ = [
     "EulerAngles",
@@ -72,7 +72,7 @@ DEFAULT_ALPHA = 0.84
 DEFAULT_LAMBDAS = (1.0, 0.01, 0.02)
 
 
-@dataclass(frozen=True)
+@record
 class EulerAngles:
     """Head pose as yaw/pitch/roll, radians, each strictly inside (-pi/2, pi/2)."""
 

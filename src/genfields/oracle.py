@@ -48,10 +48,10 @@ boundary at any stage of the simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from ._np import np
+from ._record import record
 from .archgraph import ArchSpec, LayerSpec, _check_layer, map_sides
 from .fields import generative_field
 from .fileio import csv_text
@@ -88,7 +88,7 @@ MATCH_UNDER = "under"
 MATCH_OVER = "OVER-BUG"
 
 
-@dataclass(frozen=True)
+@record
 class FootprintResult:
     """Measured influence span of one layer input, paired with the analytic value."""
 

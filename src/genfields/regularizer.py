@@ -21,9 +21,9 @@ overflow float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._np import np
+from ._record import record
 from .fileio import _load, _numeric_csv, _save, csv_text
 from .losses import _finite_array
 
@@ -42,7 +42,7 @@ __all__ = [
 DEFAULT_EPSILON_FLOOR = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ChannelStats:
     """Per-channel mean and standard deviation, with a positive sigma floor.
 

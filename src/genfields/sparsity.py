@@ -10,9 +10,8 @@ those sets across a batch of tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._np import np
+from ._record import record
 from .losses import _finite_array
 
 __all__ = [
@@ -34,7 +33,7 @@ DEFAULT_TOP_K = 50
 MAX_HISTOGRAM_CELLS = 2**26
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SparsityReport:
     """Mean histogram over tests, with per-bin population standard deviations.
 
@@ -49,7 +48,7 @@ class SparsityReport:
     tests: int
 
 
-@dataclass(frozen=True)
+@record
 class TopKSet:
     """Dimensions holding the k largest absolute control values of one test."""
 
@@ -57,7 +56,7 @@ class TopKSet:
     dims: frozenset[int]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ReuseTable:
     """Union of top-k dimensions across tests, with per-dimension reuse rates.
 

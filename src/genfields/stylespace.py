@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
 
 from ._np import np
+from ._record import record
 from .archgraph import ArchError, ArchSpec, _layer_index, _layer_span
 from .fields import FieldTable
 from .losses import _finite_array, _finite_result
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class LayerRange:
     """Half-open dimension range [start, stop) owned by one layer."""
 
@@ -48,7 +48,7 @@ class LayerRange:
     stop: int
 
 
-@dataclass(frozen=True)
+@record
 class StyleLayout:
     """Partition of style-space dimensions into per-layer contiguous ranges."""
 
@@ -89,7 +89,7 @@ def style_layout(arch: ArchSpec) -> StyleLayout:
     return StyleLayout(arch_name=arch.name, ranges=tuple(ranges))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MaskPlan:
     """Enabled-layer run plus the span of style dimensions it owns.
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from genfields.archgraph import serialize_arch, stylegan2_preset
 from genfields.cli import _json_text, main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
-from genfields.oracle import numeric_footprint
+from genfields.oracle import FootprintResult, numeric_footprint
 from genfields.regularizer import log_likelihood, parse_stats_csv
 
 from helpers import make_arch
@@ -136,13 +136,13 @@ def test_verify_stride1_all_exact(capsys, tmp_path):
 
 
 def test_verify_numeric_disagreement_exits_2(capsys, monkeypatch):
-    from dataclasses import replace
-
     from genfields import cli
 
     def off_by_one_on_conv1(arch, layer, *args, **kwargs):
         result = numeric_footprint(arch, layer, *args, **kwargs)
-        return replace(result, footprint=result.footprint + 1) if layer == 1 else result
+        if layer == 1:
+            result = FootprintResult(**{**vars(result), "footprint": result.footprint + 1})
+        return result
 
     monkeypatch.setattr(cli, "numeric_footprint", off_by_one_on_conv1)
     code, out, err = run(capsys, "verify", "--preset", "stylegan2-8", "--numeric")
@@ -953,7 +953,8 @@ def test_help_wraps_to_the_terminal_up_to_78_columns(monkeypatch, tmp_path, caps
 # This process imported numpy before genfields, so the cases above never take the
 # lazy binding's load path.  Each subcommand's cases therefore run again in one fresh
 # interpreter that imports genfields.cli first.  The cases matching NO_NUMPY run
-# first there and must leave every numpy submodule unloaded; no case loads click.
+# first there and must leave every numpy submodule unloaded; no case loads click
+# or dataclasses.
 NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|error-bad-preset$"
                       r"|error-corrupt-arch$|error-bad-range$|error-plan-|error-two-sources$")
 FRESH_CHILD = """
@@ -967,7 +968,7 @@ for name, argv, directory in json.load(sys.stdin):
         code = main(argv)
     numpy = sorted(m for m in sys.modules if m.startswith("numpy."))[:3]
     results[name] = {"code": code, "out": out.getvalue(), "err": err.getvalue(), "numpy": numpy,
-                     "click": "click" in sys.modules}
+                     "click": "click" in sys.modules, "dataclasses": "dataclasses" in sys.modules}
 json.dump(results, sys.stdout)
 """
 
@@ -1012,6 +1013,7 @@ def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
         if NO_NUMPY.match(name):
             assert got["numpy"] == [], name
         assert not got["click"], name
+        assert not got["dataclasses"], name
 
 
 BAD_OPTIONS = {
@@ -1030,7 +1032,8 @@ def test_bad_numeric_options_fail_before_the_input_is_read(capsys, tmp_path, mon
     for name, (argv, err) in BAD_OPTIONS.items():
         assert run(capsys, *argv) == (1, "", err), name
     results = _fresh(FRESH_CHILD, [(name, argv, str(tmp_path)) for name, (argv, _) in BAD_OPTIONS.items()])
-    assert results == {name: {"code": 1, "out": "", "err": err, "numpy": [], "click": False}
+    assert results == {name: {"code": 1, "out": "", "err": err, "numpy": [], "click": False,
+                              "dataclasses": False}
                        for name, (_, err) in BAD_OPTIONS.items()}
 
 

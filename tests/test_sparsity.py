@@ -187,8 +187,6 @@ def test_non_finite_signal_rejected(fn, bad):
 # Reference: the per-test loops the whole-matrix mean_histogram and the
 # indexed reuse_rates replaced, kept verbatim.
 
-from dataclasses import fields  # noqa: E402
-
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -254,13 +252,12 @@ def reference_reuse_rates(sets) -> ReuseTable:
 
 
 def field_reprs(obj) -> dict:
-    """repr of every dataclass field; arrays by dtype, shape and full-precision values."""
+    """repr of every record field; arrays by dtype, shape and full-precision values."""
     out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name, value in vars(obj).items():
         if isinstance(value, np.ndarray):
             value = (value.dtype, value.shape, value.tolist())
-        out[f.name] = repr(value)
+        out[name] = repr(value)
     return out
 
 
