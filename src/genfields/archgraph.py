@@ -114,6 +114,7 @@ def _layer_span(ids: list[str], first: str, last: str, arch_name: str) -> range:
 # line-oriented report headers.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _UNSAFE_CELL = re.compile(r"[,\x00-\x1f\x7f-\x9f]")
+_CELL_CHARS = "a comma or a control character"
 # A lone surrogate (from a JSON \ud800 escape) has no UTF-8 form, so no report can hold it.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -134,9 +135,14 @@ class _ArchTypeError(ArchParseError, ArchValidationError):
     """A field of the wrong type: malformed as a file and invalid as a spec."""
 
 
-def _check_encodable(what: str, text: str) -> None:
-    if _SURROGATE.search(text):
-        raise ArchValidationError(f"{what} {text!r} contains a lone surrogate")
+def _check_text(what: str, value: object, unsafe: re.Pattern, chars: str) -> None:
+    """Refuse a name, id or label that is no string, or that no report line could hold."""
+    if not isinstance(value, str):
+        raise _ArchTypeError(f"{what} must be a string, got {value!r}")
+    if unsafe.search(value):
+        raise ArchValidationError(f"{what} {value!r} contains {chars}")
+    if _SURROGATE.search(value):
+        raise ArchValidationError(f"{what} {value!r} contains a lone surrogate")
 
 
 def validate_arch(arch: ArchSpec) -> ArchSpec:
@@ -145,11 +151,7 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
     Architecture files and presets are validated on construction; call this
     on a spec built directly in code.
     """
-    if not isinstance(arch.name, str):
-        raise _ArchTypeError(f"architecture name must be a string, got {arch.name!r}")
-    if _CONTROL.search(arch.name):
-        raise ArchValidationError(f"architecture name {arch.name!r} contains a control character")
-    _check_encodable("architecture name", arch.name)
+    _check_text("architecture name", arch.name, _CONTROL, "a control character")
     if not arch.layers:
         raise ArchValidationError(f"architecture {arch.name!r} has no layers")
     if not _is_int(arch.base_resolution):
@@ -163,26 +165,11 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
         )
     seen: set[str] = set()
     for i, layer in enumerate(arch.layers):
-        if not isinstance(layer.id, str):
-            raise _ArchTypeError(f"layer {i} id must be a string, got {layer.id!r}")
+        _check_text(f"layer {i} id", layer.id, _UNSAFE_CELL, _CELL_CHARS)
         if not layer.id:
             raise ArchValidationError(f"layer {i} has an empty id")
-        if _UNSAFE_CELL.search(layer.id):
-            raise ArchValidationError(
-                f"layer {i} id {layer.id!r} contains a comma or a control character"
-            )
-        _check_encodable(f"layer {i} id", layer.id)
-        if not isinstance(layer.style_label, (str, type(None))):
-            raise _ArchTypeError(
-                f"{layer.id}: style_label must be a string, got {layer.style_label!r}"
-            )
-        if layer.style_label is not None and _UNSAFE_CELL.search(layer.style_label):
-            raise ArchValidationError(
-                f"{layer.id}: style_label {layer.style_label!r} contains a comma or a "
-                f"control character"
-            )
         if layer.style_label is not None:
-            _check_encodable(f"{layer.id}: style_label", layer.style_label)
+            _check_text(f"{layer.id}: style_label", layer.style_label, _UNSAFE_CELL, _CELL_CHARS)
         if layer.id in seen:
             raise ArchValidationError(f"duplicate layer id {layer.id!r}")
         seen.add(layer.id)

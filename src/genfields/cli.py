@@ -385,18 +385,8 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
     dims = plan.dims  # the mask's runs, read from its span without building the mask
     runs = ((0, dims.start), (1, len(dims)), (0, plan.total_dims - dims.stop))
     rle = [run for run in runs if run[1]]
-    enabled = set(plan.enabled_layers)
-    rows = [
-        (
-            r.layer_id,
-            r.style_label or "",
-            table.record(r.layer_id).generative_field,
-            r.start,
-            r.stop,
-            str(r.layer_id in enabled).lower(),
-        )
-        for r in layout.ranges
-    ]
+    rows = [(r.layer_id, r.style_label or "", rec.generative_field, r.start, r.stop,
+             str(r.start in dims).lower()) for r, rec in zip(layout.ranges, table.records)]
     columns = ("layer_id", "style_label", "generative_field", "dim_start", "dim_stop", "enabled")
     summary = [
         f"enabled_layers: {' '.join(plan.enabled_layers)}",

@@ -198,9 +198,9 @@ def attr_loss(lnd: float, pose: float) -> float:
     return lnd + pose
 
 
-def _gaussian_window(size: int = SSIM_WINDOW_SIZE, sigma: float = SSIM_WINDOW_SIGMA) -> np.ndarray:
-    offsets = np.arange(size) - (size - 1) / 2.0
-    w = np.exp(-(offsets**2) / (2.0 * sigma**2))
+def _gaussian_window() -> np.ndarray:
+    offsets = np.arange(SSIM_WINDOW_SIZE) - (SSIM_WINDOW_SIZE - 1) / 2.0
+    w = np.exp(-(offsets**2) / (2.0 * SSIM_WINDOW_SIGMA**2))
     return w / w.sum()
 
 

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON_FLOOR = 1e-8
+_STATS_COLUMNS = ("dim", "mu", "sigma")
 
 
 @record(eq=False)
@@ -145,13 +146,13 @@ def regularized_objective(base_loss: float, s, stats: ChannelStats, weight: floa
 
 def stats_csv(stats: ChannelStats) -> str:
     """Render statistics as CSV with columns dim,mu,sigma at full precision."""
-    return csv_text([("dim", "mu", "sigma"), *zip(range(stats.dims), stats.mu.tolist(),
-                                                  stats.sigma.tolist())])
+    return csv_text([_STATS_COLUMNS, *zip(range(stats.dims), stats.mu.tolist(),
+                                          stats.sigma.tolist())])
 
 
 def _stats_header(cells: list[str] | None) -> bool:
-    if cells != ["dim", "mu", "sigma"]:
-        raise ValueError("statistics CSV must start with header dim,mu,sigma")
+    if cells != list(_STATS_COLUMNS):
+        raise ValueError(f"statistics CSV must start with header {','.join(_STATS_COLUMNS)}")
     return True
 
 

@@ -8,9 +8,8 @@ control signal is an additive offset to it, and a :class:`MaskPlan` selects
 which layers' offset dimensions stay active when the offset is applied.
 
 Plans are built from generative-field thresholds (:func:`plan_by_gf`) or
-explicit layer ranges (:func:`plan_by_layers`).  Because generative fields
-shrink monotonically along the stack, either construction enables a
-contiguous run of layers.
+explicit layer ranges (:func:`plan_by_layers`); either construction enables
+a contiguous run of layers.
 """
 
 from __future__ import annotations
@@ -136,38 +135,37 @@ def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:
     return out
 
 
-def _build_plan(table: FieldTable, layout: StyleLayout, enabled_ids: list[str]) -> MaskPlan:
-    """The plan enabling ``enabled_ids``, a contiguous run of layers."""
-    first, last = layout.dims_of_layer(enabled_ids[0]), layout.dims_of_layer(enabled_ids[-1])
-    first_gf = table.record(enabled_ids[0]).generative_field
-    last_gf = table.record(enabled_ids[-1]).generative_field
-    return MaskPlan(enabled_layers=tuple(enabled_ids), gf_range=(last_gf, first_gf),
-                    dims=range(first.start, last.stop), total_dims=layout.total_dims)
+def _build_plan(table: FieldTable, layout: StyleLayout, span: range) -> MaskPlan:
+    """The plan enabling the layers at positions ``span``, a contiguous run."""
+    if [rec.layer_id for rec in table.records] != [r.layer_id for r in layout.ranges]:
+        raise ValueError(f"field table of {table.arch_name!r} and style layout of "
+                         f"{layout.arch_name!r} list different layers")
+    records = table.records[span.start : span.stop]
+    return MaskPlan(enabled_layers=tuple(rec.layer_id for rec in records),
+                    gf_range=(records[-1].generative_field, records[0].generative_field),
+                    dims=range(layout.ranges[span[0]].start, layout.ranges[span[-1]].stop),
+                    total_dims=layout.total_dims)
 
 
 def plan_by_gf(table: FieldTable, layout: StyleLayout, min_gf: int, max_gf: int) -> MaskPlan:
-    """Enable the layers whose generative fields cover the range [min_gf, max_gf].
+    """Enable the run of layers from the first to the last that cover [min_gf, max_gf].
 
     Each layer governs the band of field sizes between the next-finer layer's
-    field (exclusive) and its own (inclusive); a layer is enabled when that
-    band overlaps the requested range.  Equivalently: its field is at least
+    field (exclusive) and its own (inclusive); a layer passes when that band
+    overlaps the requested range.  Equivalently: its field is at least
     ``min_gf`` and the next layer's field is below ``max_gf``.  A layer whose
-    own field exceeds ``max_gf`` is therefore still enabled when no finer
-    layer reaches the requested upper scales, which is how published
-    control-unit configurations quote thresholds slightly below the coarsest
-    enabled field.
+    own field exceeds ``max_gf`` therefore still passes when no finer layer
+    reaches the requested upper scales, which is how published control-unit
+    configurations quote thresholds slightly below the coarsest enabled field.
+    Where fields shrink along the stack, the run holds only passing layers.
     """
     if min_gf > max_gf:
         raise ValueError(f"min_gf {min_gf} exceeds max_gf {max_gf}")
-    gfs = [rec.generative_field for rec in table.records]
-    enabled = []
-    for i, rec in enumerate(table.records):
-        next_gf = gfs[i + 1] if i + 1 < len(gfs) else 0
-        if rec.generative_field >= min_gf and next_gf < max_gf:
-            enabled.append(rec.layer_id)
-    if not enabled:
+    gfs = [rec.generative_field for rec in table.records] + [0]
+    passing = [i for i in range(len(table.records)) if gfs[i] >= min_gf and gfs[i + 1] < max_gf]
+    if not passing:
         raise ValueError(f"no layer in GF range [{min_gf}, {max_gf}]")
-    return _build_plan(table, layout, enabled)
+    return _build_plan(table, layout, range(passing[0], passing[-1] + 1))
 
 
 def plan_by_layers(
@@ -175,8 +173,7 @@ def plan_by_layers(
 ) -> MaskPlan:
     """Enable a contiguous run of layers named by their ids."""
     ids = [rec.layer_id for rec in table.records]
-    span = _layer_span(ids, first_layer, last_layer, table.arch_name)
-    return _build_plan(table, layout, ids[span.start : span.stop])
+    return _build_plan(table, layout, _layer_span(ids, first_layer, last_layer, table.arch_name))
 
 
 def face_scale(landmark_sets) -> float:

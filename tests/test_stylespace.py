@@ -17,7 +17,7 @@ from genfields.archgraph import (
     stylegan2_preset,
 )
 from genfields.cli import _layer_range, main
-from genfields.fields import fields_table, generative_field
+from genfields.fields import FieldRecord, FieldTable, fields_table, generative_field
 from genfields.stylespace import (
     apply_control,
     face_scale,
@@ -199,6 +199,33 @@ def test_plan_by_layers_errors(preset256):
         plan_by_layers(table, layout, "conv0", "conv99")
     with pytest.raises(ValueError, match=r"layer range 'conv5\.\.conv2' is reversed"):
         plan_by_layers(table, layout, "conv5", "conv2")
+
+
+def test_planners_refuse_a_table_and_a_layout_of_different_layers(preset256):
+    _, table, _ = preset256
+    layout64 = style_layout(stylegan2_preset(64))
+    message = "field table of 'stylegan2-256' and style layout of 'stylegan2-64' list different layers"
+    for build in (lambda: plan_by_layers(table, layout64, "conv0", "conv2"),
+                  lambda: plan_by_layers(table, layout64, "conv0", "conv10"),
+                  lambda: plan_by_gf(table, layout64, 7, 59)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_plan_by_gf_enables_the_run_between_the_passing_layers():
+    # A hand-built table whose fields rise again along the stack: conv0 and
+    # conv2 pass the band test, conv1 does not, and the plan spans all three.
+    arch = stylegan2_preset(8)
+    table, layout = fields_table(arch), style_layout(arch)
+    records = tuple(FieldRecord(rec.layer_id, rec.style_label, rec.input_resolution, gf,
+                                rec.channels_in) for rec, gf in zip(table.records, (10, 3, 10)))
+    plan = plan_by_gf(FieldTable(arch.name, records), layout, 5, 20)
+    assert plan.enabled_layers == ("conv0", "conv1", "conv2")
+    covered = [r for r in layout.ranges if plan.mask[r.start : r.stop].all()]
+    assert plan.enabled_layers == tuple(r.layer_id for r in covered)
+    assert plan.enabled_dims == sum(r.channel_count for r in covered) == layout.total_dims
+    assert plan.gf_range == (10, 10)
 
 
 def test_layer_lookups_share_one_message(preset256):
