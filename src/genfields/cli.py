@@ -863,7 +863,3 @@ def main(argv=None) -> int:
         if quiet_blas:  # an in-process caller gets its environment back as it was
             os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -983,15 +983,19 @@ def test_numpy_imported_first_is_the_bound_module():
     assert genfields._np.np is sys.modules["numpy"]
 
 
-def _fresh(script, jobs, **env):
-    """The JSON that ``script`` prints, run in a fresh interpreter with ``jobs`` on stdin."""
+def _child_env(**env):
+    """The environment of a child interpreter that imports this checkout's genfields."""
     import genfields
 
     src = str(Path(genfields.__file__).parents[1])
-    env = {**os.environ, "COLUMNS": "80", **env,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "COLUMNS": "80", **env,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _fresh(script, jobs, **env):
+    """The JSON that ``script`` prints, run in a fresh interpreter with ``jobs`` on stdin."""
     proc = subprocess.run([sys.executable, "-W", "error", "-c", script], input=json.dumps(jobs),
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(**env), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -1014,6 +1018,59 @@ def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
             assert got["numpy"] == [], name
         assert not got["click"], name
         assert not got["dataclasses"], name
+
+
+# One case per subcommand, an exit-1 and an exit-2 case, and the cases that write
+# --output and --membership-out files, each run as its own `python -m genfields`
+# process: what the reports, exit codes and files are once the process has ended
+# through the entry's flush and os._exit, not through interpreter teardown.
+PROCESS_CASES = ("analyze-membership-out", "error-missing-csv", "fields-preset-table",
+                 "loglik-table", "losses-components-table", "plan-config-table", "stats-output",
+                 "verify-numeric-table", "verify-over-bug-table")
+
+
+def test_golden_reports_through_the_process_exit(tmp_path):
+    env = _child_env()
+    for name in PROCESS_CASES:
+        argv = GOLDEN["cases"][name]["argv"]
+        (tmp_path / name).mkdir()
+        write_golden_inputs(tmp_path / name)
+        proc = subprocess.run([sys.executable, "-m", "genfields", *argv], cwd=tmp_path / name,
+                              env=env, capture_output=True, encoding="utf-8", timeout=60)
+        assert golden_result(argv, tmp_path / name, proc.returncode, proc.stdout, proc.stderr) \
+            == GOLDEN["cases"][name], name
+
+
+# A stdout that refuses the report fails inside main, as exit 1 with one line on stderr;
+# the entry's own last flush then has nothing left to write.
+STDOUT_ERRORS = {
+    "closed-pipe": "Error: [Errno 32] Broken pipe\n",
+    "dev-full": "Error: [Errno 28] No space left on device\n",
+}
+
+
+@pytest.mark.parametrize("argv", [("fields", "--preset", "stylegan2-256"),
+                                  ("verify", "--preset", "stylegan2-64", "--numeric")],
+                         ids=["fields", "verify-numeric"])
+@pytest.mark.parametrize("stdout", sorted(STDOUT_ERRORS))
+def test_a_failing_stdout_through_the_process_entry(stdout, argv):
+    def run_with(out):
+        return subprocess.run([sys.executable, "-m", "genfields", *argv], stdout=out,
+                              stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+
+    if stdout == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_with(write_end)
+        finally:
+            os.close(write_end)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            proc = run_with(full)
+    assert (proc.returncode, proc.stderr.decode()) == (1, STDOUT_ERRORS[stdout])
 
 
 BAD_OPTIONS = {
