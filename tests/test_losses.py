@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genfields import __version__, losses
 from genfields.cli import main
@@ -214,7 +216,9 @@ def noisy_pair(shape, seed):
 # with the whole-plane SSIM maps the blocked ones replaced.  300x177 leaves 290
 # valid rows at the first scale: above one 64-row filter block and not a
 # multiple of it.  600x560 leaves 590x550 valid cells, above THREAD_MIN_CELLS,
-# so its first scale is filled by one thread per usable CPU.
+# so its first scale is filled by one thread per usable CPU.  181x203 was
+# computed with reshape-mean pooling and a luminance map at every scale, and
+# pools odd sides at every level.
 @pytest.mark.parametrize(
     "shape, scales, seed, expected",
     [
@@ -222,11 +226,44 @@ def noisy_pair(shape, seed):
         ((75, 90), 2, 2, "0.9452426213883465"),
         ((300, 177, 3), 5, 3, "0.9561194883011236"),
         ((600, 560, 3), 5, 6, "0.9539178712148618"),
+        ((181, 203), 5, 7, "0.9542456799546218"),
     ],
 )
 def test_ms_ssim_golden_bits(shape, scales, seed, expected):
     a, b = noisy_pair(shape, seed)
     assert repr(ms_ssim(a, b, scales)) == expected
+
+
+def test_ms_ssim_golden_bits_with_signed_zeros():
+    # Computed with reshape-mean pooling, which turns a quad of -0.0 into
+    # +0.0 where the strided sums keep -0.0: the 40x40 corner of -0.0 in both
+    # images pools to such quads at every scale, and C1/C2 absorb the sign.
+    a, b = noisy_pair((190, 211, 3), 9)
+    a[a < 0.05] = -0.0
+    a[a > 0.95] = 1.0
+    a[:40, :40] = b[:40, :40] = -0.0
+    assert repr(ms_ssim(a, b)) == "0.9563344457175368"
+
+
+def _downsample2_by_mean(plane):
+    """The reshape-mean pooling that ``losses._downsample2`` must equal."""
+    h, w = plane.shape
+    trimmed = plane[: 2 * (h // 2), : 2 * (w // 2)]
+    return trimmed.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(22, 300), st.integers(22, 300), st.sampled_from([None, 0, 1, 2]),
+       st.integers(0, 2**32 - 1))
+def test_downsample2_matches_reshape_mean(h, w, channel, seed):
+    rng = np.random.default_rng(seed)
+    image = rng.random((h, w) if channel is None else (h, w, 3))
+    where = rng.random(image.shape)
+    image[where < 0.1] = -0.0
+    image[(where >= 0.1) & (where < 0.2)] = 0.0
+    image[where > 0.9] = 1.0
+    plane = image if channel is None else image[:, :, channel]
+    assert np.array_equal(losses._downsample2(plane), _downsample2_by_mean(plane))
 
 
 def test_losses_report_golden_bytes(capsys, tmp_path):
@@ -270,7 +307,8 @@ def _ssim_plane_whole(a, b, window):
     cs_map = (2.0 * cov + SSIM_C2) / (var_a + var_b + SSIM_C2)
     lum_map = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a * mu_a + mu_b * mu_b + SSIM_C1)
     ssim_map = lum_map * cs_map
-    return float(ssim_map.mean()), float(cs_map.mean())
+    # _gfilter_valid returns a transposed view: the means are of the row-major maps.
+    return float(np.ascontiguousarray(ssim_map).mean()), float(np.ascontiguousarray(cs_map).mean())
 
 
 def _force_threads(monkeypatch, workers, min_cells):
@@ -293,9 +331,12 @@ def test_ssim_plane_blocks_match_whole_plane_bitwise(monkeypatch, valid_rows, wo
         return _gfilter_valid(plane, w)
 
     monkeypatch.setattr(losses, "_gfilter_valid", spy)
-    assert losses._ssim_plane(a, b, window) == _ssim_plane_whole(a, b, window)
+    ssim_mean, cs_mean = _ssim_plane_whole(a, b, window)
     blocks = -(-valid_rows // losses.FILTER_BLOCK_ROWS)
-    assert len(threads) == (min(workers, blocks) if at_floor else 1)
+    for lum, expected in ((True, (ssim_mean, cs_mean)), (False, (None, cs_mean))):
+        threads.clear()
+        assert losses._ssim_plane(a, b, window, lum) == expected
+        assert len(threads) == (min(workers, blocks) if at_floor else 1)
 
 
 def test_ssim_plane_worker_exception_reaches_caller(monkeypatch):
@@ -481,8 +522,6 @@ def test_loss_combiners_reject_overflow():
 
 # ------------------------------------------------------ the argument rule --
 
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 from genfields.regularizer import (  # noqa: E402
     estimate_stats,
