@@ -12,7 +12,8 @@ Two independent propagation routes are implemented on purpose:
 * :func:`boolean_footprint` tracks the sorted set of affected positions
   using index adjacency rules only;
 * :func:`numeric_footprint` runs a real convolution executor with strictly
-  positive random weights and diffs a perturbed pass against a baseline.
+  positive seeded pseudo-random weights and diffs a perturbed pass against a
+  baseline.
 
 Positive weights forbid cancellation, so the two must agree; the test suite
 asserts that they do.  Neither route shares code with the analytic formula.
@@ -48,6 +49,8 @@ boundary at any stage of the simulation.
 
 from __future__ import annotations
 
+import math
+import operator
 from enum import Enum
 
 from ._np import np
@@ -71,9 +74,12 @@ DEFAULT_SEED = 7
 AFFECTED_THRESHOLD = 1e-9
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
 # Largest map, in cells, either oracle accepts; neither allocates it.  The
-# limit keeps every position index and generator ``advance`` step bounded.
+# limit keeps every position index, and so every weight counter, bounded.
 # It also caps each stage's positions x taps array, which both oracles build.
 MAX_ORACLE_CELLS = 2**26
+# SplitMix64's increment, 2**64 over the golden ratio, and its word mask.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = 2**64 - 1
 
 
 class Semantics(str, Enum):
@@ -198,7 +204,7 @@ def boolean_footprint(
 
 
 # --------------------------------------------------------------------------
-# Numeric route: a real convolution executor with positive random weights.
+# Numeric route: a real convolution executor with positive seeded weights.
 #
 # Each layer is one stage: z = expand(x), the identity at u = 1 and otherwise
 # x zero-inserted or repeated by u on every axis, then
@@ -244,17 +250,6 @@ def _cone(
     return windows
 
 
-def _expand(x: np.ndarray, u: int, semantics: Semantics) -> np.ndarray:
-    """Zero-insert or repeat by ``u`` on every axis but the leading pass axis."""
-    if semantics is Semantics.ZERO_INSERT:
-        z = np.zeros((x.shape[0],) + tuple(u * n for n in x.shape[1:]), dtype=x.dtype)
-        z[(slice(None),) + (slice(None, None, u),) * (x.ndim - 1)] = x
-        return z
-    for axis in range(1, x.ndim):
-        x = np.repeat(x, u, axis=axis)
-    return x
-
-
 def _stage(
     x: np.ndarray,
     x_lo: int,
@@ -268,46 +263,79 @@ def _stage(
 
     ``x`` stacks the base and perturbed inputs on axis 0 and holds input
     positions from ``x_lo`` on each spatial axis, covering what the window
-    reads.  Zeros pad only where those reads pass an end of the map.
+    reads.  The z positions the window reads, from lo + off on, are written
+    into one zeroed buffer, so zeros stand only where those reads pass an end
+    of the map; the taps are a read-only strided view of that buffer.
     """
     dims = x.ndim - 1
     k = w.shape[0]
     off = _offset(k, u, semantics)
     lo, hi = window
     zl, zh = _z_reads(window, k, off, length)
-    xl = zl // u
-    z = x[(slice(None),) + (slice(xl - x_lo, -(-zh // u) - x_lo),) * dims]
-    if u > 1:
-        z = _expand(z, u, semantics)
-        if semantics is Semantics.ZERO_INSERT:
+    z0, xh = lo + off, -(-zh // u)
+    buf = np.zeros((2,) + (hi - lo + k - 1,) * dims)
+    if u > 1 and semantics is Semantics.NEAREST:
+        xl = zl // u
+        src = x[(slice(None),) + (slice(xl - x_lo, xh - x_lo),) * dims]
+        for axis in range(1, dims + 1):
+            src = np.repeat(src, u, axis=axis)
+        src = src[(slice(None),) + (slice(zl - u * xl, zh - u * xl),) * dims]
+        dst = slice(zl - z0, zh - z0)
+    else:
+        # z holds x[i] at u*i and zeros between, which at u = 1 is x itself.
+        xl = -(-zl // u)
+        src = x[(slice(None),) + (slice(xl - x_lo, xh - x_lo),) * dims]
+        dst = slice(u * xl - z0, zh - z0, u)
+        if u > 1:
             w = w[(slice(None, None, -1),) * dims]
-    z = z[(slice(None),) + (slice(zl - u * xl, zh - u * xl),) * dims]
-    zp = np.pad(z, ((0, 0),) + ((zl - (lo + off), hi + off + k - 1 - zh),) * dims)
-    window_view = np.lib.stride_tricks.sliding_window_view
+    buf[(slice(None),) + (dst,) * dims] = src
+    # The view sliding_window_view would build, without its per-call checks.
+    taps = np.ndarray((2,) + (hi - lo,) * dims + (k,) * dims, buf.dtype, buf,
+                      strides=buf.strides + buf.strides[1:])
+    taps.flags.writeable = False
     if dims == 1:
-        return window_view(zp, k, axis=1) @ w
-    return np.einsum("pqrij,ij->pqr", window_view(zp, (k, k), axis=(1, 2)), w)
+        return taps @ w
+    return np.einsum("pqrij,ij->pqr", taps, w)
 
 
-def _base_window(
-    rng: np.random.Generator, n: int, dims: int, window: tuple[int, int]
-) -> np.ndarray:
-    """The baseline input on ``window`` per axis, as drawn with all n**dims values.
+def _weights(seed: int, stream: int, index: np.ndarray) -> np.ndarray:
+    """Stream ``stream``'s values at ``index``, uniform in [WEIGHT_LOW, WEIGHT_HIGH).
 
-    ``default_rng``'s PCG64 takes one step per uniform double, so the steps
-    outside the window are skipped with ``advance`` and the kernels drawn
-    afterwards are unchanged.  In 2-D each window row is one run of the
-    row-major draw.
+    Counter-based: entry c of stream s is output s * 2**32 + c of SplitMix64
+    seeded with ``seed``, the finaliser of seed + (s * 2**32 + c + 1) * gamma
+    (Steele, Lea & Flood 2014; Salmon et al. 2011).  Every value is a pure
+    function of (seed, stream, position), so any window of a stream is drawn
+    directly.  Stream 0 is the base map, row-major; stream s is stage s's
+    kernel.  Positions stay below MAX_ORACLE_CELLS, so streams never overlap.
+    A seed of 2**64 or more is folded to 64 bits a limb at a time.
+    """
+    state, seed = seed & _MASK64, seed >> 64
+    while seed:
+        state = int(_mix(np.array([state], np.uint64) + _GAMMA)[0]) ^ (seed & _MASK64)
+        seed >>= 64
+    bits = _mix((index.astype(np.uint64) + ((stream << 32) + 1)) * _GAMMA + state)
+    return WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * ((bits >> 11) * 2.0**-53)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser on a uint64 array, wrapping modulo 2**64; a bijection."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _base_window(seed: int, n: int, dims: int, window: tuple[int, int]) -> np.ndarray:
+    """The baseline input on ``window`` per axis: stream 0 at its row-major positions.
+
+    The map is n**dims values of stream 0 (see :func:`_weights`); only the
+    window's positions are evaluated, and they are the same values the whole
+    map would hold there.
     """
     lo, hi = window
-    starts = [lo] if dims == 1 else [row * n + lo for row in range(lo, hi)]
-    runs, pos = [], 0
-    for start in starts:
-        rng.bit_generator.advance(start - pos)
-        runs.append(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=hi - lo))
-        pos = start + hi - lo
-    rng.bit_generator.advance(n**dims - pos)
-    return np.concatenate(runs).reshape((hi - lo,) * dims)
+    index = np.arange(lo, hi)
+    if dims == 2:
+        index = index[:, None] * n + index
+    return _weights(seed, 0, index)
 
 
 def _span(mask: np.ndarray) -> int:
@@ -339,12 +367,14 @@ def numeric_footprint(
 ) -> FootprintResult:
     """Measure the footprint with a real executor instead of adjacency rules.
 
-    The stack is instantiated with seeded random weights drawn uniformly from
-    (0.1, 1.0); a baseline forward pass is diffed against a pass with
-    ``magnitude`` added at one interior input position, and positions whose
-    absolute difference exceeds ``threshold`` count as affected.  Positivity
-    of the weights forbids cancellation, so this agrees with
-    :func:`boolean_footprint` on every architecture.
+    The stack is instantiated with seeded weights in [0.1, 1.0), drawn
+    counter-based (see :func:`_weights`); a baseline forward pass is diffed
+    against a pass with ``magnitude`` added at one interior input position,
+    and positions whose absolute difference exceeds ``threshold`` count as
+    affected.  Positivity of the weights forbids cancellation, so this agrees
+    with :func:`boolean_footprint` on every architecture.  A magnitude so
+    large that a pass overflows still agrees: the impulse's terms all share
+    its sign, so the difference becomes an infinity of that sign, never NaN.
 
     Both passes are computed only on the impulse's cone (see :func:`_cone`):
     the positions where they may differ, plus the inputs those positions
@@ -352,29 +382,42 @@ def numeric_footprint(
     identical arithmetic, so their difference there is exactly zero; inside
     it each stage reads the same values and contracts them in the same order
     as a full-map pass, so every value computed is bitwise equal to it.  The
-    random input is drawn on the cone only, skipping the generator past the
-    rest, so the cost follows the field size, not ``sim_base``.
+    input is evaluated on the cone's positions only, each value a function of
+    its position alone, so the cost follows the field size, not ``sim_base``.
+
+    ``seed`` is any non-negative integer, numpy's included; ``magnitude`` and
+    ``threshold`` must be finite and ``magnitude`` nonzero.
     """
     semantics = Semantics(semantics)
     lengths = _check_args(arch, layer, sim_base, dims)[layer:]
+    if seed is None:
+        raise ValueError("seed must be a non-negative integer, got None")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not math.isfinite(magnitude):
+        raise ValueError(f"impulse magnitude must be finite, got {magnitude}")
     if magnitude == 0.0:
         raise ValueError("impulse magnitude must be nonzero")
-    rng = np.random.default_rng(seed)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     n = lengths[0]
     windows = _cone(arch, layer, semantics, lengths)
     for spec, (lo, hi) in zip(arch.layers[layer:], windows[1:]):
         # Both passes' positions x taps; with at least one position, it bounds
         # the padded window, 2 * (hi - lo + k - 1)**dims, and the k**dims weights.
         _check_stage(spec, 2 * ((hi - lo) * spec.kernel) ** dims)
-    x = np.stack([_base_window(rng, n, dims, windows[0])] * 2)
+    x = np.stack([_base_window(seed, n, dims, windows[0])] * 2)
     x[(1,) + (n // 2 - windows[0][0],) * dims] += magnitude
 
     clipped = False
-    for s, spec in enumerate(arch.layers[layer:], start=1):
-        w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=(spec.kernel,) * dims)
-        x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s], lengths[s])
-        diff_mask = np.abs(x[1] - x[0]) > threshold
-        clipped = clipped or _reaches_end(diff_mask, windows[s], lengths[s])
+    with np.errstate(over="ignore"):
+        for s, spec in enumerate(arch.layers[layer:], start=1):
+            k = spec.kernel
+            w = _weights(seed, s, np.arange(k**dims)).reshape((k,) * dims)
+            x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s], lengths[s])
+            diff_mask = np.abs(x[1] - x[0]) > threshold
+            clipped = clipped or _reaches_end(diff_mask, windows[s], lengths[s])
 
     footprint = _span(diff_mask)
     if footprint == 0:

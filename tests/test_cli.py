@@ -953,8 +953,8 @@ def test_help_wraps_to_the_terminal_up_to_78_columns(monkeypatch, tmp_path, caps
 # This process imported numpy before genfields, so the cases above never take the
 # lazy binding's load path.  Each subcommand's cases therefore run again in one fresh
 # interpreter that imports genfields.cli first.  The cases matching NO_NUMPY run
-# first there and must leave every numpy submodule unloaded; no case loads click
-# or dataclasses.
+# first there and must leave every numpy submodule unloaded; no case loads click,
+# dataclasses or numpy.random.
 NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|error-bad-preset$"
                       r"|error-corrupt-arch$|error-bad-range$|error-plan-|error-two-sources$")
 FRESH_CHILD = """
@@ -968,7 +968,8 @@ for name, argv, directory in json.load(sys.stdin):
         code = main(argv)
     numpy = sorted(m for m in sys.modules if m.startswith("numpy."))[:3]
     results[name] = {"code": code, "out": out.getvalue(), "err": err.getvalue(), "numpy": numpy,
-                     "click": "click" in sys.modules, "dataclasses": "dataclasses" in sys.modules}
+                     "click": "click" in sys.modules, "dataclasses": "dataclasses" in sys.modules,
+                     "random": "numpy.random" in sys.modules}
 json.dump(results, sys.stdout)
 """
 
@@ -1018,6 +1019,7 @@ def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
             assert got["numpy"] == [], name
         assert not got["click"], name
         assert not got["dataclasses"], name
+        assert not got["random"], name
 
 
 # One case per subcommand, an exit-1 and an exit-2 case, and the cases that write
@@ -1090,7 +1092,7 @@ def test_bad_numeric_options_fail_before_the_input_is_read(capsys, tmp_path, mon
         assert run(capsys, *argv) == (1, "", err), name
     results = _fresh(FRESH_CHILD, [(name, argv, str(tmp_path)) for name, (argv, _) in BAD_OPTIONS.items()])
     assert results == {name: {"code": 1, "out": "", "err": err, "numpy": [], "click": False,
-                              "dataclasses": False}
+                              "dataclasses": False, "random": False}
                        for name, (_, err) in BAD_OPTIONS.items()}
 
 

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +121,43 @@ def test_zero_magnitude_rejected():
         numeric_footprint(TOY, 0, sim_base=16, magnitude=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["magnitude", "threshold"])
+def test_non_finite_magnitude_or_threshold_named(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        numeric_footprint(TOY, 0, sim_base=16, **{name: value})
+
+
+@pytest.mark.parametrize("magnitude", [1e308, -1e308])
+def test_overflowing_impulse_gives_boolean_footprint(monkeypatch, magnitude):
+    outputs = []
+    stage = oracle._stage
+    monkeypatch.setattr(oracle, "_stage", lambda *args: outputs.append(stage(*args)) or outputs[-1])
+    arch = stylegan2_preset(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sem in Semantics:
+            for dims in (1, 2):
+                for layer in range(arch.depth):
+                    num = numeric_footprint(arch, layer, sem, 8, dims=dims, magnitude=magnitude)
+                    assert num == boolean_footprint(arch, layer, sem, 8, dims), (sem, dims, layer)
+    # the passes did overflow, to an infinity of the impulse's sign and never to NaN
+    assert any(np.isinf(np.copysign(1.0, magnitude) * out[1]).any() for out in outputs)
+    assert not any(np.isnan(out).any() for out in outputs)
+
+
+def test_seed_is_any_non_negative_integer():
+    expected = numeric_footprint(TOY, 0, sim_base=16, seed=7)
+    for seed in (np.int64(7), np.uint8(7), 2**64 + 7, 2**200):
+        assert numeric_footprint(TOY, 0, sim_base=16, seed=seed) == expected
+    for seed, message in ((-1, "seed must be non-negative, got -1"),
+                          (None, "seed must be a non-negative integer, got None")):
+        with pytest.raises(ValueError, match=message):
+            numeric_footprint(TOY, 0, sim_base=16, seed=seed)
+    with pytest.raises(TypeError):
+        numeric_footprint(TOY, 0, sim_base=16, seed=7.0)
+
+
 def test_layer_out_of_range():
     with pytest.raises(Exception, match="out of range"):
         boolean_footprint(TOY, 2, sim_base=16)
@@ -177,7 +216,8 @@ def test_footprint_at_every_layer_of_preset8():
 
 
 # --------------------------------------------------------------------------
-# Reference: the full-map executor the windowed one replaced, kept verbatim.
+# Reference: the full-map executor the windowed one replaced, kept verbatim
+# but for its draws, which evaluate the oracle's weight streams on the whole map.
 
 from numpy.lib.stride_tricks import sliding_window_view  # noqa: E402
 
@@ -247,19 +287,18 @@ def _numeric_step(x: np.ndarray, w: np.ndarray, u: int, semantics: Semantics) ->
 def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
                       threshold=AFFECTED_THRESHOLD):
     """Full-map base and perturbed passes per stage, and the footprint result."""
-    rng = np.random.default_rng(seed)
     n = oracle.map_sides(arch, sim_base)[layer]
     shape = (n,) * dims
-    base = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=shape)
+    base = oracle._weights(seed, 0, np.arange(n**dims)).reshape(shape)
     perturbed = base.copy()
     perturbed[tuple(n // 2 for _ in range(dims))] += magnitude
 
     stages = []
     clipped = False
     diff_mask = np.zeros(shape, dtype=bool)
-    for spec in arch.layers[layer:]:
+    for stream, spec in enumerate(arch.layers[layer:], start=1):
         kshape = (spec.kernel,) * dims
-        w = rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=kshape)
+        w = oracle._weights(seed, stream, np.arange(spec.kernel**dims)).reshape(kshape)
         base = _numeric_step(base, w, spec.upsample, semantics)
         perturbed = _numeric_step(perturbed, w, spec.upsample, semantics)
         stages.append((base, perturbed))
@@ -546,3 +585,58 @@ def test_spread_equals_sort_and_dedupe(side, k, u, semantics, data):
     result = oracle._spread(pos, spec, semantics, u * side)
     assert result.dtype == expected.dtype
     assert np.array_equal(result, expected)
+
+
+# --------------------------------------------------------------------------
+# Properties over random stacks, and of the counter-based weight streams.
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(layers=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 4)), min_size=1, max_size=5),
+       sim_base=st.integers(3, 40), seed=st.integers(0, 2**64 - 1))
+def test_numeric_equals_boolean_and_zero_insert_within_analytic(layers, sim_base, seed):
+    arch = make_arch("prop", *zip(*layers))
+    for sem in Semantics:
+        for layer in range(arch.depth):
+            expected = boolean_footprint(arch, layer, sem, sim_base)
+            assert numeric_footprint(arch, layer, sem, sim_base, seed=seed) == expected
+            if sem is Semantics.ZERO_INSERT:
+                assert expected.footprint <= expected.analytic
+
+
+def _splitmix64(seed, count, skip=0):
+    """The first ``count`` outputs of SplitMix64 after ``skip``, stepped one at a time."""
+    mask, state, out = 2**64 - 1, (seed + skip * 0x9E3779B97F4A7C15) & (2**64 - 1), []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 0), (7, 1), (2**64 - 1, 17)])
+def test_weights_are_splitmix64_outputs(seed, stream):
+    bits = np.array(_splitmix64(seed, 50, skip=stream << 32), dtype=np.uint64)
+    expected = WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * ((bits >> 11) * 2.0**-53)
+    assert np.array_equal(oracle._weights(seed, stream, np.arange(50)), expected)
+
+
+def test_weights_reach_neither_end_of_the_range(monkeypatch):
+    # The extreme finaliser outputs map to WEIGHT_LOW and to just below WEIGHT_HIGH.
+    for bits, expected in ((0, WEIGHT_LOW), (2**64 - 1, np.nextafter(WEIGHT_HIGH, 0))):
+        monkeypatch.setattr(oracle, "_mix", lambda z, bits=bits: np.full_like(z, bits))
+        assert oracle._weights(7, 0, np.arange(1))[0] == expected
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**130), stream=st.integers(0, 40), n=st.integers(1, 40),
+       dims=st.integers(1, 2), data=st.data())
+def test_weight_windows_equal_slices_of_the_whole_stream(seed, stream, n, dims, data):
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    whole = oracle._weights(seed, stream, np.arange(n**dims))
+    assert np.all((whole >= WEIGHT_LOW) & (whole < WEIGHT_HIGH))
+    index = np.array(data.draw(st.lists(st.integers(0, n**dims - 1), max_size=20)), dtype=np.int64)
+    assert np.array_equal(oracle._weights(seed, stream, index), whole[index])
+    base = oracle._weights(seed, 0, np.arange(n**dims)).reshape((n,) * dims)
+    assert np.array_equal(oracle._base_window(seed, n, dims, (lo, hi)), base[(slice(lo, hi),) * dims])
