@@ -270,23 +270,19 @@ def _in_threads(fill, items: list, workers: int) -> None:
         raise errors[0]
 
 
-def _ssim_plane(
-    a: np.ndarray, b: np.ndarray, window: np.ndarray, lum: bool = True
-) -> tuple[float | None, float]:
-    """Mean SSIM and mean contrast-structure term of one grayscale plane.
+def _ssim_plane(a: np.ndarray, b: np.ndarray, window: np.ndarray, lum: bool = True) -> float:
+    """Mean SSIM of one grayscale plane, or without ``lum`` its mean contrast-structure term.
 
-    The maps are the only whole-plane arrays: every filtered moment is taken
-    ``FILTER_BLOCK_ROWS`` output rows at a time and written into the maps'
-    rows with the whole-plane expressions, so the means are bitwise the same.
-    Without ``lum`` neither the luminance term nor the SSIM map is formed,
-    and the mean SSIM is None.  Maps of at least ``THREAD_MIN_CELLS`` cells
-    are filled by one thread per usable CPU; numpy releases the GIL inside
-    each ufunc.
+    The map averaged is the only whole-plane array: every filtered moment,
+    and with ``lum`` the contrast-structure term too, is taken
+    ``FILTER_BLOCK_ROWS`` output rows at a time and written into the map's
+    rows with the whole-plane expressions, so the mean is bitwise the same.
+    Maps of at least ``THREAD_MIN_CELLS`` cells are filled by one thread per
+    usable CPU; numpy releases the GIL inside each ufunc.
     """
     edge = 2 * (window.size // 2)
     rows, cols = a.shape[0] - edge, a.shape[1] - edge
-    cs_map = np.empty((rows, cols))
-    ssim_map = np.empty((rows, cols)) if lum else None
+    mean_map = np.empty((rows, cols))
 
     def fill(blocks):
         for r0 in blocks:
@@ -299,16 +295,16 @@ def _ssim_plane(
             var_a = _gfilter_valid(pa * pa, window) - mu_a * mu_a
             var_b = _gfilter_valid(pb * pb, window) - mu_b * mu_b
             cov = _gfilter_valid(pa * pb, window) - mu_a * mu_b
-            cs = cs_map[r0:r1]
-            np.divide(2.0 * cov + SSIM_C2, var_a + var_b + SSIM_C2, out=cs)
+            out = mean_map[r0:r1]
+            cs = np.divide(2.0 * cov + SSIM_C2, var_a + var_b + SSIM_C2, out=None if lum else out)
             if lum:
                 lum_map = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a * mu_a + mu_b * mu_b + SSIM_C1)
-                np.multiply(lum_map, cs, out=ssim_map[r0:r1])
+                np.multiply(lum_map, cs, out=out)
 
     blocks = list(range(0, rows, FILTER_BLOCK_ROWS))
     workers = min(_usable_cpus(), len(blocks)) if rows * cols >= THREAD_MIN_CELLS else 1
     _in_threads(fill, blocks, workers)
-    return (float(ssim_map.mean()) if lum else None), float(cs_map.mean())
+    return float(mean_map.mean())
 
 
 def _downsample2(plane: np.ndarray) -> np.ndarray:
@@ -332,15 +328,14 @@ def _ms_ssim_plane(a: np.ndarray, b: np.ndarray, scales: int) -> float:
         weights = weights / weights.sum()
     if scales == 1:
         # Single scale is plain SSIM, which may legitimately be negative.
-        return _ssim_plane(a, b, window)[0]
+        return _ssim_plane(a, b, window)
     value = 1.0
     for level in range(scales):
         # Luminance enters at the coarsest scale only (Wang et al., 2003).
         last = level == scales - 1
-        ssim_mean, cs_mean = _ssim_plane(a, b, window, lum=last)
         # Fractional powers need non-negative bases; anti-correlated inputs
         # can drive cs below zero, which clamps the product to 0.
-        value *= max(ssim_mean if last else cs_mean, 0.0) ** weights[level]
+        value *= max(_ssim_plane(a, b, window, lum=last), 0.0) ** weights[level]
         if not last:
             a = _downsample2(a)
             b = _downsample2(b)

@@ -12,8 +12,7 @@ Two independent propagation routes are implemented on purpose:
 * :func:`boolean_footprint` tracks the sorted set of affected positions
   using index adjacency rules only;
 * :func:`numeric_footprint` runs a real convolution executor with strictly
-  positive seeded pseudo-random weights and diffs a perturbed pass against a
-  baseline.
+  positive seeded pseudo-random weights and measures the impulse response.
 
 Positive weights forbid cancellation, so the two must agree; the test suite
 asserts that they do.  Neither route shares code with the analytic formula.
@@ -22,15 +21,15 @@ The boolean route holds the exact affected positions of one axis, with no
 window.  Every adjacency rule acts on one axis at a time and the impulse is
 one point, so the 2-D affected set is exactly S x S for the 1-D set S.
 
-The numeric route computes both passes only on the impulse's cone: at each
-layer, the positions where the perturbed pass can differ from the baseline,
-plus the inputs that later layers read.  This is exact, not an
-approximation: outside the cone both passes read identical inputs, so their
-difference there is exactly zero, and inside it each output reads the same
+The numeric route propagates the impulse alone: the stack is linear and has
+no bias, so the response to one impulse is exactly the change it makes to
+any input.  Each layer is computed only on the window where that response
+may be nonzero.  This is exact, not an approximation: outside the window
+each output reads zeros only, and inside it each output reads the same
 values and sums them in the same order as a full-map pass would, so it is
-bitwise equal.  The boolean route uses neither the cone nor any window, so
-a cone that was too narrow would show as an executor disagreement.  Both
-routes cost in proportion to the field, not to ``sim_base``.
+bitwise equal.  The boolean route uses no window, so a window that was
+too narrow would show as an executor disagreement.  Both routes cost in
+proportion to the field, not to ``sim_base``.
 
 Upsampling semantics are first-class because nothing pins how a factor-2
 layer is realized.  ``zero-insert-transposed`` (the default) interleaves
@@ -71,7 +70,7 @@ __all__ = [
 
 DEFAULT_SEED = 7
 
-AFFECTED_THRESHOLD = 1e-9
+AFFECTED_THRESHOLD = 0.0
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
 # Largest map, in cells, either oracle accepts; neither allocates it.  The
 # limit keeps every position index, and so every weight counter, bounded.
@@ -218,84 +217,56 @@ def _offset(k: int, u: int, semantics: Semantics) -> int:
     return -((k - 1) // 2)
 
 
-def _z_reads(window: tuple[int, int], k: int, off: int, length: int) -> tuple[int, int]:
-    """Positions of z, clipped to [0, length), that the outputs in ``window`` read."""
-    lo, hi = window
-    return max(0, lo + off), min(length, hi + off + k - 1)
-
-
 def _cone(
     arch: ArchSpec, layer: int, semantics: Semantics, lengths: list[int]
 ) -> list[tuple[int, int]]:
-    """Window to compute per stage, on maps of ``lengths``; index 0 is the layer input.
+    """Window D_s per stage, on maps of ``lengths``, where the impulse response may be nonzero.
 
-    Forward, D_s is where the two passes may differ: D_0 = [c, c+1) is the
-    impulse and D_s = [u*a - off - k + 1, u*b - off), clipped to the map, for
-    D_{s-1} = [a, b).  Backward, the last window is D_last and each earlier
-    one is the hull of D_{s-1} and the inputs the next window reads.
+    D_0 = [c, c+1) is the impulse, index 0 the layer input, and
+    D_s = [u*a - off - k + 1, u*b - off), clipped to the map, for
+    D_{s-1} = [a, b): the outputs whose taps reach a nonzero z position.
     """
-    specs = arch.layers[layer:]
-    diff = [(lengths[0] // 2, lengths[0] // 2 + 1)]
-    for spec, length in zip(specs, lengths[1:]):
+    windows = [(lengths[0] // 2, lengths[0] // 2 + 1)]
+    for spec, length in zip(arch.layers[layer:], lengths[1:]):
         k, u = spec.kernel, spec.upsample
         off = _offset(k, u, semantics)
-        a, b = diff[-1]
-        diff.append((max(0, u * a - off - k + 1), min(length, u * b - off)))
-    windows = [diff[-1]]
-    for s in range(len(specs), 0, -1):
-        k, u = specs[s - 1].kernel, specs[s - 1].upsample
-        zl, zh = _z_reads(windows[0], k, _offset(k, u, semantics), lengths[s])
-        a, b = diff[s - 1]
-        windows.insert(0, (min(a, zl // u), max(b, -(-zh // u))))
+        a, b = windows[-1]
+        windows.append((max(0, u * a - off - k + 1), min(length, u * b - off)))
     return windows
 
 
 def _stage(
-    x: np.ndarray,
-    x_lo: int,
-    w: np.ndarray,
-    u: int,
-    semantics: Semantics,
-    window: tuple[int, int],
-    length: int,
+    x: np.ndarray, x_lo: int, w: np.ndarray, u: int, semantics: Semantics, window: tuple[int, int]
 ) -> np.ndarray:
-    """Both passes' outputs of one stage on ``window``, the same on every axis.
+    """One stage's output on ``window``, the same on every axis.
 
-    ``x`` stacks the base and perturbed inputs on axis 0 and holds input
-    positions from ``x_lo`` on each spatial axis, covering what the window
-    reads.  The z positions the window reads, from lo + off on, are written
-    into one zeroed buffer, so zeros stand only where those reads pass an end
-    of the map; the taps are a read-only strided view of that buffer.
+    ``x`` is the input from ``x_lo`` on each axis, zero outside it.  Expanded,
+    from z position u*x_lo on, it is written into one zeroed buffer of the z
+    positions the window reads, from lo + off on, which holds every nonzero
+    z position; the taps are a read-only strided view of that buffer.
     """
-    dims = x.ndim - 1
+    dims = x.ndim
     k = w.shape[0]
-    off = _offset(k, u, semantics)
     lo, hi = window
-    zl, zh = _z_reads(window, k, off, length)
-    z0, xh = lo + off, -(-zh // u)
-    buf = np.zeros((2,) + (hi - lo + k - 1,) * dims)
+    start = u * x_lo - (lo + _offset(k, u, semantics))
+    buf = np.zeros((hi - lo + k - 1,) * dims)
     if u > 1 and semantics is Semantics.NEAREST:
-        xl = zl // u
-        src = x[(slice(None),) + (slice(xl - x_lo, xh - x_lo),) * dims]
-        for axis in range(1, dims + 1):
-            src = np.repeat(src, u, axis=axis)
-        src = src[(slice(None),) + (slice(zl - u * xl, zh - u * xl),) * dims]
-        dst = slice(zl - z0, zh - z0)
+        for axis in range(dims):
+            x = np.repeat(x, u, axis=axis)
+        dst = slice(start, start + x.shape[0])
     else:
         # z holds x[i] at u*i and zeros between, which at u = 1 is x itself.
-        xl = -(-zl // u)
-        src = x[(slice(None),) + (slice(xl - x_lo, xh - x_lo),) * dims]
-        dst = slice(u * xl - z0, zh - z0, u)
+        dst = slice(start, start + u * x.shape[0], u)
         if u > 1:
             w = w[(slice(None, None, -1),) * dims]
-    buf[(slice(None),) + (dst,) * dims] = src
+    buf[(dst,) * dims] = x
     # The view sliding_window_view would build, without its per-call checks.
-    taps = np.ndarray((2,) + (hi - lo,) * dims + (k,) * dims, buf.dtype, buf,
-                      strides=buf.strides + buf.strides[1:])
+    taps = np.ndarray((hi - lo,) * dims + (k,) * dims, buf.dtype, buf,
+                      strides=buf.strides * 2)
     taps.flags.writeable = False
     if dims == 1:
         return taps @ w
-    return np.einsum("pqrij,ij->pqr", taps, w)
+    return np.einsum("qrij,ij->qr", taps, w)
 
 
 def _weights(seed: int, stream: int, index: np.ndarray) -> np.ndarray:
@@ -305,8 +276,8 @@ def _weights(seed: int, stream: int, index: np.ndarray) -> np.ndarray:
     seeded with ``seed``, the finaliser of seed + (s * 2**32 + c + 1) * gamma
     (Steele, Lea & Flood 2014; Salmon et al. 2011).  Every value is a pure
     function of (seed, stream, position), so any window of a stream is drawn
-    directly.  Stream 0 is the base map, row-major; stream s is stage s's
-    kernel.  Positions stay below MAX_ORACLE_CELLS, so streams never overlap.
+    directly.  Stream s is stage s's kernel, row-major, for s >= 1; kernels
+    stay below MAX_ORACLE_CELLS taps, so streams never overlap.
     A seed of 2**64 or more is folded to 64 bits a limb at a time.
     """
     state, seed = seed & _MASK64, seed >> 64
@@ -322,20 +293,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
-
-
-def _base_window(seed: int, n: int, dims: int, window: tuple[int, int]) -> np.ndarray:
-    """The baseline input on ``window`` per axis: stream 0 at its row-major positions.
-
-    The map is n**dims values of stream 0 (see :func:`_weights`); only the
-    window's positions are evaluated, and they are the same values the whole
-    map would hold there.
-    """
-    lo, hi = window
-    index = np.arange(lo, hi)
-    if dims == 2:
-        index = index[:, None] * n + index
-    return _weights(seed, 0, index)
 
 
 def _span(mask: np.ndarray) -> int:
@@ -368,25 +325,23 @@ def numeric_footprint(
     """Measure the footprint with a real executor instead of adjacency rules.
 
     The stack is instantiated with seeded weights in [0.1, 1.0), drawn
-    counter-based (see :func:`_weights`); a baseline forward pass is diffed
-    against a pass with ``magnitude`` added at one interior input position,
-    and positions whose absolute difference exceeds ``threshold`` count as
-    affected.  Positivity of the weights forbids cancellation, so this agrees
-    with :func:`boolean_footprint` on every architecture.  A magnitude so
-    large that a pass overflows still agrees: the impulse's terms all share
-    its sign, so the difference becomes an infinity of that sign, never NaN.
+    counter-based (see :func:`_weights`), and ``magnitude`` at one interior
+    input position is propagated alone; positions whose absolute response
+    exceeds ``threshold`` count as affected.  The stack is linear with no
+    bias, so this is exactly the change the impulse makes to any input,
+    f(base + d) - f(base) = f(d), and no base values round its edges away.
+    Positive weights forbid cancellation, so this agrees with
+    :func:`boolean_footprint` on every architecture, even where the response
+    overflows: its terms share the impulse's sign, so it becomes an infinity
+    of that sign, never NaN.
 
-    Both passes are computed only on the impulse's cone (see :func:`_cone`):
-    the positions where they may differ, plus the inputs those positions
-    read.  Outside the cone the two passes read identical inputs and run
-    identical arithmetic, so their difference there is exactly zero; inside
-    it each stage reads the same values and contracts them in the same order
-    as a full-map pass, so every value computed is bitwise equal to it.  The
-    input is evaluated on the cone's positions only, each value a function of
-    its position alone, so the cost follows the field size, not ``sim_base``.
+    Each stage is computed only on the window where the response may be
+    nonzero (see :func:`_cone`), bitwise equal to a full-map pass there, so
+    the cost follows the field size, not ``sim_base``.
 
-    ``seed`` is any non-negative integer, numpy's included; ``magnitude`` and
-    ``threshold`` must be finite and ``magnitude`` nonzero.
+    ``seed`` is any non-negative integer, numpy's included; ``magnitude`` must
+    be finite, nonzero and large enough that no response underflows to zero;
+    ``threshold`` must be finite and non-negative.
     """
     semantics = Semantics(semantics)
     lengths = _check_args(arch, layer, sim_base, dims)[layer:]
@@ -401,27 +356,31 @@ def numeric_footprint(
         raise ValueError("impulse magnitude must be nonzero")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    n = lengths[0]
+    if threshold < 0.0:
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
     windows = _cone(arch, layer, semantics, lengths)
     for spec, (lo, hi) in zip(arch.layers[layer:], windows[1:]):
-        # Both passes' positions x taps; with at least one position, it bounds
-        # the padded window, 2 * (hi - lo + k - 1)**dims, and the k**dims weights.
-        _check_stage(spec, 2 * ((hi - lo) * spec.kernel) ** dims)
-    x = np.stack([_base_window(seed, n, dims, windows[0])] * 2)
-    x[(1,) + (n // 2 - windows[0][0],) * dims] += magnitude
+        # Positions x taps; with at least one position, it bounds the
+        # buffer, (hi - lo + k - 1)**dims, and the k**dims weights.
+        _check_stage(spec, ((hi - lo) * spec.kernel) ** dims)
+    x = np.full((1,) * dims, float(magnitude))
 
+    # Each nonzero response holds a path's |magnitude| x one weight per stage.
+    floor = abs(magnitude)
     clipped = False
     with np.errstate(over="ignore"):
         for s, spec in enumerate(arch.layers[layer:], start=1):
-            k = spec.kernel
-            w = _weights(seed, s, np.arange(k**dims)).reshape((k,) * dims)
-            x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s], lengths[s])
-            diff_mask = np.abs(x[1] - x[0]) > threshold
-            clipped = clipped or _reaches_end(diff_mask, windows[s], lengths[s])
+            w = _weights(seed, s, np.arange(spec.kernel**dims)).reshape((spec.kernel,) * dims)
+            floor *= float(w.min())
+            if floor < np.finfo(float).tiny:
+                raise ValueError(f"layer {spec.id}: impulse magnitude {magnitude} may underflow to 0")
+            x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s])
+            affected = np.abs(x) > threshold
+            clipped = clipped or _reaches_end(affected, windows[s], lengths[s])
 
-    footprint = _span(diff_mask)
+    footprint = _span(affected)
     if footprint == 0:
-        raise ValueError("perturbation produced no affected output positions")
+        raise ValueError(f"no output position's response exceeds threshold {threshold}")
     return FootprintResult(
         layer_index=layer,
         semantics=semantics,

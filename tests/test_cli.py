@@ -161,6 +161,14 @@ def test_verify_numeric_agreement(capsys):
     assert "numeric executor agreement: ok" in out
 
 
+def test_verify_numeric_deep_stack_edge_agrees(capsys):
+    # Seed 3 lost conv0-conv2's edge positions to the baseline pass's rounding.
+    code, out, err = run(capsys, "verify", "--preset", "stylegan2-1024", "--numeric",
+                         "--sim-base", "1024", "--seed", "3")
+    assert (code, err) == (0, "")
+    assert "note: numeric executor agreement: ok\n" in out
+
+
 def test_verify_over_bug_exits_2(capsys, tmp_path):
     arch = make_arch("k1", [1], [2])
     path = tmp_path / "k1.arch"

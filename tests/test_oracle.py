@@ -121,10 +121,14 @@ def test_zero_magnitude_rejected():
         numeric_footprint(TOY, 0, sim_base=16, magnitude=0.0)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["magnitude", "threshold"])
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in ("magnitude", "threshold")
+      for value in (math.nan, math.inf, -math.inf)),
+    ("threshold", -1e-300),
+])
 def test_non_finite_magnitude_or_threshold_named(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+    rule = "finite" if not math.isfinite(value) else "non-negative"
+    with pytest.raises(ValueError, match=f"{name} must be {rule}, got {value}"):
         numeric_footprint(TOY, 0, sim_base=16, **{name: value})
 
 
@@ -141,9 +145,33 @@ def test_overflowing_impulse_gives_boolean_footprint(monkeypatch, magnitude):
                 for layer in range(arch.depth):
                     num = numeric_footprint(arch, layer, sem, 8, dims=dims, magnitude=magnitude)
                     assert num == boolean_footprint(arch, layer, sem, 8, dims), (sem, dims, layer)
-    # the passes did overflow, to an infinity of the impulse's sign and never to NaN
-    assert any(np.isinf(np.copysign(1.0, magnitude) * out[1]).any() for out in outputs)
+    # the response did overflow, to an infinity of the impulse's sign and never to NaN
+    assert any((np.copysign(1.0, magnitude) * out == math.inf).any() for out in outputs)
     assert not any(np.isnan(out).any() for out in outputs)
+
+
+@pytest.mark.parametrize("semantics, seed", [
+    (Semantics.ZERO_INSERT, 3), (Semantics.ZERO_INSERT, 52), (Semantics.ZERO_INSERT, 475),
+    (Semantics.NEAREST, 37), (Semantics.NEAREST, 353), (Semantics.NEAREST, 642),
+])
+def test_deep_stack_edges_reach_the_numeric_footprint(semantics, seed):
+    # A baseline-and-perturbed pass lost these edge positions: their difference
+    # fell below the rounding of the baseline values around them.
+    arch = stylegan2_preset(1024)
+    for layer in range(3):
+        expected = boolean_footprint(arch, layer, semantics, 1024)
+        assert numeric_footprint(arch, layer, semantics, 1024, seed=seed) == expected, layer
+
+
+def test_underflowing_impulse_refused_by_layer():
+    # 5e-324 times any weight rounds to 0, which would cut the footprint short.
+    arch = stylegan2_preset(1024)
+    with pytest.raises(ValueError, match=r"^layer conv0: impulse magnitude 5e-324 may underflow to 0$"):
+        numeric_footprint(arch, 0, sim_base=1024, magnitude=5e-324)
+    with pytest.raises(ValueError, match=r"^layer conv13: impulse magnitude -1e-300 may underflow"):
+        numeric_footprint(arch, 0, sim_base=1024, magnitude=-1e-300)
+    expected = boolean_footprint(arch, 0, sim_base=1024)
+    assert numeric_footprint(arch, 0, sim_base=1024, magnitude=-1e-280) == expected
 
 
 def test_seed_is_any_non_negative_integer():
@@ -216,8 +244,9 @@ def test_footprint_at_every_layer_of_preset8():
 
 
 # --------------------------------------------------------------------------
-# Reference: the full-map executor the windowed one replaced, kept verbatim
-# but for its draws, which evaluate the oracle's weight streams on the whole map.
+# Reference: the full-map executor the windowed one replaced.  Its stages are
+# kept verbatim; reference_numeric runs them on the impulse alone, with the
+# oracle's weight streams, over the whole map.
 
 from numpy.lib.stride_tricks import sliding_window_view  # noqa: E402
 
@@ -286,30 +315,27 @@ def _numeric_step(x: np.ndarray, w: np.ndarray, u: int, semantics: Semantics) ->
 
 def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
                       threshold=AFFECTED_THRESHOLD):
-    """Full-map base and perturbed passes per stage, and the footprint result."""
+    """Full-map impulse response per stage, and the footprint result."""
     n = oracle.map_sides(arch, sim_base)[layer]
     shape = (n,) * dims
-    base = oracle._weights(seed, 0, np.arange(n**dims)).reshape(shape)
-    perturbed = base.copy()
-    perturbed[tuple(n // 2 for _ in range(dims))] += magnitude
+    x = np.zeros(shape)
+    x[tuple(n // 2 for _ in range(dims))] = magnitude
 
     stages = []
     clipped = False
-    diff_mask = np.zeros(shape, dtype=bool)
     for stream, spec in enumerate(arch.layers[layer:], start=1):
         kshape = (spec.kernel,) * dims
         w = oracle._weights(seed, stream, np.arange(spec.kernel**dims)).reshape(kshape)
-        base = _numeric_step(base, w, spec.upsample, semantics)
-        perturbed = _numeric_step(perturbed, w, spec.upsample, semantics)
-        stages.append((base, perturbed))
-        diff_mask = np.abs(perturbed - base) > threshold
-        clipped = clipped or _touches_border(diff_mask)
+        x = _numeric_step(x, w, spec.upsample, semantics)
+        stages.append(x)
+        affected = np.abs(x) > threshold
+        clipped = clipped or _touches_border(affected)
 
     result = FootprintResult(
         layer_index=layer,
         semantics=semantics,
         dims=dims,
-        footprint=oracle._span(diff_mask),
+        footprint=oracle._span(affected),
         analytic=generative_field(arch, layer),
         clipped=clipped,
     )
@@ -350,8 +376,8 @@ def test_windowed_executor_bitwise_equals_full_map(monkeypatch):
     calls = []
     stage = oracle._stage
 
-    def recording_stage(x, x_lo, w, u, semantics, window, length):
-        out = stage(x, x_lo, w, u, semantics, window, length)
+    def recording_stage(x, x_lo, w, u, semantics, window):
+        out = stage(x, x_lo, w, u, semantics, window)
         calls.append((window, out))
         return out
 
@@ -364,13 +390,12 @@ def test_windowed_executor_bitwise_equals_full_map(monkeypatch):
             arch, layer, sem, sim_base, seed=seed, dims=dims, magnitude=magnitude
         ) == expected, (arch, layer, sem, sim_base, dims)
         assert len(calls) == len(stages)
-        for (window, out), (base, perturbed) in zip(calls, stages):
+        for (window, out), full in zip(calls, stages):
             inside = (slice(window[0], window[1]),) * dims
-            assert np.array_equal(out[0], base[inside]), (arch, layer, sem, sim_base, dims)
-            assert np.array_equal(out[1], perturbed[inside]), (arch, layer, sem, sim_base, dims)
-            outside = np.ones(base.shape, dtype=bool)
+            assert np.array_equal(out, full[inside]), (arch, layer, sem, sim_base, dims)
+            outside = np.ones(full.shape, dtype=bool)
             outside[inside] = False
-            assert not np.any(perturbed[outside] != base[outside])
+            assert not np.any(full[outside]), (arch, layer, sem, sim_base, dims)
         seen["clipped"] += expected.clipped
         seen["dims"].add(dims)
         seen["semantics"].add(sem)
@@ -603,6 +628,18 @@ def test_numeric_equals_boolean_and_zero_insert_within_analytic(layers, sim_base
                 assert expected.footprint <= expected.analytic
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(layers=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=3),
+       sim_base=st.integers(3, 24), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_2d_numeric_is_the_square_of_1d(layers, sim_base, seed, data):
+    arch = make_arch("square", *zip(*layers))
+    layer = data.draw(st.integers(0, arch.depth - 1))
+    for sem in Semantics:
+        one = numeric_footprint(arch, layer, sem, sim_base, seed=seed)
+        two = numeric_footprint(arch, layer, sem, sim_base, seed=seed, dims=2)
+        assert (two.footprint, two.clipped) == (one.footprint, one.clipped), sem
+
+
 def _splitmix64(seed, count, skip=0):
     """The first ``count`` outputs of SplitMix64 after ``skip``, stepped one at a time."""
     mask, state, out = 2**64 - 1, (seed + skip * 0x9E3779B97F4A7C15) & (2**64 - 1), []
@@ -632,11 +669,7 @@ def test_weights_reach_neither_end_of_the_range(monkeypatch):
 @given(seed=st.integers(0, 2**130), stream=st.integers(0, 40), n=st.integers(1, 40),
        dims=st.integers(1, 2), data=st.data())
 def test_weight_windows_equal_slices_of_the_whole_stream(seed, stream, n, dims, data):
-    lo = data.draw(st.integers(0, n - 1))
-    hi = data.draw(st.integers(lo + 1, n))
     whole = oracle._weights(seed, stream, np.arange(n**dims))
     assert np.all((whole >= WEIGHT_LOW) & (whole < WEIGHT_HIGH))
     index = np.array(data.draw(st.lists(st.integers(0, n**dims - 1), max_size=20)), dtype=np.int64)
     assert np.array_equal(oracle._weights(seed, stream, index), whole[index])
-    base = oracle._weights(seed, 0, np.arange(n**dims)).reshape((n,) * dims)
-    assert np.array_equal(oracle._base_window(seed, n, dims, (lo, hi)), base[(slice(lo, hi),) * dims])
