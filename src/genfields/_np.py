@@ -1,7 +1,8 @@
 """The package's one binding of numpy, loaded on first attribute access.
 
-A call that never touches an array -- ``fields``, ``losses --components``,
-``--help``, an input error -- then starts without importing numpy.  If numpy
+A call that never touches an array -- ``fields``, ``plan``, ``verify`` (both
+influence oracles run on Python ints and floats), ``losses --components``,
+``--help``, an input error -- then runs without importing numpy.  If numpy
 is already imported, ``np`` is that module.  No other genfields module may run
 an ``import numpy`` statement: the import machinery reads ``__spec__`` from
 the module it finds in ``sys.modules``, which loads a lazy one at once.

@@ -9,7 +9,7 @@ stride 1 the two agree exactly.
 
 Two independent propagation routes are implemented on purpose:
 
-* :func:`boolean_footprint` tracks the sorted set of affected positions
+* :func:`boolean_footprint` tracks the sorted runs of affected positions
   using index adjacency rules only;
 * :func:`numeric_footprint` runs a real convolution executor with strictly
   positive seeded pseudo-random weights and measures the impulse response.
@@ -18,8 +18,9 @@ Positive weights forbid cancellation, so the two must agree; the test suite
 asserts that they do.  Neither route shares code with the analytic formula.
 
 The boolean route holds the exact affected positions of one axis, with no
-window.  Every adjacency rule acts on one axis at a time and the impulse is
-one point, so the 2-D affected set is exactly S x S for the 1-D set S.
+window, as sorted half-open runs.  Every adjacency rule acts on one axis at a
+time and the impulse is one point, so the 2-D affected set is exactly S x S
+for the 1-D set S.
 
 The numeric route propagates the impulse alone: the stack is linear and has
 no bias, so the response to one impulse is exactly the change it makes to
@@ -30,6 +31,10 @@ values and sums them in the same order as a full-map pass would, so it is
 bitwise equal.  The boolean route uses no window, so a window that was
 too narrow would show as an executor disagreement.  Both routes cost in
 proportion to the field, not to ``sim_base``.
+
+Both routes run on Python ints and floats only: one impulse through windows
+of a few thousand positions is cheaper in plain Python than numpy's import,
+so ``verify`` never loads numpy.
 
 Upsampling semantics are first-class because nothing pins how a factor-2
 layer is realized.  ``zero-insert-transposed`` (the default) interleaves
@@ -50,9 +55,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from enum import Enum
 
-from ._np import np
 from ._record import record
 from .archgraph import ArchSpec, LayerSpec, _check_layer, map_sides
 from .fields import generative_field
@@ -74,7 +79,8 @@ AFFECTED_THRESHOLD = 0.0
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
 # Largest map, in cells, either oracle accepts; neither allocates it.  The
 # limit keeps every position index, and so every weight counter, bounded.
-# It also caps each stage's positions x taps array, which both oracles build.
+# It also caps each stage's positions x taps count, which bounds that
+# stage's work in either oracle, though neither builds such an array.
 MAX_ORACLE_CELLS = 2**26
 # SplitMix64's increment, 2**64 over the golden ratio, and its word mask.
 _GAMMA = 0x9E3779B97F4A7C15
@@ -136,7 +142,7 @@ def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> list[in
 
 
 def _check_stage(spec: LayerSpec, cells: int) -> None:
-    """Refuse a stage whose positions x taps array, its largest, passes the oracle limit."""
+    """Refuse a stage whose positions x taps, a bound on its work, pass the oracle limit."""
     if cells > MAX_ORACLE_CELLS:
         raise ValueError(
             f"layer {spec.id}: kernel {spec.kernel} needs {cells} position x tap cells, "
@@ -145,30 +151,39 @@ def _check_stage(spec: LayerSpec, cells: int) -> None:
 
 
 # --------------------------------------------------------------------------
-# Boolean route: track the sorted affected positions along one axis.
+# Boolean route: track the sorted runs of affected positions along one axis.
 
-def _spread(pos: np.ndarray, spec: LayerSpec, semantics: Semantics, length: int) -> np.ndarray:
-    """The outputs, sorted and clipped to [0, length), that inputs ``pos`` affect.
+def _spread(
+    runs: list[tuple[int, int]], spec: LayerSpec, semantics: Semantics, length: int
+) -> list[tuple[int, int]]:
+    """The runs of outputs, clipped to [0, length), that the inputs in ``runs`` affect.
 
-    Zero-insert (u > 1): p reaches u*p .. u*p+k-1.  Otherwise p repeats to
-    u*p .. u*p+u-1 and the SAME window spreads q to q-k//2 .. q+(k-1)//2.
-    ``pos`` is sorted and every window has the same width, so the clipped
-    windows merge into runs wherever one starts past the previous one's end;
-    the runs are expanded directly, in memory linear in the output.
+    ``runs`` are sorted, disjoint, non-adjacent half-open [a, b), and so are
+    the runs returned.  Zero-insert (u > 1): p reaches u*p .. u*p+k-1.
+    Otherwise p repeats to u*p .. u*p+u-1 and the SAME window spreads q to
+    q-k//2 .. q+(k-1)//2.  Every window has the same width, so the windows
+    of adjacent inputs p and p+1 meet exactly when that width is at least u:
+    then a run's windows merge into one, and otherwise each position keeps
+    its own.  A window that starts at or before the previous one's end
+    joins it.
     """
     k, u = spec.kernel, spec.upsample
     if u > 1 and semantics is Semantics.ZERO_INSERT:
         lo, hi = 0, k
     else:
         lo, hi = -(k // 2), u + (k - 1) // 2
-    _check_stage(spec, pos.size * (hi - lo))
-    # Each window holds u*p, which lies in [0, length), so none clips to empty.
-    starts = np.maximum(u * pos + lo, 0)
-    ends = np.minimum(u * pos + hi, length)
-    new_run = np.flatnonzero(starts[1:] > ends[:-1]) + 1
-    run_starts = starts[np.concatenate(([0], new_run))]
-    sizes = ends[np.append(new_run - 1, -1)] - run_starts
-    return np.arange(sizes.sum()) + np.repeat(run_starts - (np.cumsum(sizes) - sizes), sizes)
+    _check_stage(spec, sum(b - a for a, b in runs) * (hi - lo))
+    meet = hi - lo >= u
+    out: list[tuple[int, int]] = []
+    for a, b in runs:
+        for first, last in [(a, b - 1)] if meet else ((p, p) for p in range(a, b)):
+            # Each window holds u*p, which lies in [0, length), so none clips to empty.
+            start, end = max(u * first + lo, 0), min(u * last + hi, length)
+            if out and start <= out[-1][1]:
+                out[-1] = (out[-1][0], end)
+            else:
+                out.append((start, end))
+    return out
 
 
 def boolean_footprint(
@@ -187,16 +202,16 @@ def boolean_footprint(
     """
     semantics = Semantics(semantics)
     sides = _check_args(arch, layer, sim_base, dims)
-    pos = np.array([sides[layer] // 2])
+    runs = [(sides[layer] // 2, sides[layer] // 2 + 1)]
     clipped = False
     for spec, length in zip(arch.layers[layer:], sides[layer + 1 :]):
-        pos = _spread(pos, spec, semantics, length)
-        clipped |= bool(pos[0] == 0 or pos[-1] == length - 1)
+        runs = _spread(runs, spec, semantics, length)
+        clipped |= runs[0][0] == 0 or runs[-1][1] == length
     return FootprintResult(
         layer_index=layer,
         semantics=semantics,
         dims=dims,
-        footprint=int(pos[-1] - pos[0] + 1),
+        footprint=runs[-1][1] - runs[0][0],
         analytic=generative_field(arch, layer),
         clipped=clipped,
     )
@@ -207,9 +222,11 @@ def boolean_footprint(
 #
 # Each layer is one stage: z = expand(x), the identity at u = 1 and otherwise
 # x zero-inserted or repeated by u on every axis, then
-# out[q] = sum_i v[i] * z[q + off + i] with zeros outside z.  The taps v are
-# w, reversed on every axis for zero-insert; off is -(k-1)//2, or -(k-1) for
-# zero-insert.  Stages run on windows only (see numeric_footprint).
+# out[q] = sum_i v[i] * z[q + off + i] with zeros outside z, the taps added
+# in order (row-major in 2-D).  The taps v are w, reversed on every axis for
+# zero-insert; off is -(k-1)//2, or -(k-1) for zero-insert.  Stages run on
+# windows only (see numeric_footprint).  A 1-D map is a list of floats, a
+# 2-D one a list of such rows.
 
 def _offset(k: int, u: int, semantics: Semantics) -> int:
     if u > 1 and semantics is Semantics.ZERO_INSERT:
@@ -235,81 +252,108 @@ def _cone(
     return windows
 
 
-def _stage(
-    x: np.ndarray, x_lo: int, w: np.ndarray, u: int, semantics: Semantics, window: tuple[int, int]
-) -> np.ndarray:
+def _stage(x: list, x_lo: int, w: list, u: int, semantics: Semantics,
+           window: tuple[int, int]) -> list:
     """One stage's output on ``window``, the same on every axis.
 
-    ``x`` is the input from ``x_lo`` on each axis, zero outside it.  Expanded,
-    from z position u*x_lo on, it is written into one zeroed buffer of the z
-    positions the window reads, from lo + off on, which holds every nonzero
-    z position; the taps are a read-only strided view of that buffer.
+    ``x`` is the input from ``x_lo`` on each axis, zero outside it, and ``w``
+    the kernel, both 1-D or both 2-D.  Expanded, from z position u*x_lo on,
+    it is written into zeroed lists of the z positions the window reads,
+    from lo + off on, which hold every nonzero z position: in 2-D each row
+    first, then the rows.
     """
-    dims = x.ndim
-    k = w.shape[0]
+    k = len(w)
     lo, hi = window
-    start = u * x_lo - (lo + _offset(k, u, semantics))
-    buf = np.zeros((hi - lo + k - 1,) * dims)
+    n = hi - lo
+    start, size = u * x_lo - (lo + _offset(k, u, semantics)), n + k - 1
+    flip = u > 1 and semantics is Semantics.ZERO_INSERT
+    if not isinstance(w[0], list):
+        return _accumulate([0.0] * n, w[::-1] if flip else w,
+                           _expand(x, start, size, u, semantics, 0.0))
+    if flip:
+        w = [row[::-1] for row in reversed(w)]
+    rows = [_expand(row, start, size, u, semantics, 0.0) for row in x]
+    z = _expand(rows, start, size, u, semantics, [0.0] * size)
+    out = []
+    for q in range(n):
+        acc = [0.0] * n
+        for w_row, z_row in zip(w, z[q : q + k]):
+            acc = _accumulate(acc, w_row, z_row)
+        out.append(acc)
+    return out
+
+
+def _expand(x: list, start: int, size: int, u: int, semantics: Semantics, zero) -> list:
+    """``size`` copies of ``zero``, with x expanded by u written from ``start`` on.
+
+    Zero-insert puts x[i] at start + u*i, nearest at start + u*i .. start +
+    u*i + u-1; at u = 1 both copy x.  The caller only reads the list, so a
+    repeated or zero row may be one shared list.
+    """
+    z = [zero] * size
     if u > 1 and semantics is Semantics.NEAREST:
-        for axis in range(dims):
-            x = np.repeat(x, u, axis=axis)
-        dst = slice(start, start + x.shape[0])
+        z[start : start + u * len(x)] = [v for v in x for _ in range(u)]
     else:
-        # z holds x[i] at u*i and zeros between, which at u = 1 is x itself.
-        dst = slice(start, start + u * x.shape[0], u)
-        if u > 1:
-            w = w[(slice(None, None, -1),) * dims]
-    buf[(dst,) * dims] = x
-    # The view sliding_window_view would build, without its per-call checks.
-    taps = np.ndarray((hi - lo,) * dims + (k,) * dims, buf.dtype, buf,
-                      strides=buf.strides * 2)
-    taps.flags.writeable = False
-    if dims == 1:
-        return taps @ w
-    return np.einsum("qrij,ij->qr", taps, w)
+        z[start : start + u * len(x) : u] = x
+    return z
 
 
-def _weights(seed: int, stream: int, index: np.ndarray) -> np.ndarray:
-    """Stream ``stream``'s values at ``index``, uniform in [WEIGHT_LOW, WEIGHT_HIGH).
+def _accumulate(acc: list[float], w: list[float], z: list[float]) -> list[float]:
+    """acc[q] + w[0]*z[q] + w[1]*z[q+1] + ..., one pass over z per tap, in tap order."""
+    n = len(acc)
+    for i, wi in enumerate(w):
+        acc = [a + wi * b for a, b in zip(acc, z[i : i + n])]
+    return acc
+
+
+def _weights(seed: int, stream: int, index) -> list[float]:
+    """Stream ``stream``'s values at the ints ``index``, uniform in [WEIGHT_LOW, WEIGHT_HIGH).
 
     Counter-based: entry c of stream s is output s * 2**32 + c of SplitMix64
     seeded with ``seed``, the finaliser of seed + (s * 2**32 + c + 1) * gamma
-    (Steele, Lea & Flood 2014; Salmon et al. 2011).  Every value is a pure
-    function of (seed, stream, position), so any window of a stream is drawn
-    directly.  Stream s is stage s's kernel, row-major, for s >= 1; kernels
-    stay below MAX_ORACLE_CELLS taps, so streams never overlap.
+    (Steele, Lea & Flood 2014; Salmon et al. 2011), on Python ints masked to
+    64 bits.  Every value is a pure function of (seed, stream, position), so
+    any window of a stream is drawn directly.  Stream s is stage s's kernel,
+    row-major, for s >= 1; kernels stay below MAX_ORACLE_CELLS taps, so
+    streams never overlap.
     A seed of 2**64 or more is folded to 64 bits a limb at a time.
     """
     state, seed = seed & _MASK64, seed >> 64
     while seed:
-        state = int(_mix(np.array([state], np.uint64) + _GAMMA)[0]) ^ (seed & _MASK64)
+        state = _mix((state + _GAMMA) & _MASK64) ^ (seed & _MASK64)
         seed >>= 64
-    bits = _mix((index.astype(np.uint64) + ((stream << 32) + 1)) * _GAMMA + state)
-    return WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * ((bits >> 11) * 2.0**-53)
+    first, scale = (stream << 32) + 1, WEIGHT_HIGH - WEIGHT_LOW
+    return [WEIGHT_LOW + scale * ((_mix(((c + first) * _GAMMA + state) & _MASK64) >> 11) * 2.0**-53)
+            for c in index]
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser on a uint64 array, wrapping modulo 2**64; a bijection."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+def _mix(z: int) -> int:
+    """SplitMix64's finaliser on a 64-bit int, wrapping modulo 2**64; a bijection."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _span(mask: np.ndarray) -> int:
-    """Side length of the bounding box of the True region (max over axes)."""
-    hit = np.argwhere(mask)
-    return int((hit.max(axis=0) - hit.min(axis=0)).max()) + 1 if hit.size else 0
+def _span(x: list, threshold: float) -> int:
+    """Side length of the bounding box of the affected region (max over axes), 0 if none.
+
+    A 1-D map is taken as one row, whose side of 1 never exceeds its columns'.
+    """
+    rows = x if isinstance(x[0], list) else [x]
+    hits = [[i for i, line in enumerate(lines) if any(abs(v) > threshold for v in line)]
+            for lines in (zip(*rows), rows)]
+    return max(hit[-1] - hit[0] + 1 for hit in hits) if hits[0] else 0
 
 
-def _reaches_end(mask: np.ndarray, window: tuple[int, int], length: int) -> bool:
-    """Whether a window's mask is True at position 0 or length-1 of the map."""
+def _reaches_end(x: list, window: tuple[int, int], length: int, threshold: float) -> bool:
+    """Whether a window's response is affected at position 0 or length-1 of the map on any axis."""
     lo, hi = window
-    for axis in range(mask.ndim):
-        if lo == 0 and bool(np.any(mask.take(0, axis=axis))):
-            return True
-        if hi == length and bool(np.any(mask.take(-1, axis=axis))):
-            return True
-    return False
+    ends = [e for e, at_end in ((0, lo == 0), (-1, hi == length)) if at_end]
+    if isinstance(x[0], list):
+        cells = [v for e in ends for v in (*x[e], *(row[e] for row in x))]
+    else:
+        cells = [x[e] for e in ends]
+    return any(abs(v) > threshold for v in cells)
 
 
 def numeric_footprint(
@@ -363,22 +407,24 @@ def numeric_footprint(
         # Positions x taps; with at least one position, it bounds the
         # buffer, (hi - lo + k - 1)**dims, and the k**dims weights.
         _check_stage(spec, ((hi - lo) * spec.kernel) ** dims)
-    x = np.full((1,) * dims, float(magnitude))
+    x = [float(magnitude)] if dims == 1 else [[float(magnitude)]]
 
     # Each nonzero response holds a path's |magnitude| x one weight per stage.
+    # Python floats overflow to an infinity of the same sign, without a warning.
     floor = abs(magnitude)
     clipped = False
-    with np.errstate(over="ignore"):
-        for s, spec in enumerate(arch.layers[layer:], start=1):
-            w = _weights(seed, s, np.arange(spec.kernel**dims)).reshape((spec.kernel,) * dims)
-            floor *= float(w.min())
-            if floor < np.finfo(float).tiny:
-                raise ValueError(f"layer {spec.id}: impulse magnitude {magnitude} may underflow to 0")
-            x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s])
-            affected = np.abs(x) > threshold
-            clipped = clipped or _reaches_end(affected, windows[s], lengths[s])
+    for s, spec in enumerate(arch.layers[layer:], start=1):
+        k = spec.kernel
+        w = _weights(seed, s, range(k**dims))
+        floor *= min(w)
+        if floor < sys.float_info.min:
+            raise ValueError(f"layer {spec.id}: impulse magnitude {magnitude} may underflow to 0")
+        if dims == 2:
+            w = [w[i : i + k] for i in range(0, k * k, k)]
+        x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s])
+        clipped = clipped or _reaches_end(x, windows[s], lengths[s], threshold)
 
-    footprint = _span(affected)
+    footprint = _span(x, threshold)
     if footprint == 0:
         raise ValueError(f"no output position's response exceeds threshold {threshold}")
     return FootprintResult(

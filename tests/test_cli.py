@@ -963,8 +963,10 @@ def test_help_wraps_to_the_terminal_up_to_78_columns(monkeypatch, tmp_path, caps
 # interpreter that imports genfields.cli first.  The cases matching NO_NUMPY run
 # first there and must leave every numpy submodule unloaded; no case loads click,
 # dataclasses or numpy.random.
-NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|error-bad-preset$"
-                      r"|error-corrupt-arch$|error-bad-range$|error-plan-|error-two-sources$")
+NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|verify-|error-bad-preset$"
+                      r"|error-corrupt-arch$|error-bad-range$|error-plan-|error-two-sources$"
+                      r"|error-oversize-oracle$|error-reversed-range$|error-unknown-layer$"
+                      r"|error-unsupported-preset$")
 FRESH_CHILD = """
 import contextlib, io, json, os, sys
 from genfields.cli import main
@@ -1115,17 +1117,21 @@ class Spy:
             seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
 sys.meta_path.insert(0, Spy)
 from genfields.cli import main
+os.chdir(json.load(sys.stdin))
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["verify", "--preset", "stylegan2-64", "--numeric"])
+    code = main(["analyze", "deltas.csv"])
 json.dump({"code": code, "seen": seen, "after": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}, sys.stdout)
 """
 
 
 @pytest.mark.parametrize("exported", [None, "12"])
-def test_openblas_workers_sleep_at_once_unless_the_user_set_a_timeout(monkeypatch, exported):
+def test_openblas_workers_sleep_at_once_unless_the_user_set_a_timeout(monkeypatch, tmp_path,
+                                                                      exported):
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    write_golden_inputs(tmp_path)
     env = {} if exported is None else {"OPENBLAS_THREAD_TIMEOUT": exported}
-    assert _fresh(BLAS_SPY, [], **env) == {"code": 0, "seen": [exported or "4"], "after": exported}
+    assert _fresh(BLAS_SPY, str(tmp_path), **env) == {"code": 0, "seen": [exported or "4"],
+                                                       "after": exported}
 
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])

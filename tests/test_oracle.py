@@ -146,6 +146,7 @@ def test_overflowing_impulse_gives_boolean_footprint(monkeypatch, magnitude):
                     num = numeric_footprint(arch, layer, sem, 8, dims=dims, magnitude=magnitude)
                     assert num == boolean_footprint(arch, layer, sem, 8, dims), (sem, dims, layer)
     # the response did overflow, to an infinity of the impulse's sign and never to NaN
+    outputs = [np.asarray(out) for out in outputs]
     assert any((np.copysign(1.0, magnitude) * out == math.inf).any() for out in outputs)
     assert not any(np.isnan(out).any() for out in outputs)
 
@@ -244,11 +245,10 @@ def test_footprint_at_every_layer_of_preset8():
 
 
 # --------------------------------------------------------------------------
-# Reference: the full-map executor the windowed one replaced.  Its stages are
-# kept verbatim; reference_numeric runs them on the impulse alone, with the
-# oracle's weight streams, over the whole map.
-
-from numpy.lib.stride_tricks import sliding_window_view  # noqa: E402
+# Reference: the full-map executor the windowed one replaced.  reference_numeric
+# runs its stages on the impulse alone, with the oracle's weight streams, over
+# the whole map.  Each output adds its taps in the executor's order, row-major,
+# one tap at a time, so the two agree bitwise.
 
 from genfields import oracle  # noqa: E402
 from genfields.oracle import (  # noqa: E402
@@ -260,57 +260,47 @@ from genfields.oracle import (  # noqa: E402
 )
 
 
-def _conv_same_1d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    k = w.size
-    pad = (k - 1) // 2
-    xp = np.pad(x, (pad, k - 1 - pad))
-    return sliding_window_view(xp, k) @ w
+def _correlate(zp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """out[q] = sum_i w[i] * zp[q + i] on every axis, the taps added one at a time, row-major."""
+    n = zp.shape[0] - w.shape[0] + 1
+    out = np.zeros((n,) * zp.ndim)
+    for tap in np.ndindex(w.shape):
+        out += w[tap] * zp[tuple(slice(i, i + n) for i in tap)]
+    return out
 
 
-def _conv_same_2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _conv_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     k = w.shape[0]
     pad = (k - 1) // 2
-    xp = np.pad(x, ((pad, k - 1 - pad), (pad, k - 1 - pad)))
-    return np.einsum("qrij,ij->qr", sliding_window_view(xp, (k, k)), w)
+    return _correlate(np.pad(x, (pad, k - 1 - pad)), w)
 
 
-def _zero_insert_conv_1d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    k = w.size
-    z = np.zeros(x.size * u, dtype=x.dtype)
-    z[::u] = x
-    zp = np.pad(z, (k - 1, 0))
+def _zero_insert_conv(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
+    k = w.shape[0]
+    z = np.zeros(tuple(u * n for n in x.shape), dtype=x.dtype)
+    z[(slice(None, None, u),) * x.ndim] = x
     # out[q] = sum_j w[j] * z[q - j]
-    return sliding_window_view(zp, k) @ w[::-1]
+    return _correlate(np.pad(z, (k - 1, 0)), np.flip(w))
 
 
-def _zero_insert_conv_2d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    k = w.shape[0]
-    z = np.zeros((x.shape[0] * u, x.shape[1] * u), dtype=x.dtype)
-    z[::u, ::u] = x
-    zp = np.pad(z, ((k - 1, 0), (k - 1, 0)))
-    return np.einsum("qrij,ij->qr", sliding_window_view(zp, (k, k)), w[::-1, ::-1])
-
-
-def _nearest_conv_1d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    return _conv_same_1d(np.repeat(x, u), w)
-
-
-def _nearest_conv_2d(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
-    return _conv_same_2d(np.repeat(np.repeat(x, u, axis=0), u, axis=1), w)
+def _nearest_conv(x: np.ndarray, w: np.ndarray, u: int) -> np.ndarray:
+    for axis in range(x.ndim):
+        x = np.repeat(x, u, axis=axis)
+    return _conv_same(x, w)
 
 
 def _numeric_step(x: np.ndarray, w: np.ndarray, u: int, semantics: Semantics) -> np.ndarray:
-    if x.ndim == 1:
-        if u == 1:
-            return _conv_same_1d(x, w)
-        if semantics is Semantics.ZERO_INSERT:
-            return _zero_insert_conv_1d(x, w, u)
-        return _nearest_conv_1d(x, w, u)
     if u == 1:
-        return _conv_same_2d(x, w)
+        return _conv_same(x, w)
     if semantics is Semantics.ZERO_INSERT:
-        return _zero_insert_conv_2d(x, w, u)
-    return _nearest_conv_2d(x, w, u)
+        return _zero_insert_conv(x, w, u)
+    return _nearest_conv(x, w, u)
+
+
+def _span(mask: np.ndarray) -> int:
+    """Side length of the bounding box of the True region (max over axes)."""
+    hit = np.argwhere(mask)
+    return int((hit.max(axis=0) - hit.min(axis=0)).max()) + 1 if hit.size else 0
 
 
 def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
@@ -325,7 +315,7 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
     clipped = False
     for stream, spec in enumerate(arch.layers[layer:], start=1):
         kshape = (spec.kernel,) * dims
-        w = oracle._weights(seed, stream, np.arange(spec.kernel**dims)).reshape(kshape)
+        w = np.array(oracle._weights(seed, stream, range(spec.kernel**dims))).reshape(kshape)
         x = _numeric_step(x, w, spec.upsample, semantics)
         stages.append(x)
         affected = np.abs(x) > threshold
@@ -335,7 +325,7 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
         layer_index=layer,
         semantics=semantics,
         dims=dims,
-        footprint=oracle._span(affected),
+        footprint=_span(affected),
         analytic=generative_field(arch, layer),
         clipped=clipped,
     )
@@ -392,7 +382,7 @@ def test_windowed_executor_bitwise_equals_full_map(monkeypatch):
         assert len(calls) == len(stages)
         for (window, out), full in zip(calls, stages):
             inside = (slice(window[0], window[1]),) * dims
-            assert np.array_equal(out, full[inside]), (arch, layer, sem, sim_base, dims)
+            assert np.array_equal(np.asarray(out), full[inside]), (arch, layer, sem, sim_base, dims)
             outside = np.ones(full.shape, dtype=bool)
             outside[inside] = False
             assert not np.any(full[outside]), (arch, layer, sem, sim_base, dims)
@@ -540,7 +530,7 @@ def reference_boolean(arch, layer, semantics, sim_base, dims):
         layer_index=layer,
         semantics=semantics,
         dims=dims,
-        footprint=oracle._span(mask),
+        footprint=_span(mask),
         analytic=generative_field(arch, layer),
         clipped=clipped,
     )
@@ -607,9 +597,37 @@ def test_spread_equals_sort_and_dedupe(side, k, u, semantics, data):
     pos = np.array(sorted(data.draw(st.sets(st.integers(0, side - 1), min_size=1))))
     spec = LayerSpec("conv0", k, u, 1, 1)
     expected = _reference_spread(pos, spec, semantics, u * side)
-    result = oracle._spread(pos, spec, semantics, u * side)
-    assert result.dtype == expected.dtype
-    assert np.array_equal(result, expected)
+    assert oracle._spread(_runs(pos), spec, semantics, u * side) == _runs(expected)
+
+
+def _runs(pos):
+    """Sorted distinct positions as their maximal half-open runs [a, b)."""
+    runs = []
+    for p in map(int, pos):
+        if runs and runs[-1][1] == p:
+            runs[-1] = (runs[-1][0], p + 1)
+        else:
+            runs.append((p, p + 1))
+    return runs
+
+
+_GAPPED = st.integers(2, 4).flatmap(lambda u: st.tuples(st.integers(1, u - 1), st.just(u)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(layers=st.lists(st.one_of(_GAPPED, st.tuples(st.integers(1, 3), st.just(1))),
+                       min_size=1, max_size=4),
+       side=st.integers(1, 12), data=st.data())
+def test_spread_keeps_the_gaps_of_zero_insert_stacks(layers, side, data):
+    # k < u: the windows of adjacent inputs never meet, so every position keeps
+    # its own run until a stride-1 layer merges some of them.
+    pos = np.array(sorted(data.draw(st.sets(st.integers(0, side - 1), min_size=1))))
+    runs, length = _runs(pos), side
+    for k, u in layers:
+        spec, length = LayerSpec("conv0", k, u, 1, 1), length * u
+        pos = _reference_spread(pos, spec, Semantics.ZERO_INSERT, length)
+        runs = oracle._spread(runs, spec, Semantics.ZERO_INSERT, length)
+        assert runs == _runs(pos), (layers, side)
 
 
 # --------------------------------------------------------------------------
@@ -655,21 +673,21 @@ def _splitmix64(seed, count, skip=0):
 def test_weights_are_splitmix64_outputs(seed, stream):
     bits = np.array(_splitmix64(seed, 50, skip=stream << 32), dtype=np.uint64)
     expected = WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * ((bits >> 11) * 2.0**-53)
-    assert np.array_equal(oracle._weights(seed, stream, np.arange(50)), expected)
+    assert np.array_equal(oracle._weights(seed, stream, range(50)), expected)
 
 
 def test_weights_reach_neither_end_of_the_range(monkeypatch):
     # The extreme finaliser outputs map to WEIGHT_LOW and to just below WEIGHT_HIGH.
-    for bits, expected in ((0, WEIGHT_LOW), (2**64 - 1, np.nextafter(WEIGHT_HIGH, 0))):
-        monkeypatch.setattr(oracle, "_mix", lambda z, bits=bits: np.full_like(z, bits))
-        assert oracle._weights(7, 0, np.arange(1))[0] == expected
+    for bits, expected in ((0, WEIGHT_LOW), (2**64 - 1, math.nextafter(WEIGHT_HIGH, 0))):
+        monkeypatch.setattr(oracle, "_mix", lambda z, bits=bits: bits)
+        assert oracle._weights(7, 0, range(1)) == [expected]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**130), stream=st.integers(0, 40), n=st.integers(1, 40),
        dims=st.integers(1, 2), data=st.data())
 def test_weight_windows_equal_slices_of_the_whole_stream(seed, stream, n, dims, data):
-    whole = oracle._weights(seed, stream, np.arange(n**dims))
-    assert np.all((whole >= WEIGHT_LOW) & (whole < WEIGHT_HIGH))
-    index = np.array(data.draw(st.lists(st.integers(0, n**dims - 1), max_size=20)), dtype=np.int64)
-    assert np.array_equal(oracle._weights(seed, stream, index), whole[index])
+    whole = oracle._weights(seed, stream, range(n**dims))
+    assert all(WEIGHT_LOW <= v < WEIGHT_HIGH for v in whole)
+    index = data.draw(st.lists(st.integers(0, n**dims - 1), max_size=20))
+    assert oracle._weights(seed, stream, index) == [whole[i] for i in index]

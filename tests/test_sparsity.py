@@ -294,6 +294,10 @@ def test_matrix_paths_equal_reference_loops_1000_cases():
 def test_matrix_paths_equal_reference_loops_property(matrix_and_k, bins):
     rows, k = matrix_and_k
     assert_matches_reference(np.array(rows), k, bins)
+    # every top-k set holds min(k, dim) dims, so their union lies between one set and all
+    n, dim = len(rows), len(rows[0])
+    union = reuse_rates([topk_set(row, k) for row in rows]).union_dims
+    assert min(k, dim) <= len(union) <= min(n * k, dim)
 
 
 def reference_topk_dims(delta, k) -> frozenset[int]:
