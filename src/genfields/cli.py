@@ -468,21 +468,23 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 
 # ----------------------------------------------------------------- stats ---
 
+def _naming(source: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ValueError it raises is raised again with ``source: `` before it."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 @_command(
     "stats", _option("STYLES_CSV"),
     _option("--epsilon-floor", "FLOAT", default=DEFAULT_EPSILON_FLOOR, show_default=True), _OUTPUT,
 )
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
-    try:
-        _check_floor(epsilon_floor)  # a bad floor fails before the CSV is read
-    except ValueError as exc:
-        raise ValueError(f"{styles_csv}: {exc}") from None
+    _naming(styles_csv, _check_floor, epsilon_floor)  # a bad floor fails before the CSV is read
     styles = load_vectors_csv(styles_csv)
-    try:
-        stats = estimate_stats(styles, epsilon_floor=epsilon_floor)
-    except ValueError as exc:
-        raise ValueError(f"{styles_csv}: {exc}") from None
+    stats = _naming(styles_csv, estimate_stats, styles, epsilon_floor=epsilon_floor)
     params = {
         "input": styles_csv,
         "samples": stats.sample_count,
@@ -630,26 +632,31 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
         parts = dict(zip(terms, _parse_triple(components, "--components")))
     else:
         parts = {}
+        # Errors of a pair's loss name both its files; load errors name their own.
         if _paired("--id-embedding", id_embedding, "--out-embedding", out_embedding):
-            parts["identity_loss"] = identity_loss(
-                _load_one(id_embedding, load_vectors_csv, "a single embedding row"),
-                _load_one(out_embedding, load_vectors_csv, "a single embedding row"))
+            a = _load_one(id_embedding, load_vectors_csv, "a single embedding row")
+            b = _load_one(out_embedding, load_vectors_csv, "a single embedding row")
+            parts["identity_loss"] = _naming(f"{id_embedding}, {out_embedding}", identity_loss,
+                                             a, b)
         if _paired("--attr-landmarks", attr_landmarks, "--out-landmarks", out_landmarks):
-            parts["landmark_loss"] = landmark_loss(
-                _load_one(attr_landmarks, load_landmarks_csv, "landmarks for one face"),
-                _load_one(out_landmarks, load_landmarks_csv, "landmarks for one face"),
-                inner_only=not all_landmarks)
+            a = _load_one(attr_landmarks, load_landmarks_csv, "landmarks for one face")
+            b = _load_one(out_landmarks, load_landmarks_csv, "landmarks for one face")
+            parts["landmark_loss"] = _naming(f"{attr_landmarks}, {out_landmarks}", landmark_loss,
+                                             a, b, inner_only=not all_landmarks)
         if _paired("--attr-angles", attr_angles, "--out-angles", out_angles):
             scale = math.pi / 180.0 if degrees else 1.0
-            a = EulerAngles(*(v * scale for v in _parse_triple(attr_angles, "--attr-angles")))
-            b = EulerAngles(*(v * scale for v in _parse_triple(out_angles, "--out-angles")))
+            a = _naming("--attr-angles", EulerAngles,
+                        *[v * scale for v in _parse_triple(attr_angles, "--attr-angles")])
+            b = _naming("--out-angles", EulerAngles,
+                        *[v * scale for v in _parse_triple(out_angles, "--out-angles")])
             parts["pose_loss"] = pose_loss(a, b)
         if "landmark_loss" in parts or "pose_loss" in parts:
             parts["attr_loss"] = attr_loss(parts.get("landmark_loss", 0.0),
                                            parts.get("pose_loss", 0.0))
         if _paired("--attr-image", attr_image, "--out-image", out_image):
-            parts["reconstruction_loss"] = reconstruction_loss(
-                _load_image(attr_image), _load_image(out_image), alpha=alpha,
+            a, b = _load_image(attr_image), _load_image(out_image)
+            parts["reconstruction_loss"] = _naming(
+                f"{attr_image}, {out_image}", reconstruction_loss, a, b, alpha=alpha,
                 same_inputs=same_inputs, scales=scales)
         if not parts:
             raise ValueError("no inputs given; see --help for the accepted pairs")

@@ -7,8 +7,12 @@ control signals, embeddings) are CSV with one vector per row and an optional
 x,y,z -- or, equivalently, one face per 204-column row.
 
 Every numeric CSV is read by :func:`_numeric_csv`: numpy's C reader for a
-plain file, the exact reader (csv rows, then ``float()`` per cell) for
-anything else and for every error, with the same values either way.
+plain text of at least :data:`C_READER_MIN_CHARS` characters, the exact reader
+(csv rows, then ``float()`` per cell) for anything else and for every error,
+with the same values either way.  The exact reader holds the values in an
+``array('d')`` and first touches numpy to return the matrix, so a malformed
+small CSV fails without importing numpy; below the constant, a valid one
+costs it at most about 0.6 ms more than the C reader.
 Every path is opened by :func:`_load` or :func:`_save`, which name it in
 every error; other modules read and write their files through them.
 """
@@ -19,10 +23,12 @@ import csv
 import errno
 import io
 import itertools
+import math
 import os
 import re
 import stat
 import warnings
+from array import array
 
 from ._np import np
 from .losses import LANDMARK_COUNT, as_image
@@ -180,28 +186,30 @@ def _csv_rows(text: str, what: str) -> list[list[str]]:
 def _numeric_rows(rows: list[list[str]], what: str, width: int | None = None) -> np.ndarray:
     """``rows`` as a float matrix, ``width`` (default: the first row's) finite numbers each.
 
-    Errors begin with ``what`` and name the row, counting from 1, and a bad cell's column.
+    Errors begin with ``what`` and name the row, counting from 1, and a bad cell's column:
+    a short or long row or an unreadable cell, the first in row order, else the first
+    non-finite cell in row-major order.  numpy is first touched to return the matrix.
     """
     if not rows:
         raise ValueError(f"{what} contains no data rows")
     width = len(rows[0]) if width is None else width
-    data = np.empty((len(rows), width))
+    values = array("d")  # 8 bytes a value, as the matrix it becomes
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{what} row {i + 1}: expected {width} columns, got {len(row)}")
         try:
-            data[i] = [float(cell) for cell in row]
+            values.fromlist(list(map(float, row)))
         except ValueError:
             for j, cell in enumerate(row):
                 try:
                     float(cell)
                 except ValueError as exc:
                     raise ValueError(f"{what} row {i + 1}, column {j + 1}: {exc}") from None
-    finite = np.isfinite(data)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"{what} row {i + 1}, column {j + 1}: non-finite value {data[i, j]}")
-    return data
+    if not all(map(math.isfinite, values)):
+        k = next(k for k, value in enumerate(values) if not math.isfinite(value))
+        raise ValueError(f"{what} row {k // width + 1}, column {k % width + 1}: "
+                         f"non-finite value {values[k]}")
+    return np.frombuffer(values).reshape(len(rows), width)
 
 
 def _long_cell(text: str, limit: int) -> bool:
@@ -270,6 +278,15 @@ def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
     return data
 
 
+# Texts shorter than this go straight to the exact reader.  A malformed one, whose
+# error is always the exact reader's, then fails without numpy's import: `stats`
+# on a ragged CSV 0.070 s against 0.142 s.  A valid one costs the exact reader
+# little more than the C reader up to here: 0.029 vs 0.024 ms at 1.2 KB, 0.42 vs
+# 0.24 ms at 20 KB, 1.32 vs 0.74 ms at 63 KB; and the gap grows with the text
+# (2-vCPU Xeon, Python 3.11, numpy 2.4).
+C_READER_MIN_CHARS = 2**16
+
+
 def _numeric_csv(text: str, what: str, header, width: int | None = None,
                  header_only: str | None = None) -> np.ndarray:
     """The rows of ``text`` after any header row as a float matrix: see :func:`_numeric_rows`.
@@ -278,12 +295,14 @@ def _numeric_csv(text: str, what: str, header, width: int | None = None,
     no row, and says whether that row is a header; it raises ValueError for a
     text that has the wrong one.  A header with no row after it raises
     ``header_only``, if given, or else the error for no rows.  numpy's C reader
-    reads a plain text (:func:`_loadtxt`); anything else, and every error, is
-    the exact reader's: csv rows, then ``float()`` per cell.
+    reads a plain text of at least :data:`C_READER_MIN_CHARS` characters
+    (:func:`_loadtxt`); anything else, and every error, is the exact reader's:
+    csv rows, then ``float()`` per cell.
     """
-    data = _loadtxt(text, header, width)
-    if data is not None:
-        return data
+    if len(text) >= C_READER_MIN_CHARS:
+        data = _loadtxt(text, header, width)
+        if data is not None:
+            return data
     rows = _csv_rows(text, what)
     if header([cell.strip() for cell in rows[0]] if rows else None):
         rows = rows[1:]

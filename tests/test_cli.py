@@ -786,11 +786,11 @@ def test_losses_non_finite_triple_exits_1(capsys, argv, message):
 
 
 def test_losses_far_apart_embeddings_exit_1(capsys, tmp_path):
-    (tmp_path / "e1.csv").write_text("1e308,0\n")
-    (tmp_path / "e2.csv").write_text("-1e308,0\n")
-    assert run(capsys, "losses", "--id-embedding", str(tmp_path / "e1.csv"),
-               "--out-embedding", str(tmp_path / "e2.csv")) == (
-        1, "", "Error: identity loss overflows float64\n")
+    e1, e2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
+    e1.write_text("1e308,0\n")
+    e2.write_text("-1e308,0\n")
+    assert run(capsys, "losses", "--id-embedding", str(e1), "--out-embedding", str(e2)) == (
+        1, "", f"Error: {e1}, {e2}: identity loss overflows float64\n")
 
 
 # ---------------------------------------------------- verify, numeric golden ---
@@ -966,7 +966,8 @@ def test_help_wraps_to_the_terminal_up_to_78_columns(monkeypatch, tmp_path, caps
 NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|verify-|error-bad-preset$"
                       r"|error-corrupt-arch$|error-bad-range$|error-plan-|error-two-sources$"
                       r"|error-oversize-oracle$|error-reversed-range$|error-unknown-layer$"
-                      r"|error-unsupported-preset$")
+                      r"|error-unsupported-preset$|error-ragged-csv$|error-bad-cell$"
+                      r"|error-non-finite-analyze$|error-non-finite-stats$")
 FRESH_CHILD = """
 import contextlib, io, json, os, sys
 from genfields.cli import main

@@ -1,6 +1,7 @@
 import errno
 import os
 import re
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -299,21 +300,20 @@ def test_missing_file_mentions_path():
 # ------------------------------------------- numpy's reader against the exact one ---
 
 def read_both(parse, text):
-    """The outcome of ``parse(text)``, then the same with numpy's reader switched off.
+    """The outcome of ``parse(text)`` with numpy's reader tried at every size, then at none.
 
     An outcome is the error message, or the dtype, shape and bytes of each array.
     """
-    def outcome():
-        try:
-            result = parse(text)
-        except ValueError as exc:
-            return "error", str(exc)
+    def outcome(min_chars):
+        with mock.patch.object(fileio, "C_READER_MIN_CHARS", min_chars):
+            try:
+                result = parse(text)
+            except ValueError as exc:
+                return "error", str(exc)
         arrays = (result,) if isinstance(result, np.ndarray) else (result.mu, result.sigma)
         return "ok", [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
-    fast = outcome()
-    with mock.patch.object(fileio, "_loadtxt", lambda *args: None):
-        return fast, outcome()
+    return outcome(0), outcome(sys.maxsize)
 
 
 def served_by_loadtxt(text):
@@ -355,6 +355,63 @@ def test_numpy_reader_agrees_with_exact_reader_property(text):
     for parse in (parse_vectors_csv, parse_stats_csv):
         fast, exact = read_both(parse, text)
         assert fast == exact
+
+
+EDGE_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, 1e308])).map(repr)
+
+
+@st.composite
+def matrix_csv_texts(draw):
+    """A vector or statistics CSV of ``repr``-rendered numbers, at most one cell gone wrong."""
+    lines = draw(st.lists(st.sampled_from(["# note", "", " "]), max_size=2))
+    if draw(st.booleans()):
+        width, head = 3, ["dim,mu,sigma"]
+        rows = [[str(i), draw(EDGE_NUMBERS), draw(EDGE_NUMBERS)]
+                for i in range(draw(st.integers(1, 4)))]
+    else:
+        width = draw(st.integers(1, 4))
+        head = draw(st.sampled_from([[], [",".join(f"d{j}" for j in range(width))]]))
+        rows = draw(st.lists(st.lists(EDGE_NUMBERS, min_size=width, max_size=width),
+                             min_size=1, max_size=4))
+    fault = draw(st.sampled_from([None, "short", "x", "nan", "inf"]))
+    if fault:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "short":
+            row.pop()
+        else:
+            row[draw(st.integers(0, width - 1))] = fault
+    return "".join(line + "\n" for line in lines + head + [",".join(row) for row in rows])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(matrix_csv_texts())
+def test_readers_agree_on_either_side_of_the_size_constant_property(text):
+    for parse in (parse_vectors_csv, parse_stats_csv):
+        fast, exact = read_both(parse, text)
+        assert fast == exact
+
+
+def test_error_precedence_on_either_side():
+    # Width and parse errors first, in row order; then the first non-finite cell, row-major.
+    for parse, text, message in [
+        (parse_vectors_csv, "1,2\n3,nan\n5,6\n7,8\n9\n", "vector CSV row 5: expected 2 columns"),
+        (parse_stats_csv, "dim,mu,sigma\n0,1,1\n1,nan,1\n2,1,1\n3,1,1\n4,x,1\n",
+         "statistics CSV row 5, column 2: could not convert string to float: 'x'"),
+        (parse_vectors_csv, "1,2\n3,-inf\nnan,6\n", "vector CSV row 2, column 2: non-finite value -inf"),
+    ]:
+        fast, exact = read_both(parse, text)
+        assert fast == exact
+        assert fast[0] == "error" and fast[1].startswith(message)
+
+
+def test_small_malformed_texts_never_reach_numpy(monkeypatch):
+    # Every error below the size constant is the exact reader's, raised before numpy is touched.
+    monkeypatch.setattr(fileio, "_loadtxt", None)
+    monkeypatch.setattr(fileio, "np", None)
+    for text in ("1,2\n3\n", "1,2\n3,x\n", "1,2\n3,inf\n", "d0,d1\n", "# only\n"):
+        with pytest.raises(ValueError):
+            parse_vectors_csv(text)
 
 
 @pytest.mark.parametrize("text, served", [
