@@ -221,12 +221,17 @@ def _resolve_arch(preset: str | None, arch_path: str | None) -> ArchSpec:
     return load_arch(arch_path)
 
 
-def _layer_range(arch: ArchSpec, spec: str) -> range:
-    """Indices of the layers ``first..last`` names, both ends included."""
+def _range_ends(spec: str) -> tuple[str, str]:
+    """The layer ids ``first`` and ``last`` of a range ``first..last``."""
     first, sep, last = spec.partition("..")
     if not sep or not first or not last:
         raise ValueError(f"layer range must look like conv0..conv7, got {spec!r}")
-    return _layer_span([layer.id for layer in arch.layers], first, last, arch.name)
+    return first, last
+
+
+def _layer_range(arch: ArchSpec, spec: str) -> range:
+    """Indices of the layers ``first..last`` names, both ends included."""
+    return _layer_span([layer.id for layer in arch.layers], *_range_ends(spec), arch.name)
 
 
 def _paired(first: str, a, second: str, b) -> bool:
@@ -377,8 +382,8 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
         _paired("--min-gf", min_gf, "--max-gf", max_gf)
         plan = plan_by_gf(table, layout, min_gf, max_gf)
     else:
-        span = _layer_range(arch, PLAN_CONFIGS.get(config_index, layer_span))
-        plan = plan_by_layers(table, layout, arch.layers[span[0]].id, arch.layers[span[-1]].id)
+        ends = _range_ends(PLAN_CONFIGS.get(config_index, layer_span))
+        plan = plan_by_layers(table, layout, *ends)
     mode = {"config": config_index, "min_gf": min_gf, "max_gf": max_gf, "layers": layer_span}
     params = {"arch": arch.name, **{k: v for k, v in mode.items() if v is not None}, "format": fmt}
 
@@ -508,9 +513,8 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
     stats = load_stats_csv(stats_csv_path)
     samples = load_vectors_csv(samples_csv)
     if samples.shape[1] != stats.dims:
-        raise ValueError(
-            f"sample dimension {samples.shape[1]} does not match statistics dimension {stats.dims}"
-        )
+        raise ValueError(f"{stats_csv_path}, {samples_csv}: sample dimension {samples.shape[1]} "
+                         f"does not match statistics dimension {stats.dims}")
 
     values, grads = [], []
     for t, row in enumerate(samples):
@@ -814,9 +818,9 @@ def _help(command: str | None) -> str:
     return "\n".join(out) + "\n"
 
 
-# Numpy's C extension under its numpy 2 and numpy 1 names.  Importing it loads OpenBLAS,
-# which starts its worker threads.
-_NUMPY_CORE = {"numpy._core._multiarray_umath", "numpy.core._multiarray_umath"}
+# Numpy 2's C extension (pyproject.toml requires numpy >= 2.0).  Importing it loads
+# OpenBLAS, which starts its worker threads.
+_NUMPY_CORE = "numpy._core._multiarray_umath"
 
 
 def _quiet_blas() -> bool:
@@ -827,7 +831,7 @@ def _quiet_blas() -> bool:
     minimum; OpenBLAS reads it once, when numpy loads, so a process that has already
     loaded numpy, or a timeout the user exported, is left as it is.
     """
-    if _NUMPY_CORE & sys.modules.keys() or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+    if _NUMPY_CORE in sys.modules or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
         return False
     os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
     return True

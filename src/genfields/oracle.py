@@ -12,7 +12,8 @@ Two independent propagation routes are implemented on purpose:
 * :func:`boolean_footprint` tracks the sorted runs of affected positions
   using index adjacency rules only;
 * :func:`numeric_footprint` runs a real convolution executor with strictly
-  positive seeded pseudo-random weights and measures the impulse response.
+  positive seeded pseudo-random weights and measures the impulse response,
+  counting a position as affected where that response is nonzero.
 
 Positive weights forbid cancellation, so the two must agree; the test suite
 asserts that they do.  Neither route shares code with the analytic formula.
@@ -75,7 +76,6 @@ __all__ = [
 
 DEFAULT_SEED = 7
 
-AFFECTED_THRESHOLD = 0.0
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
 # Largest map, in cells, either oracle accepts; neither allocates it.  The
 # limit keeps every position index, and so every weight counter, bounded.
@@ -334,26 +334,25 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _span(x: list, threshold: float) -> int:
-    """Side length of the bounding box of the affected region (max over axes), 0 if none.
+def _span(x: list) -> int:
+    """Side length of the bounding box of the nonzero response (max over axes).
 
     A 1-D map is taken as one row, whose side of 1 never exceeds its columns'.
     """
     rows = x if isinstance(x[0], list) else [x]
-    hits = [[i for i, line in enumerate(lines) if any(abs(v) > threshold for v in line)]
-            for lines in (zip(*rows), rows)]
-    return max(hit[-1] - hit[0] + 1 for hit in hits) if hits[0] else 0
+    hits = [[i for i, line in enumerate(lines) if any(line)] for lines in (zip(*rows), rows)]
+    return max(hit[-1] - hit[0] + 1 for hit in hits)
 
 
-def _reaches_end(x: list, window: tuple[int, int], length: int, threshold: float) -> bool:
-    """Whether a window's response is affected at position 0 or length-1 of the map on any axis."""
+def _reaches_end(x: list, window: tuple[int, int], length: int) -> bool:
+    """Whether a window's response is nonzero at position 0 or length-1 of the map on any axis."""
     lo, hi = window
     ends = [e for e, at_end in ((0, lo == 0), (-1, hi == length)) if at_end]
     if isinstance(x[0], list):
         cells = [v for e in ends for v in (*x[e], *(row[e] for row in x))]
     else:
         cells = [x[e] for e in ends]
-    return any(abs(v) > threshold for v in cells)
+    return any(cells)
 
 
 def numeric_footprint(
@@ -364,16 +363,15 @@ def numeric_footprint(
     seed: int = DEFAULT_SEED,
     dims: int = 1,
     magnitude: float = 1.0,
-    threshold: float = AFFECTED_THRESHOLD,
 ) -> FootprintResult:
     """Measure the footprint with a real executor instead of adjacency rules.
 
     The stack is instantiated with seeded weights in [0.1, 1.0), drawn
     counter-based (see :func:`_weights`), and ``magnitude`` at one interior
-    input position is propagated alone; positions whose absolute response
-    exceeds ``threshold`` count as affected.  The stack is linear with no
-    bias, so this is exactly the change the impulse makes to any input,
-    f(base + d) - f(base) = f(d), and no base values round its edges away.
+    input position is propagated alone; positions whose response is nonzero
+    count as affected.  The stack is linear with no bias, so this is exactly
+    the change the impulse makes to any input, f(base + d) - f(base) = f(d),
+    and no base values round its edges away.
     Positive weights forbid cancellation, so this agrees with
     :func:`boolean_footprint` on every architecture, even where the response
     overflows: its terms share the impulse's sign, so it becomes an infinity
@@ -384,8 +382,10 @@ def numeric_footprint(
     the cost follows the field size, not ``sim_base``.
 
     ``seed`` is any non-negative integer, numpy's included; ``magnitude`` must
-    be finite, nonzero and large enough that no response underflows to zero;
-    ``threshold`` must be finite and non-negative.
+    be finite, nonzero and large enough that no response underflows to zero.
+    Then some output is always affected: every path product stays at or above
+    the smallest normal float, no sum cancels, and every window of the cone
+    holds a reached position.
     """
     semantics = Semantics(semantics)
     lengths = _check_args(arch, layer, sim_base, dims)[layer:]
@@ -398,10 +398,6 @@ def numeric_footprint(
         raise ValueError(f"impulse magnitude must be finite, got {magnitude}")
     if magnitude == 0.0:
         raise ValueError("impulse magnitude must be nonzero")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
     windows = _cone(arch, layer, semantics, lengths)
     for spec, (lo, hi) in zip(arch.layers[layer:], windows[1:]):
         # Positions x taps; with at least one position, it bounds the
@@ -422,16 +418,13 @@ def numeric_footprint(
         if dims == 2:
             w = [w[i : i + k] for i in range(0, k * k, k)]
         x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s])
-        clipped = clipped or _reaches_end(x, windows[s], lengths[s], threshold)
+        clipped = clipped or _reaches_end(x, windows[s], lengths[s])
 
-    footprint = _span(x, threshold)
-    if footprint == 0:
-        raise ValueError(f"no output position's response exceeds threshold {threshold}")
     return FootprintResult(
         layer_index=layer,
         semantics=semantics,
         dims=dims,
-        footprint=footprint,
+        footprint=_span(x),
         analytic=generative_field(arch, layer),
         clipped=clipped,
     )

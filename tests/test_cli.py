@@ -296,6 +296,19 @@ def test_plan_requires_one_mode(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("selection", [["--layers", "conv0..conv2"], ["--config", "4"]])
+def test_plan_resolves_its_layer_range_once(capsys, monkeypatch, selection):
+    from genfields import cli, stylespace
+
+    calls = []
+    span = stylespace._layer_span
+    for module in (cli, stylespace):
+        monkeypatch.setattr(module, "_layer_span", lambda *a: calls.append(a) or span(*a))
+    code, out, _ = run(capsys, "plan", "--preset", "stylegan2-256", *selection)
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("span", ["conv0..conv99", "conv3..conv1"])
 def test_plan_layer_range_errors_match_verify(capsys, span):
     plan = run(capsys, "plan", "--preset", "stylegan2-256", "--layers", span)
@@ -967,7 +980,7 @@ NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|verify-|e
                       r"|error-corrupt-arch$|error-bad-range$|error-plan-|error-two-sources$"
                       r"|error-oversize-oracle$|error-reversed-range$|error-unknown-layer$"
                       r"|error-unsupported-preset$|error-ragged-csv$|error-bad-cell$"
-                      r"|error-non-finite-analyze$|error-non-finite-stats$")
+                      r"|error-non-finite-analyze$|error-non-finite-stats$|error-losses-lambdas-")
 FRESH_CHILD = """
 import contextlib, io, json, os, sys
 from genfields.cli import main
@@ -1135,6 +1148,15 @@ def test_openblas_workers_sleep_at_once_unless_the_user_set_a_timeout(monkeypatc
                                                        "after": exported}
 
 
+def test_openblas_timeout_is_left_alone_once_numpy_has_loaded(monkeypatch):
+    from genfields import cli
+
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    assert cli._NUMPY_CORE in sys.modules  # the name of the extension this numpy loaded
+    assert not cli._quiet_blas()
+    assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+
+
 @pytest.mark.parametrize("numpy_loaded", [True, False])
 @pytest.mark.parametrize("argv", [["verify", "--preset", "stylegan2-64", "--numeric"],
                                   ["analyze", "gone.csv"], ["verify", "--bogus"]])
@@ -1143,7 +1165,7 @@ def test_main_leaves_os_environ_as_it_was(capsys, monkeypatch, argv, numpy_loade
 
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
     if not numpy_loaded:  # as in a fresh interpreter, where main adds the variable
-        monkeypatch.setattr(cli, "_NUMPY_CORE", set())
+        monkeypatch.setattr(cli, "_NUMPY_CORE", "numpy._core.never_loaded")
     before = dict(os.environ)
     run(capsys, *argv)
     assert dict(os.environ) == before

@@ -122,14 +122,17 @@ def test_zero_magnitude_rejected():
 
 
 @pytest.mark.parametrize("name, value", [
-    *((name, value) for name in ("magnitude", "threshold")
-      for value in (math.nan, math.inf, -math.inf)),
-    ("threshold", -1e-300),
+    ("magnitude", value) for value in (math.nan, math.inf, -math.inf)
 ])
 def test_non_finite_magnitude_or_threshold_named(name, value):
-    rule = "finite" if not math.isfinite(value) else "non-negative"
-    with pytest.raises(ValueError, match=f"{name} must be {rule}, got {value}"):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
         numeric_footprint(TOY, 0, sim_base=16, **{name: value})
+
+
+def test_threshold_keyword_is_gone():
+    # A position is affected where its response is nonzero; there is nothing to tune.
+    with pytest.raises(TypeError, match="threshold"):
+        numeric_footprint(TOY, 0, sim_base=16, threshold=0.0)
 
 
 @pytest.mark.parametrize("magnitude", [1e308, -1e308])
@@ -252,7 +255,6 @@ def test_footprint_at_every_layer_of_preset8():
 
 from genfields import oracle  # noqa: E402
 from genfields.oracle import (  # noqa: E402
-    AFFECTED_THRESHOLD,
     MAX_ORACLE_CELLS,
     WEIGHT_HIGH,
     WEIGHT_LOW,
@@ -303,8 +305,7 @@ def _span(mask: np.ndarray) -> int:
     return int((hit.max(axis=0) - hit.min(axis=0)).max()) + 1 if hit.size else 0
 
 
-def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
-                      threshold=AFFECTED_THRESHOLD):
+def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude):
     """Full-map impulse response per stage, and the footprint result."""
     n = oracle.map_sides(arch, sim_base)[layer]
     shape = (n,) * dims
@@ -318,7 +319,7 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude,
         w = np.array(oracle._weights(seed, stream, range(spec.kernel**dims))).reshape(kshape)
         x = _numeric_step(x, w, spec.upsample, semantics)
         stages.append(x)
-        affected = np.abs(x) > threshold
+        affected = x != 0
         clipped = clipped or _touches_border(affected)
 
     result = FootprintResult(
