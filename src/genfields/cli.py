@@ -37,7 +37,7 @@ from . import __version__
 from ._np import np
 from .archgraph import _CONTROL, ArchSpec, _layer_span, load_arch, stylegan2_preset
 from .fields import CSV_COLUMNS, fields_table, table_csv, table_row
-from .fileio import _save, csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
+from .fileio import _naming, _save, csv_text, load_landmarks_csv, load_vectors_csv, read_pgm, read_ppm
 from .losses import (
     DEFAULT_ALPHA,
     DEFAULT_LAMBDAS,
@@ -380,7 +380,7 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
 
     if by_gf:
         _paired("--min-gf", min_gf, "--max-gf", max_gf)
-        plan = plan_by_gf(table, layout, min_gf, max_gf)
+        plan = _naming("--min-gf, --max-gf", plan_by_gf, table, layout, min_gf, max_gf)
     else:
         ends = _range_ends(PLAN_CONFIGS.get(config_index, layer_span))
         plan = plan_by_layers(table, layout, *ends)
@@ -423,8 +423,8 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
 )
 def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
     """Sparsity report over control signals (one test per CSV row)."""
-    _check_bins(bins)  # bad options fail before the CSV is read
-    _check_k(top_k)
+    _naming("--bins", _check_bins, bins)  # bad options fail before the CSV is read
+    _naming("--top-k", _check_k, top_k)
     deltas = load_vectors_csv(deltas_csv)
     report = mean_histogram(deltas, bins=bins)
     sets = [topk_set(row, top_k) for row in deltas]
@@ -473,21 +473,13 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 
 # ----------------------------------------------------------------- stats ---
 
-def _naming(source: str, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``; a ValueError it raises is raised again with ``source: `` before it."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-
-
 @_command(
     "stats", _option("STYLES_CSV"),
     _option("--epsilon-floor", "FLOAT", default=DEFAULT_EPSILON_FLOOR, show_default=True), _OUTPUT,
 )
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
-    _naming(styles_csv, _check_floor, epsilon_floor)  # a bad floor fails before the CSV is read
+    _naming("--epsilon-floor", _check_floor, epsilon_floor)  # a bad floor fails before the CSV is read
     styles = load_vectors_csv(styles_csv)
     stats = _naming(styles_csv, estimate_stats, styles, epsilon_floor=epsilon_floor)
     params = {
@@ -518,12 +510,9 @@ def cmd_loglik(stats_csv_path, samples_csv, with_grad, fd_check, fmt, output):
 
     values, grads = [], []
     for t, row in enumerate(samples):
-        try:
-            values.append(log_likelihood(row, stats))
-            if with_grad or fd_check:
-                grads.append(log_likelihood_grad(row, stats))
-        except ValueError as exc:
-            raise ValueError(f"{samples_csv}: sample {t}: {exc}") from None
+        values.append(_naming(f"{samples_csv}: sample {t}", log_likelihood, row, stats))
+        if with_grad or fd_check:
+            grads.append(_naming(f"{samples_csv}: sample {t}", log_likelihood_grad, row, stats))
 
     params = {"stats": stats_csv_path, "samples": samples_csv, "format": fmt}
     fd_errors, notes = [], []
@@ -624,11 +613,8 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
                attr_angles, out_angles, attr_image, out_image, same_inputs, alpha,
                lambdas, scales, all_landmarks, degrees, fmt, output):
     """Evaluate editing loss components and their weighted total."""
-    try:  # the library's checks, whose messages begin with the option's name
-        _check_alpha(alpha)
-        min_side_for_scales(scales)
-    except ValueError as exc:
-        raise ValueError(f"--{exc}") from None
+    _naming("--alpha", _check_alpha, alpha)  # bad options fail before any input is read
+    _naming("--scales", min_side_for_scales, scales)
     lam = _parse_triple(lambdas, "--lambdas") if lambdas else DEFAULT_LAMBDAS
     terms = ("identity_loss", "attr_loss", "reconstruction_loss")
 

@@ -15,6 +15,8 @@ small CSV fails without importing numpy; below the constant, a valid one
 costs it at most about 0.6 ms more than the C reader.
 Every path is opened by :func:`_load` or :func:`_save`, which name it in
 every error; other modules read and write their files through them.
+:func:`_naming` puts the source of every input error before it: the file,
+pair, sample or option.
 """
 
 from __future__ import annotations
@@ -52,21 +54,26 @@ _MAXVAL_LIMIT = 255
 _NETPBM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d+))" * 3 + rb"\s")
 
 
+def _naming(source: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; its ValueError is raised again, of the same type, after ``source: ``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
+
+
 def _load(path: str, what: str, parse, *args, binary: bool = False, error=ValueError):
     """``parse(data, *args)`` on the file at ``path``, read as UTF-8 text unless ``binary``.
 
-    A read failure raises ``error`` naming ``what`` and the file; a ValueError
-    from ``parse`` is raised again, of the same type, with the path before it.
+    A read failure raises ``error`` naming ``what`` and the file; ``parse`` runs
+    through :func:`_naming`, so its errors name the file too.
     """
     try:
         with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
             data = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return parse(data, *args)
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _naming(path, parse, data, *args)
 
 
 def _save(*files: tuple[str, str | bytes]) -> None:
@@ -77,9 +84,15 @@ def _save(*files: tuple[str, str | bytes]) -> None:
     with its mode or, if new, 0o666 less the umask, and only once every one
     is written are they renamed over their targets.  A file the caller may
     not write is refused, as opening it would be.  Anything else, such as a
-    pipe, a terminal or ``/dev/null``, is written in place.  Errors name the
-    path at fault; a failure leaves no temporary file.
+    pipe, a terminal or ``/dev/null``, is written in place.  Two files renamed
+    onto one are refused before any is written.  Errors name the path at
+    fault; a failure leaves no temporary file.
     """
+    renamed = [(os.path.realpath(path), path) for path, _ in files
+               if os.path.isfile(path) or not os.path.exists(path)]
+    for (real, first), (other, path) in itertools.combinations(renamed, 2):
+        if real == other:
+            raise ValueError(f"{', '.join(dict.fromkeys([first, path]))}: two outputs would be written to one file")
     staged = []  # (path, temporary file, target) not yet renamed
     try:
         for path, data in files:

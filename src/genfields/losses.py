@@ -383,14 +383,13 @@ def reconstruction_loss(
     term is a mean so alpha mixes quantities on comparable scales.  Otherwise
     the loss is exactly 0 regardless of content.
     """
-    ia, ib = _same_shape(as_image, i_attr, i_out, "image")
     _check_alpha(alpha)
     if not same_inputs:
+        _same_shape(as_image, i_attr, i_out, "image")
         return 0.0
-    diff = ia - ib
+    structural = 1.0 - ms_ssim(i_attr, i_out, scales)  # checks both images
+    diff = np.asarray(i_attr, dtype=float) - np.asarray(i_out, dtype=float)
     pixel_l1 = float(np.abs(diff, out=diff).mean())
-    del diff  # not held through ms_ssim
-    structural = 1.0 - ms_ssim(ia, ib, scales)
     return alpha * structural + (1.0 - alpha) * pixel_l1
 
 

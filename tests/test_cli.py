@@ -1,17 +1,22 @@
 import base64
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genfields import fileio
 from genfields.archgraph import serialize_arch, stylegan2_preset
 from genfields.cli import _json_text, main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
@@ -287,6 +292,11 @@ def test_plan_empty_range_exits_1(capsys):
     assert "no layer in GF range" in err
 
 
+def test_plan_reversed_gf_range_names_both_options(capsys):
+    code, out, err = run(capsys, "plan", "--preset", "stylegan2-256", "--min-gf", "10", "--max-gf", "5")
+    assert (code, out, err) == (1, "", "Error: --min-gf, --max-gf: min_gf 10 exceeds max_gf 5\n")
+
+
 def test_plan_requires_one_mode(capsys):
     code, _, err = run(capsys, "plan", "--preset", "stylegan2-256")
     assert code == 1
@@ -394,6 +404,21 @@ def test_analyze_failing_pair_changes_neither_file(capsys, tmp_path, monkeypatch
     assert sorted(os.listdir()) == ["deltas.csv", "r.csv"]
 
 
+@pytest.mark.parametrize("output, names", [("m.csv", "m.csv"), ("link.csv", "link.csv, m.csv")],
+                         ids=["plain", "symlink"])
+def test_analyze_outputs_naming_one_file_are_refused(capsys, tmp_path, monkeypatch, output, names):
+    monkeypatch.chdir(tmp_path)
+    save_vectors_csv("deltas.csv", np.random.default_rng(3).normal(size=(2, 6)))
+    Path("m.csv").write_bytes(b"old membership\n")
+    Path("link.csv").symlink_to("m.csv")
+    code, out, err = run(capsys, "analyze", "deltas.csv", "--output", output, "--membership-out", "m.csv")
+    assert (code, out) == (1, "")
+    assert err == f"Error: {names}: two outputs would be written to one file\n"
+    assert Path("m.csv").read_bytes() == b"old membership\n"
+    assert Path("link.csv").is_symlink()
+    assert sorted(os.listdir()) == ["deltas.csv", "link.csv", "m.csv"]
+
+
 def test_analyze_ragged_csv_exits_1(capsys, tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2,3\n4,5\n")
@@ -457,7 +482,7 @@ def test_stats_bad_epsilon_floor_exits_1(capsys, tmp_path, floor):
     path.write_text("1,2\n3,5\n")
     code, out, err = run(capsys, "stats", str(path), "--epsilon-floor", floor)
     assert (code, out) == (1, "")
-    assert err == f"Error: {path}: epsilon_floor must be positive and finite, got {float(floor)}\n"
+    assert err == f"Error: --epsilon-floor: epsilon_floor must be positive and finite, got {float(floor)}\n"
 
 
 def test_control_characters_in_parameters_stay_on_one_line(capsys, tmp_path, monkeypatch):
@@ -661,10 +686,10 @@ def test_losses_unpaired_inputs(capsys, tmp_path, given, missing):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("--components", "1,1,1", "--alpha", "7"), "--alpha must lie in [0, 1], got 7.0"),
-    (("--components", "1,1,1", "--alpha", "nan"), "--alpha must lie in [0, 1], got nan"),
+    (("--components", "1,1,1", "--alpha", "7"), "--alpha: alpha must lie in [0, 1], got 7.0"),
+    (("--components", "1,1,1", "--alpha", "nan"), "--alpha: alpha must lie in [0, 1], got nan"),
     (("--attr-image", "a.ppm", "--out-image", "b.ppm", "--scales", "0"),
-     "--scales must be in [1, 5], got 0"),
+     "--scales: scales must be in [1, 5], got 0"),
 ], ids=["alpha-7", "alpha-nan", "scales-0"])
 def test_losses_out_of_range_alpha_scales_exit_1(capsys, argv, message):
     # checked up front, so no image is read and --components is refused too
@@ -930,6 +955,77 @@ def test_golden_report(case, tmp_path, monkeypatch, capsys):
     assert run_golden(expected["argv"], tmp_path, monkeypatch, capsys) == expected
 
 
+# Each exit-0 corpus case that reads a CSV, with the CSVs it reads.
+MUTABLE_CASES = {name: [arg for arg in case["argv"] if arg.endswith(".csv") and arg in GOLDEN_INPUTS]
+                 for name, case in GOLDEN["cases"].items() if case["code"] == 0}
+MUTABLE_CASES = {name: names for name, names in MUTABLE_CASES.items() if names}
+MUTANT_CELLS = ["nan", "inf", "1e309", "-0", "9" * 400, "", '"', "\0", "\ufeff", "\r"]
+NON_FINITE_TOKEN = re.compile(r"\b(?:nan|inf)\b", re.I)
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A case, one of its CSVs, and that file with one mutation: cut short, one cell
+    replaced, or one row a cell wider or narrower."""
+    case = draw(st.sampled_from(sorted(MUTABLE_CASES)))
+    name = draw(st.sampled_from(MUTABLE_CASES[case]))
+    data = GOLDEN_INPUTS[name]
+    kind = draw(st.sampled_from(["truncate", "cell", "wider", "narrower"]))
+    if kind == "truncate":
+        return case, name, data[:draw(st.integers(0, len(data) - 1))]
+    lines = data.decode().split("\n")
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+    cells = lines[i].split(",")
+    j = draw(st.integers(0, len(cells) - 1))
+    if kind == "cell":
+        cells[j] = draw(st.sampled_from(MUTANT_CELLS))
+    elif kind == "wider":
+        cells.insert(j, cells[j])
+    else:
+        del cells[j]
+    lines[i] = ",".join(cells)
+    return case, name, "\n".join(lines).encode()
+
+
+def _run_mutated(argv, directory, min_chars):
+    """``main(argv)`` in ``directory`` with numpy's CSV reader from ``min_chars`` characters up."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(directory)
+    try:
+        with mock.patch.object(fileio, "C_READER_MIN_CHARS", min_chars), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return golden_result(argv, directory, code, out.getvalue(), err.getvalue())
+
+
+def _refuse(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mutated_inputs())
+def test_mutated_csv_inputs_exit_cleanly_property(mutation):
+    # Both readers see every mutation: exit 1 names the file, exit 0 prints only finite numbers.
+    case, name, data = mutation
+    argv = GOLDEN["cases"][case]["argv"]
+    for min_chars in (0, sys.maxsize):
+        with tempfile.TemporaryDirectory() as directory:
+            write_golden_inputs(Path(directory))
+            Path(directory, name).write_bytes(data)
+            got = _run_mutated(argv, Path(directory), min_chars)
+        assert got["code"] in (0, 1, 2), got
+        if got["code"] == 1:
+            assert got["err"].startswith("Error: ") and name in got["err"], got
+        elif got["code"] == 2:
+            assert "--fd-check" in argv or argv[0] == "verify", got
+        for text in (got["out"], *got["files"].values()):
+            assert got["code"] == 1 or not NON_FINITE_TOKEN.search(text), got
+        if got["code"] != 1 and "json" in argv:
+            json.loads(got["out"], parse_constant=_refuse)
+
+
 # `genfields --help` as click 8 printed it on a 52-column terminal.
 HELP_AT_52_COLUMNS = (
     "Usage: genfields [OPTIONS] COMMAND [ARGS]...\n"
@@ -1101,11 +1197,11 @@ def test_a_failing_stdout_through_the_process_entry(stdout, argv):
 
 BAD_OPTIONS = {
     "stats-floor": (["stats", "gone.csv", "--epsilon-floor", "nan"],
-                    "Error: gone.csv: epsilon_floor must be positive and finite, got nan\n"),
-    "analyze-bins": (["analyze", "gone.csv", "--bins", "0"], "Error: bins must be >= 1, got 0\n"),
-    "analyze-top-k": (["analyze", "gone.csv", "--top-k", "0"], "Error: k must be >= 1, got 0\n"),
+                    "Error: --epsilon-floor: epsilon_floor must be positive and finite, got nan\n"),
+    "analyze-bins": (["analyze", "gone.csv", "--bins", "0"], "Error: --bins: bins must be >= 1, got 0\n"),
+    "analyze-top-k": (["analyze", "gone.csv", "--top-k", "0"], "Error: --top-k: k must be >= 1, got 0\n"),
     "analyze-both": (["analyze", "gone.csv", "--top-k", "-1", "--bins", "0"],
-                     "Error: bins must be >= 1, got 0\n"),
+                     "Error: --bins: bins must be >= 1, got 0\n"),
 }
 
 

@@ -398,6 +398,20 @@ def test_reconstruction_alpha_validation():
         reconstruction_loss(np.zeros((176, 176)), np.zeros((180, 176)), same_inputs=True)
 
 
+@pytest.mark.parametrize("same_inputs", [True, False])
+def test_reconstruction_checks_each_image_once(monkeypatch, same_inputs):
+    calls, check = [], losses.as_image
+
+    def spy(values):
+        calls.append(values)
+        return check(values)
+
+    monkeypatch.setattr(losses, "as_image", spy)
+    a, b = np.zeros((22, 22, 3)), np.ones((22, 22, 3))
+    reconstruction_loss(a, b, same_inputs=same_inputs, scales=2)
+    assert [id(values) for values in calls] == [id(a), id(b)]
+
+
 # ------------------------------------------------------------------- total --
 
 def test_total_loss_zero():
