@@ -85,15 +85,11 @@ def _save(*files: tuple[str, str | bytes]) -> None:
     is written are they renamed over their targets.  A file the caller may
     not write is refused, as opening it would be.  Anything else, such as a
     pipe, a terminal or ``/dev/null``, is written in place.  Two files renamed
-    onto one are refused before any is written.  Errors name the path at
+    onto one are refused before any is renamed.  Errors name the path at
     fault; a failure leaves no temporary file.
     """
-    renamed = [(os.path.realpath(path), path) for path, _ in files
-               if os.path.isfile(path) or not os.path.exists(path)]
-    for (real, first), (other, path) in itertools.combinations(renamed, 2):
-        if real == other:
-            raise ValueError(f"{', '.join(dict.fromkeys([first, path]))}: two outputs would be written to one file")
     staged = []  # (path, temporary file, target) not yet renamed
+    renamed = {}  # real path of each staged target: its path
     try:
         for path, data in files:
             if isinstance(data, str):
@@ -109,6 +105,11 @@ def _save(*files: tuple[str, str | bytes]) -> None:
                     fh.write(data)
                 continue
             target = os.path.realpath(path) if os.path.islink(path) else path
+            real = os.path.realpath(target)
+            if real in renamed:
+                names = ", ".join(dict.fromkeys([renamed[real], path]))
+                raise ValueError(f"{names}: two outputs would be written to one file")
+            renamed[real] = path
             head, tail = os.path.split(target)
             tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -214,10 +215,7 @@ def _numeric_rows(rows: list[list[str]], what: str, width: int | None = None) ->
             values.fromlist(list(map(float, row)))
         except ValueError:
             for j, cell in enumerate(row):
-                try:
-                    float(cell)
-                except ValueError as exc:
-                    raise ValueError(f"{what} row {i + 1}, column {j + 1}: {exc}") from None
+                _naming(f"{what} row {i + 1}, column {j + 1}", float, cell)
     if not all(map(math.isfinite, values)):
         k = next(k for k, value in enumerate(values) if not math.isfinite(value))
         raise ValueError(f"{what} row {k // width + 1}, column {k % width + 1}: "

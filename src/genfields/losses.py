@@ -388,7 +388,9 @@ def reconstruction_loss(
         _same_shape(as_image, i_attr, i_out, "image")
         return 0.0
     structural = 1.0 - ms_ssim(i_attr, i_out, scales)  # checks both images
-    diff = np.asarray(i_attr, dtype=float) - np.asarray(i_out, dtype=float)
+    # ms_ssim matched them as (h, w, 1) squeezed to (h, w), so sizes agree, not always shapes
+    a = np.asarray(i_attr, dtype=float)
+    diff = a - np.asarray(i_out, dtype=float).reshape(a.shape)
     pixel_l1 = float(np.abs(diff, out=diff).mean())
     return alpha * structural + (1.0 - alpha) * pixel_l1
 

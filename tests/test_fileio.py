@@ -292,6 +292,16 @@ def test_writes_keep_symlinks_and_modes(tmp_path):
     save_vectors_csv(os.devnull, [[1.0]])  # not a regular file: written in place
 
 
+def test_two_outputs_onto_one_file_are_refused(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old bytes\n")
+    name = str(path)  # one string object for both: refused by value, not identity
+    with pytest.raises(ValueError, match=re.escape(f"{name}: two outputs would be written to one file")):
+        fileio._save((os.devnull, "x\n"), (name, "a\n"), (name, "b\n"))
+    assert path.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
 def test_missing_file_mentions_path():
     with pytest.raises(ValueError, match="nowhere.csv"):
         load_vectors_csv("/nowhere.csv")

@@ -412,6 +412,17 @@ def test_reconstruction_checks_each_image_once(monkeypatch, same_inputs):
     assert [id(values) for values in calls] == [id(a), id(b)]
 
 
+@pytest.mark.parametrize("shape", [(22, 22), (22, 30)], ids=["square", "non-square"])
+@pytest.mark.parametrize("alpha", [0.0, 0.84, 1.0])
+def test_reconstruction_single_channel_against_plane(shape, alpha):
+    # (h, w, 1) is the (h, w) plane: the L1 term pairs pixels, it does not broadcast
+    rng = np.random.default_rng(5)
+    a, b = rng.random(shape), rng.random(shape)
+    expected = alpha * (1.0 - ms_ssim(a, b, 2)) + (1.0 - alpha) * float(np.abs(a - b).mean())
+    for x, y in ((a[:, :, None], b), (a, b[:, :, None]), (a[:, :, None], b[:, :, None])):
+        assert reconstruction_loss(x, y, alpha=alpha, same_inputs=True, scales=2) == expected
+
+
 # ------------------------------------------------------------------- total --
 
 def test_total_loss_zero():
