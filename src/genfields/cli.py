@@ -56,6 +56,7 @@ from .oracle import (
     MATCH_OVER,
     Semantics,
     VERIFY_CSV_COLUMNS,
+    _check_seed,
     numeric_footprint,
     verification_row,
     verify_arch,
@@ -197,7 +198,7 @@ def _emit(text: str, output: str | None, *files: tuple[str, str]) -> None:
 
     With ``output``, all are written together: a failure changes none of them.
     """
-    if output:
+    if output is not None:
         _save((output, text), *files)
     else:
         _write(sys.stdout, text)
@@ -238,7 +239,7 @@ def _paired(first: str, a, second: str, b) -> bool:
     """Whether the input pair ``first``/``second`` was given; one alone is an error."""
     if (a is None) != (b is None):
         raise ValueError(f"{first} and {second} must be given together")
-    return bool(a)
+    return a is not None
 
 
 def _fmt_float(x: float) -> str:
@@ -316,13 +317,13 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     Footprints below the analytic value are expected for upsampling stacks;
     a footprint above it is classified OVER-BUG and the command exits 2.
     """
-    if numeric and seed < 0:
-        raise ValueError(f"--seed must be non-negative with --numeric, got {seed}")
+    if numeric:
+        _naming("--seed", _check_seed, seed)
     arch = _resolve_arch(preset, arch_path)
     sem = Semantics(semantics)
     params = {"arch": arch.name, "semantics": sem.value, "sim_base": sim_base, "format": fmt}
     indices = None
-    if layer_span:
+    if layer_span is not None:
         indices = tuple(_layer_range(arch, layer_span))
         params["layers"] = layer_span
     results = verify_arch(arch, sem, sim_base, dims=1, layers=indices)
@@ -450,7 +451,7 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
         lines.append(f"union_size: {len(reuse.union_dims)}")
         lines.append("union_dims: " + " ".join(str(d) for d in reuse.union_dims))
     files = []
-    if membership_out:
+    if membership_out is not None:
         header = ("test", *(f"d{d}" for d in reuse.union_dims))
         members = ((t, *row) for t, row in enumerate(reuse.membership.tolist()))
         files.append((membership_out, csv_text(itertools.chain([header], members))))
@@ -615,7 +616,7 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
     """Evaluate editing loss components and their weighted total."""
     _naming("--alpha", _check_alpha, alpha)  # bad options fail before any input is read
     _naming("--scales", min_side_for_scales, scales)
-    lam = _parse_triple(lambdas, "--lambdas") if lambdas else DEFAULT_LAMBDAS
+    lam = _parse_triple(lambdas, "--lambdas") if lambdas is not None else DEFAULT_LAMBDAS
     terms = ("identity_loss", "attr_loss", "reconstruction_loss")
 
     if components is not None:
@@ -689,7 +690,8 @@ def _parse(name: str, args: list[str]) -> dict | None:
                                 type=int if isinstance(kind, range) else _TYPES.get(kind, str),
                                 choices=None if isinstance(kind, str) else kind)
     # An option taking a value takes the next word, even one that starts with "-",
-    # but not "--": every word after "--" is an argument.
+    # but not "--": every word after "--" is an argument.  An empty value is
+    # refused as a missing one.
     words, tail = [], iter(args)
     for arg in tail:
         if arg == "--":
@@ -697,7 +699,7 @@ def _parse(name: str, args: list[str]) -> dict | None:
         flag, eq, value = arg.partition("=")
         if flag in valued:
             value = value if eq else next(tail, "--")
-            if value == "--":
+            if value in ("", "--"):
                 raise UsageError(f"Option '{flag}' requires an argument.")
             arg = f"{flag}={value}"
         words.append(arg)
@@ -804,20 +806,16 @@ def _help(command: str | None) -> str:
     return "\n".join(out) + "\n"
 
 
-# Numpy 2's C extension (pyproject.toml requires numpy >= 2.0).  Importing it loads
-# OpenBLAS, which starts its worker threads.
-_NUMPY_CORE = "numpy._core._multiarray_umath"
-
-
 def _quiet_blas() -> bool:
     """Ask OpenBLAS's idle workers to sleep at once; True if the variable was added.
 
     Each idle worker otherwise busy-waits for 2**28 cycles (about 0.1 s) before it
     sleeps, and no genfields call is big enough to give it work.  4 is OpenBLAS's
-    minimum; OpenBLAS reads it once, when numpy loads, so a process that has already
-    loaded numpy, or a timeout the user exported, is left as it is.
+    minimum.  A timeout the user exported is left as it is.  OpenBLAS reads the
+    variable once, when numpy loads, so in a process that has already loaded numpy
+    it changes nothing, and :func:`main` removes it again.
     """
-    if _NUMPY_CORE in sys.modules or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+    if "OPENBLAS_THREAD_TIMEOUT" in os.environ:
         return False
     os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
     return True

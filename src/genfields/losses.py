@@ -124,11 +124,11 @@ def _components(*values: float) -> str:
     return shown
 
 
-def _finite_result(value, what: str) -> float:
-    """``value`` as a float; ValueError naming ``what`` if it overflowed to inf."""
-    if not math.isfinite(value):
+def _finite_result(value, what: str):
+    """``value``, a float or an array; ValueError naming ``what`` if any of it overflowed."""
+    if not np.isfinite(value).all():
         raise ValueError(f"{what} overflows float64")
-    return float(value)
+    return value
 
 
 def as_embedding(values) -> np.ndarray:
@@ -167,7 +167,7 @@ def identity_loss(f_id, f_out) -> float:
     """Sum of absolute embedding differences (plain L1 norm, no normalization)."""
     a, b = _same_shape(as_embedding, f_id, f_out, "embedding")
     with np.errstate(over="ignore"):
-        return _finite_result(np.abs(a - b).sum(), "identity loss")
+        return float(_finite_result(np.abs(a - b).sum(), "identity loss"))
 
 
 def landmark_loss(a, b, inner_only: bool = True) -> float:
@@ -182,7 +182,7 @@ def landmark_loss(a, b, inner_only: bool = True) -> float:
         pa = pa[INNER_LANDMARK_START:]
         pb = pb[INNER_LANDMARK_START:]
     with np.errstate(over="ignore"):
-        return _finite_result(np.linalg.norm(pa - pb), "landmark loss")
+        return float(_finite_result(np.linalg.norm(pa - pb), "landmark loss"))
 
 
 def pose_loss(a: EulerAngles, b: EulerAngles) -> float:

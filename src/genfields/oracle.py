@@ -78,9 +78,9 @@ DEFAULT_SEED = 7
 
 WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
 # Largest map, in cells, either oracle accepts; neither allocates it.  The
-# limit keeps every position index, and so every weight counter, bounded.
-# It also caps each stage's positions x taps count, which bounds that
-# stage's work in either oracle, though neither builds such an array.
+# limit keeps every position index bounded.  It also caps each stage's
+# positions x taps count, which bounds that stage's work in either oracle
+# and the k**dims weights it draws, though neither builds such an array.
 MAX_ORACLE_CELLS = 2**26
 # SplitMix64's increment, 2**64 over the golden ratio, and its word mask.
 _GAMMA = 0x9E3779B97F4A7C15
@@ -355,6 +355,16 @@ def _reaches_end(x: list, window: tuple[int, int], length: int) -> bool:
     return any(cells)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as an int; ValueError if it is None or negative."""
+    if seed is None:
+        raise ValueError("seed must be a non-negative integer, got None")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def numeric_footprint(
     arch: ArchSpec,
     layer: int,
@@ -389,11 +399,7 @@ def numeric_footprint(
     """
     semantics = Semantics(semantics)
     lengths = _check_args(arch, layer, sim_base, dims)[layer:]
-    if seed is None:
-        raise ValueError("seed must be a non-negative integer, got None")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _check_seed(seed)
     if not math.isfinite(magnitude):
         raise ValueError(f"impulse magnitude must be finite, got {magnitude}")
     if magnitude == 0.0:

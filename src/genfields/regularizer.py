@@ -25,7 +25,7 @@ import math
 from ._np import np
 from ._record import record
 from .fileio import _load, _numeric_csv, _save, csv_text
-from .losses import _finite_array
+from .losses import _finite_array, _finite_result
 
 __all__ = [
     "ChannelStats",
@@ -105,19 +105,13 @@ def _check_vector(s, stats: ChannelStats) -> np.ndarray:
     return arr
 
 
-def _finite(result, what: str):
-    if not np.isfinite(result).all():
-        raise ValueError(f"{what} overflows: the style vector is too far from the mean")
-    return result
-
-
 def log_likelihood(s, stats: ChannelStats) -> float:
     """Diagonal-Gaussian log-likelihood of a style vector (additive constants dropped)."""
     arr = _check_vector(s, stats)
     with np.errstate(over="ignore"):
         z = (arr - stats.mu) / stats.sigma
         # 0.0 - x, not -x: the value at the mean is 0.0, never -0.0.
-        return _finite(float(0.0 - 0.5 * np.dot(z, z)), "log-likelihood")
+        return float(_finite_result(0.0 - 0.5 * np.dot(z, z), "log-likelihood"))
 
 
 def log_likelihood_grad(s, stats: ChannelStats) -> np.ndarray:
@@ -125,7 +119,7 @@ def log_likelihood_grad(s, stats: ChannelStats) -> np.ndarray:
     arr = _check_vector(s, stats)
     with np.errstate(over="ignore"):
         # mu - s, not -(s - mu): 0.0 at the mean, never -0.0.
-        return _finite((stats.mu - arr) / stats.sigma**2, "log-likelihood gradient")
+        return _finite_result((stats.mu - arr) / stats.sigma**2, "log-likelihood gradient")
 
 
 def regularized_objective(base_loss: float, s, stats: ChannelStats, weight: float) -> float:

@@ -205,7 +205,7 @@ def face_scale(landmark_sets) -> float:
             # count, the sum stays below the largest distance.
             scale = 2.0 ** len(distances).bit_length()
             mean = np.mean(distances / scale) * scale
-        return _finite_result(mean, "face scale")
+        return float(_finite_result(mean, "face scale"))
 
 
 def mask_rle(mask: np.ndarray) -> list[tuple[int, int]]:

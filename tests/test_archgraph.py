@@ -90,6 +90,17 @@ def test_missing_fields_rejected():
         parse_arch(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "architecture file must be a JSON object at the top level"),
+    ('{"name": "x", "base_resolution": 4, "layers": {}}', "layers: expected an array of layer objects"),
+    ('{"name": "x", "base_resolution": 4, "layers": [3]}', "layers[0]: expected a layer object"),
+])
+def test_non_object_parts_rejected(text, message):
+    with pytest.raises(ArchParseError) as info:
+        parse_arch(text)
+    assert str(info.value) == message
+
+
 def test_malformed_json_reports_line():
     with pytest.raises(ArchParseError, match="line"):
         parse_arch('{"name": "x",\n  broken')
@@ -221,6 +232,8 @@ def test_load_arch_reports_path(tmp_path):
     (LayerSpec("conv0", 3, 1, 4, 4, 7), "conv0: style_label must be a string, got 7"),
     (ArchSpec(None, 4, (LayerSpec("conv0", 3, 1, 4, 4),)),
      "architecture name must be a string, got None"),
+    (ArchSpec("x", 0, (LayerSpec("conv0", 3, 1, 4, 4),)),
+     "architecture 'x': base_resolution must be positive, got 0"),
 ])
 def test_non_integer_layer_sizes_rejected(layer, message):
     from genfields.archgraph import validate_arch
@@ -247,6 +260,7 @@ def test_non_integer_base_resolution_rejected(base):
     ("conv0", "s\t1", "conv0: style_label"),
     ("c\ud800", None, "layer 0 id 'c\\ud800' contains a lone surrogate"),
     ("conv0", "s\udfff", "conv0: style_label 's\\udfff' contains a lone surrogate"),
+    ("", None, "layer 0 has an empty id"),
 ])
 def test_report_breaking_ids_and_labels_rejected(layer_id, label, message):
     doc = json.loads(MINIMAL)

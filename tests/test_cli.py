@@ -224,10 +224,9 @@ def test_verify_numeric_negative_seed_exits_1(capsys, monkeypatch):
         raise AssertionError("oracle ran before the seed was checked")
 
     monkeypatch.setattr(cli, "verify_arch", no_oracle)
-    code, out, err = run(capsys, "verify", "--preset", "stylegan2-64", "--numeric", "--seed", "-1")
-    assert code == 1
-    assert out == ""
-    assert "--seed" in err and "-1" in err
+    monkeypatch.setattr(cli, "numeric_footprint", no_oracle)
+    assert run(capsys, "verify", "--preset", "stylegan2-64", "--numeric", "--seed", "-1") == (
+        1, "", "Error: --seed: seed must be non-negative, got -1\n")
     # without --numeric the seed is unused, so it is not checked
     monkeypatch.undo()
     assert run(capsys, "verify", "--preset", "stylegan2-64", "--seed", "-1")[0] == 0
@@ -704,6 +703,16 @@ def test_losses_no_inputs(capsys):
 
 # ------------------------------------------------------------------ misc ---
 
+def test_an_interrupt_exits_1_after_a_newline(capsys, monkeypatch):
+    from genfields import cli
+
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "fields", (interrupted, cli.COMMANDS["fields"][1]))
+    assert run(capsys, "fields", "--preset", "stylegan2-8") == (1, "", "\n")
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -804,6 +813,27 @@ def test_usage_errors_exit_1_naming_the_option(capsys, argv, token):
     assert "Traceback" not in err
     last = err.rstrip("\n").splitlines()[-1]
     assert last.startswith("Error:") and token in last, err
+
+
+EMPTY_VALUES = [
+    (("fields", "--preset", "stylegan2-8", "--output", ""), "--output"),
+    (("analyze", "d.csv", "--membership-out", ""), "--membership-out"),
+    (("verify", "--preset", "stylegan2-8", "--layers", ""), "--layers"),
+    (("losses", "--components", "1,1,1", "--lambdas", ""), "--lambdas"),
+    (("losses", "--attr-angles", "", "--out-angles", ""), "--attr-angles"),
+    (("losses", "--id-embedding", "", "--out-embedding", ""), "--id-embedding"),
+]
+
+
+@pytest.mark.parametrize("argv, option", EMPTY_VALUES,
+                         ids=[" ".join(arg or "''" for arg in a) for a, _ in EMPTY_VALUES])
+def test_an_empty_option_value_is_refused_as_a_missing_one(capsys, tmp_path, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("1,2\n3,4\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"\nError: Option '{option}' requires an argument.\n"), err
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 # ------------------------------------------------------------- non-finite --
@@ -928,11 +958,11 @@ def write_golden_inputs(directory):
 
 def golden_result(argv, directory, code, out, err):
     """What one corpus invocation run in ``directory`` produced, as the corpus records it."""
-    # click names the program after the running interpreter's argv[0].
-    out = re.sub(
+    # cli._prog names the program after the running interpreter's argv[0].
+    out, err = (re.sub(
         r"^Usage: .*?(?= \[OPTIONS\]| (?:%s) \[OPTIONS\])" % "|".join(SUBCOMMANDS),
-        "Usage: genfields", out, count=1, flags=re.M,
-    )
+        "Usage: genfields", text, count=1, flags=re.M,
+    ) for text in (out, err))
     files = {
         p.name: p.read_text(encoding="utf-8")
         for p in sorted(directory.iterdir())
@@ -945,7 +975,7 @@ def run_golden(argv, directory, monkeypatch, capsys):
     """Run one corpus invocation in ``directory``; return what it produced."""
     write_golden_inputs(directory)
     monkeypatch.chdir(directory)
-    monkeypatch.setenv("COLUMNS", "80")  # click wraps --help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")  # cli._width wraps --help to the terminal width
     return golden_result(argv, directory, *run(capsys, *argv))
 
 
@@ -955,10 +985,15 @@ def test_golden_report(case, tmp_path, monkeypatch, capsys):
     assert run_golden(expected["argv"], tmp_path, monkeypatch, capsys) == expected
 
 
-# Each exit-0 corpus case that reads a CSV, with the CSVs it reads.
-MUTABLE_CASES = {name: [arg for arg in case["argv"] if arg.endswith(".csv") and arg in GOLDEN_INPUTS]
-                 for name, case in GOLDEN["cases"].items() if case["code"] == 0}
-MUTABLE_CASES = {name: names for name, names in MUTABLE_CASES.items() if names}
+def _cases_reading(*suffixes):
+    """Each exit-0 corpus case that reads a corpus file ending in one of ``suffixes``, with those files."""
+    cases = {name: [arg for arg in case["argv"] if arg.endswith(suffixes) and arg in GOLDEN_INPUTS]
+             for name, case in GOLDEN["cases"].items() if case["code"] == 0}
+    return {name: names for name, names in cases.items() if names}
+
+
+MUTABLE_CASES = _cases_reading(".csv")
+MUTABLE_HEADER_CASES = _cases_reading(".ppm", ".pgm", ".arch")
 MUTANT_CELLS = ["nan", "inf", "1e309", "-0", "9" * 400, "", '"', "\0", "\ufeff", "\r"]
 NON_FINITE_TOKEN = re.compile(r"\b(?:nan|inf)\b", re.I)
 
@@ -1004,26 +1039,69 @@ def _refuse(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
 
 
+def _check_mutated(case, name, data, min_chars, sources):
+    """Run ``case`` with the file ``name`` holding ``data``: exit 1 names one of ``sources``,
+    exit 2 comes from a check, and exit 0 prints only finite numbers."""
+    argv = GOLDEN["cases"][case]["argv"]
+    with tempfile.TemporaryDirectory() as directory:
+        write_golden_inputs(Path(directory))
+        Path(directory, name).write_bytes(data)
+        got = _run_mutated(argv, Path(directory), min_chars)
+    assert got["code"] in (0, 1, 2), got
+    if got["code"] == 1:
+        assert got["err"].startswith("Error: ") and any(s in got["err"] for s in sources), got
+    elif got["code"] == 2:
+        assert "--fd-check" in argv or argv[0] == "verify", got
+    for text in (got["out"], *got["files"].values()):
+        assert got["code"] == 1 or not NON_FINITE_TOKEN.search(text), got
+    if got["code"] != 1 and "json" in argv:
+        json.loads(got["out"], parse_constant=_refuse)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(mutated_inputs())
 def test_mutated_csv_inputs_exit_cleanly_property(mutation):
-    # Both readers see every mutation: exit 1 names the file, exit 0 prints only finite numbers.
+    # Both readers see every mutation.
     case, name, data = mutation
-    argv = GOLDEN["cases"][case]["argv"]
     for min_chars in (0, sys.maxsize):
-        with tempfile.TemporaryDirectory() as directory:
-            write_golden_inputs(Path(directory))
-            Path(directory, name).write_bytes(data)
-            got = _run_mutated(argv, Path(directory), min_chars)
-        assert got["code"] in (0, 1, 2), got
-        if got["code"] == 1:
-            assert got["err"].startswith("Error: ") and name in got["err"], got
-        elif got["code"] == 2:
-            assert "--fd-check" in argv or argv[0] == "verify", got
-        for text in (got["out"], *got["files"].values()):
-            assert got["code"] == 1 or not NON_FINITE_TOKEN.search(text), got
-        if got["code"] != 1 and "json" in argv:
-            json.loads(got["out"], parse_constant=_refuse)
+        _check_mutated(case, name, data, min_chars, [name])
+
+
+ARCH_VALUES = [None, True, 3, 2.5, "3", [], {}]  # one value of each JSON type
+
+
+@st.composite
+def mutated_headers(draw):
+    """A case, one of its images or architectures, and that file with one mutation: an
+    image cut short or with one header byte changed, or an architecture with one field
+    dropped or given a value of another type."""
+    case = draw(st.sampled_from(sorted(MUTABLE_HEADER_CASES)))
+    name = draw(st.sampled_from(MUTABLE_HEADER_CASES[case]))
+    data = GOLDEN_INPUTS[name]
+    if name.endswith(".arch"):
+        doc = json.loads(data)
+        fields = draw(st.sampled_from([doc, *doc["layers"]]))
+        key = draw(st.sampled_from(sorted(fields)))
+        if draw(st.booleans()):
+            del fields[key]
+        else:
+            others = [value for value in ARCH_VALUES if type(value) is not type(fields[key])]
+            fields[key] = draw(st.sampled_from(others))
+        return case, name, json.dumps(doc, indent=2).encode()
+    if draw(st.booleans()):
+        return case, name, data[:draw(st.integers(0, len(data) - 1))]
+    i = draw(st.integers(0, re.match(rb"(?:\S+\s){4}", data).end() - 1))  # magic, width, height, maxval
+    byte = draw(st.integers(0, 255).filter(lambda b: b != data[i]))
+    return case, name, data[:i] + bytes([byte]) + data[i + 1:]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(mutated_headers())
+def test_mutated_image_and_arch_inputs_exit_cleanly_property(mutation):
+    # An architecture's error may name one of its layers instead of the file.
+    case, name, data = mutation
+    layers = json.loads(GOLDEN_INPUTS[name])["layers"] if name.endswith(".arch") else []
+    _check_mutated(case, name, data, fileio.C_READER_MIN_CHARS, [name, *(layer["id"] for layer in layers)])
 
 
 # `genfields --help` as click 8 printed it on a 52-column terminal.
@@ -1244,24 +1322,26 @@ def test_openblas_workers_sleep_at_once_unless_the_user_set_a_timeout(monkeypatc
                                                        "after": exported}
 
 
-def test_openblas_timeout_is_left_alone_once_numpy_has_loaded(monkeypatch):
-    from genfields import cli
-
-    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
-    assert cli._NUMPY_CORE in sys.modules  # the name of the extension this numpy loaded
-    assert not cli._quiet_blas()
-    assert "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+# Whether main(argv), called in an interpreter that has not loaded numpy, leaves os.environ as it was.
+ENVIRON_CHILD = """
+import contextlib, io, json, os, sys
+from genfields.cli import main
+before, loaded = dict(os.environ), any(m.startswith("numpy.") for m in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(json.load(sys.stdin))
+json.dump({"numpy_loaded": loaded, "same": dict(os.environ) == before}, sys.stdout)
+"""
 
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])
 @pytest.mark.parametrize("argv", [["verify", "--preset", "stylegan2-64", "--numeric"],
                                   ["analyze", "gone.csv"], ["verify", "--bogus"]])
-def test_main_leaves_os_environ_as_it_was(capsys, monkeypatch, argv, numpy_loaded):
-    from genfields import cli
-
+def test_main_leaves_os_environ_as_it_was(capsys, monkeypatch, tmp_path, argv, numpy_loaded):
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
-    if not numpy_loaded:  # as in a fresh interpreter, where main adds the variable
-        monkeypatch.setattr(cli, "_NUMPY_CORE", "numpy._core.never_loaded")
+    if not numpy_loaded:  # a fresh interpreter, where main adds the variable
+        monkeypatch.chdir(tmp_path)
+        assert _fresh(ENVIRON_CHILD, argv) == {"numpy_loaded": False, "same": True}
+        return
     before = dict(os.environ)
     run(capsys, *argv)
     assert dict(os.environ) == before
@@ -1387,8 +1467,7 @@ def test_loglik_overflow_exits_1(capsys, tmp_path, extra):
     samples = tmp_path / "far.csv"
     samples.write_text("0.0,0.0\n1e200,0.5\n")
     code, out, err = run(capsys, "loglik", str(tmp_path / "stats.csv"), str(samples), *extra)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"Error: {samples}: sample 1: log-likelihood overflows")
+    assert (code, out, err) == (1, "", f"Error: {samples}: sample 1: log-likelihood overflows float64\n")
 
 
 # ------------------------------------------------------ input boundaries ---

@@ -74,6 +74,12 @@ def test_netpbm_errors(tmp_path):
     with pytest.raises(ValueError, match="8-bit"):
         read_pgm(str(wide))
 
+    for read, data, size in ((read_ppm, b"P6\n0 2\n255\n", "0x2"), (read_pgm, b"P5\n2 0\n255\n", "2x0")):
+        empty = tmp_path / "d.img"
+        empty.write_bytes(data)
+        with pytest.raises(ValueError, match=f"image dimensions must be positive, got {size}$"):
+            read(str(empty))
+
 
 @pytest.mark.parametrize("data", [
     b"P61 1 255\n\x01\x02\x03",  # no whitespace after the magic number
@@ -91,6 +97,18 @@ def test_netpbm_malformed_header(tmp_path, data):
 def test_write_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         write_pgm(str(tmp_path / "x.pgm"), np.full((2, 2), 1.5))
+
+
+@pytest.mark.parametrize("write, shape, message", [
+    (write_ppm, (2, 2), r"PPM output requires an \(h, w, 3\) image, got shape \(2, 2\)$"),
+    (write_ppm, (2, 2, 1), r"PPM output requires an \(h, w, 3\) image, got shape \(2, 2, 1\)$"),
+    (write_pgm, (2, 2, 3), r"PGM output requires an \(h, w\) image, got shape \(2, 2, 3\)$"),
+])
+def test_write_rejects_the_wrong_shape(tmp_path, write, shape, message):
+    path = tmp_path / "x.img"
+    with pytest.raises(ValueError, match=message):
+        write(str(path), np.full(shape, 0.5))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("write, shape", [(write_pgm, (2, 2)), (write_ppm, (2, 2, 3))])

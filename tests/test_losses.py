@@ -499,6 +499,15 @@ def test_eval_metrics_expression_normalized_by_resolution():
     assert m.expression == pytest.approx(16.0 / 256.0)
 
 
+@pytest.mark.parametrize("resolution", [0, -256])
+def test_eval_metrics_refuses_a_non_positive_resolution(resolution):
+    with pytest.raises(ValueError, match=f"^resolution must be positive, got {resolution}$"):
+        eval_metrics(
+            np.array([1.0]), np.array([1.0]), landmarks(), landmarks(),
+            EulerAngles(0.0, 0.0, 0.0), EulerAngles(0.0, 0.0, 0.0), resolution,
+        )
+
+
 def test_eval_metrics_zero_norm_embedding():
     with pytest.raises(ValueError, match="zero-norm"):
         eval_metrics(
@@ -522,6 +531,17 @@ def test_validators_reject_non_finite(bad):
         as_image(image)
     with pytest.raises(ValueError, match="finite"):
         as_embedding([0.5, bad, 1.0])
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((4,), r"image must be \(h, w\) or \(h, w, 3\), got shape \(4,\)$"),
+    ((4, 4, 2), r"image must be \(h, w\) or \(h, w, 3\), got shape \(4, 4, 2\)$"),
+    ((0, 4), r"image dimensions must be positive, got shape \(0, 4\)$"),
+    ((4, 0, 3), r"image dimensions must be positive, got shape \(4, 0, 3\)$"),
+])
+def test_as_image_rejects_bad_shapes(shape, message):
+    with pytest.raises(ValueError, match=message):
+        as_image(np.full(shape, 0.5))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -190,6 +190,13 @@ def test_seed_is_any_non_negative_integer():
         numeric_footprint(TOY, 0, sim_base=16, seed=7.0)
 
 
+@pytest.mark.parametrize("oracle", [boolean_footprint, numeric_footprint])
+@pytest.mark.parametrize("dims", [0, 3])
+def test_dims_must_be_1_or_2(oracle, dims):
+    with pytest.raises(ValueError, match=f"^dims must be 1 or 2, got {dims}$"):
+        oracle(TOY, 0, sim_base=16, dims=dims)
+
+
 def test_layer_out_of_range():
     with pytest.raises(Exception, match="out of range"):
         boolean_footprint(TOY, 2, sim_base=16)

@@ -117,6 +117,10 @@ def test_apply_control_masked_example():
 def test_apply_control_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         apply_control(np.zeros(3), np.zeros(4))
+    arch = make_arch("two", [3, 3], [1, 1], channels=1)
+    plan = plan_by_layers(fields_table(arch), style_layout(arch), "conv0", "conv0")
+    with pytest.raises(ValueError, match="^length mismatch: plan mask 2 vs vectors 3$"):
+        apply_control(np.zeros(3), np.zeros(3), plan)
 
 
 @pytest.mark.parametrize("s_id, delta, named", [
@@ -336,6 +340,7 @@ def test_face_scale_errors():
 
 
 def test_mask_rle_round_trip():
+    assert mask_rle(np.zeros(0, dtype=bool)) == []
     rng = np.random.default_rng(12)
     for _ in range(20):
         mask = rng.random(size=int(rng.integers(1, 200))) < 0.3
