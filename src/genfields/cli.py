@@ -43,6 +43,7 @@ from .losses import (
     DEFAULT_LAMBDAS,
     EulerAngles,
     _check_alpha,
+    _components,
     attr_loss,
     identity_loss,
     landmark_loss,
@@ -57,6 +58,7 @@ from .oracle import (
     Semantics,
     VERIFY_CSV_COLUMNS,
     _check_seed,
+    _check_sim_base,
     numeric_footprint,
     verification_row,
     verify_arch,
@@ -317,6 +319,7 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     Footprints below the analytic value are expected for upsampling stacks;
     a footprint above it is classified OVER-BUG and the command exits 2.
     """
+    _naming("--sim-base", _check_sim_base, sim_base)  # bad options fail before any input is read
     if numeric:
         _naming("--seed", _check_seed, seed)
     arch = _resolve_arch(preset, arch_path)
@@ -621,6 +624,7 @@ def cmd_losses(components, id_embedding, out_embedding, attr_landmarks, out_land
 
     if components is not None:
         parts = dict(zip(terms, _parse_triple(components, "--components")))
+        _naming("--components", _components, *parts.values())
     else:
         parts = {}
         # Errors of a pair's loss name both its files; load errors name their own.

@@ -6,13 +6,13 @@ control signals, embeddings) are CSV with one vector per row and an optional
 ``d0,d1,...`` header.  Landmark files hold one 68-point face per 68 rows of
 x,y,z -- or, equivalently, one face per 204-column row.
 
-Every numeric CSV is read by :func:`_numeric_csv`: numpy's C reader for a
-plain text of at least :data:`C_READER_MIN_CHARS` characters, the exact reader
-(csv rows, then ``float()`` per cell) for anything else and for every error,
-with the same values either way.  The exact reader holds the values in an
-``array('d')`` and first touches numpy to return the matrix, so a malformed
-small CSV fails without importing numpy; below the constant, a valid one
-costs it at most about 0.6 ms more than the C reader.
+Every numeric CSV is read by :func:`_numeric_csv`, which makes CR and CRLF
+``\\n`` once for its two readers, and they decide the header by one rule:
+numpy's C reader for a plain text of at least :data:`C_READER_MIN_CHARS`
+characters, the exact reader (one pass: csv rows, then ``float()`` per cell)
+for anything else and for every error, with the same values either way.  The
+exact reader holds the values in an ``array('d')`` and first touches numpy to
+return the matrix, so a malformed small CSV fails without importing numpy.
 Every path is opened by :func:`_load` or :func:`_save`, which name it in
 every error; other modules read and write their files through them.
 :func:`_naming` puts the source of every input error before it: the file,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import errno
-import io
 import itertools
 import math
 import os
@@ -183,44 +182,55 @@ def write_pgm(path: str, img) -> None:
 _HEADER_CELL = re.compile(r"d\d+$")
 
 
-def _csv_rows(text: str, what: str) -> list[list[str]]:
-    """The CSV rows of ``text``, without blank rows and ``#`` comment lines; a CR ends a line.
+def _header(cells: list[str], what: str, columns: tuple[str, ...] | None) -> bool:
+    """Whether a first row's stripped ``cells`` are ``columns`` (else ValueError), or ``d0,d1,...``."""
+    if columns is None:
+        return all(map(_HEADER_CELL.match, cells))
+    if cells != list(columns):
+        raise ValueError(f"{what} must start with header {','.join(columns)}")
+    return True
 
-    A line csv cannot read (a cell over ``csv.field_size_limit()`` characters; on
-    Python 3.10, a NUL) raises ValueError naming it, counting lines from 1.
+
+def _exact_csv(text: str, what: str, columns: tuple[str, ...] | None) -> np.ndarray:
+    """What :func:`_numeric_csv` returns for ``text``, in one pass: csv rows, ``float()`` per cell.
+
+    Blank rows and ``#`` comment lines are skipped.  Errors begin with ``what``, in file
+    order: a line csv cannot read (a cell over its field limit; on Python 3.10, a NUL),
+    a wrong header, a short or long row or an unreadable cell; then the first non-finite
+    cell.  Lines and rows count from 1, rows after any header.  The values go into an
+    ``array('d')``, and numpy is first touched to return the matrix.
     """
-    reader = csv.reader(io.StringIO(text, newline=None))
+    reader = csv.reader(_lines(text))
+    width, values, rows = len(columns or ()), array("d"), 0
+    header = None  # whether the first row is a header, once it is read
     try:
-        return [row for row in reader
-                if any(cell.strip() for cell in row) and not row[0].lstrip().startswith("#")]
+        for row in reader:
+            if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = _header([cell.strip() for cell in row], what, columns)
+                if header:
+                    continue
+            rows += 1
+            width = width or len(row)
+            if len(row) != width:
+                raise ValueError(f"{what} row {rows}: expected {width} columns, got {len(row)}")
+            try:
+                values.fromlist(list(map(float, row)))
+            except ValueError:
+                for j, cell in enumerate(row):
+                    _naming(f"{what} row {rows}, column {j + 1}", float, cell)
     except csv.Error as exc:
         raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
-
-
-def _numeric_rows(rows: list[list[str]], what: str, width: int | None = None) -> np.ndarray:
-    """``rows`` as a float matrix, ``width`` (default: the first row's) finite numbers each.
-
-    Errors begin with ``what`` and name the row, counting from 1, and a bad cell's column:
-    a short or long row or an unreadable cell, the first in row order, else the first
-    non-finite cell in row-major order.  numpy is first touched to return the matrix.
-    """
     if not rows:
-        raise ValueError(f"{what} contains no data rows")
-    width = len(rows[0]) if width is None else width
-    values = array("d")  # 8 bytes a value, as the matrix it becomes
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{what} row {i + 1}: expected {width} columns, got {len(row)}")
-        try:
-            values.fromlist(list(map(float, row)))
-        except ValueError:
-            for j, cell in enumerate(row):
-                _naming(f"{what} row {i + 1}, column {j + 1}", float, cell)
+        if header is None:
+            _header([], what, columns)  # a required header is missing
+        raise ValueError(f"{what} contains {'only a header row' if header else 'no data rows'}")
     if not all(map(math.isfinite, values)):
         k = next(k for k, value in enumerate(values) if not math.isfinite(value))
         raise ValueError(f"{what} row {k // width + 1}, column {k % width + 1}: "
                          f"non-finite value {values[k]}")
-    return np.frombuffer(values).reshape(len(rows), width)
+    return np.frombuffer(values).reshape(rows, width)
 
 
 def _long_cell(text: str, limit: int) -> bool:
@@ -230,7 +240,7 @@ def _long_cell(text: str, limit: int) -> bool:
     """
     start = 0
     while len(text) - start > limit:
-        last = max(text.rfind(cut, start, start + limit + 1) for cut in ",\n\r")
+        last = max(text.rfind(cut, start, start + limit + 1) for cut in ",\n")
         if last < 0:
             return True
         start = last + 1
@@ -246,7 +256,7 @@ def _lines(text: str):
         start = end
 
 
-def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
+def _loadtxt(text: str, what: str, columns: tuple[str, ...] | None) -> np.ndarray | None:
     """What :func:`_numeric_csv` returns for ``text``, read by numpy's C reader; None if it may differ.
 
     Only the leading comment and blank lines and the header row are read here;
@@ -257,13 +267,10 @@ def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
     csv refuses on Python 3.10) before the data, a ragged, empty or non-finite
     matrix, and a cell longer than csv reads.
 
-    numpy gets the lines one at a time, cut at each ``\\n`` after CR and CRLF
-    became ``\\n`` (csv's line ends; ``str.splitlines`` also cuts at ``\\x0c``
-    and others), so the text is held once and never as a 4-byte-per-character
-    buffer.
+    numpy gets the :func:`_lines` of ``text``, which :func:`_numeric_csv` gave
+    ``\\n`` line ends, one at a time, so the text is held once and never as a
+    4-byte-per-character buffer.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     rest = _lines(text)
     for line in rest:
         if '"' in line or "\0" in line:
@@ -273,7 +280,7 @@ def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
     else:
         return None
     try:
-        if not header([cell.strip() for cell in line.split(",")]):
+        if not _header([cell.strip() for cell in line.split(",")], what, columns):
             rest = itertools.chain([line], rest)
     except ValueError:
         return None
@@ -283,7 +290,7 @@ def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
             data = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2, dtype=float)
     except (ValueError, Warning):
         return None
-    if ((width is not None and data.shape[1] != width) or not np.isfinite(data).all()
+    if ((columns and data.shape[1] != len(columns)) or not np.isfinite(data).all()
             or _long_cell(text, csv.field_size_limit())):
         return None
     return data
@@ -298,32 +305,22 @@ def _loadtxt(text: str, header, width: int | None) -> np.ndarray | None:
 C_READER_MIN_CHARS = 2**16
 
 
-def _numeric_csv(text: str, what: str, header, width: int | None = None,
-                 header_only: str | None = None) -> np.ndarray:
-    """The rows of ``text`` after any header row as a float matrix: see :func:`_numeric_rows`.
+def _numeric_csv(text: str, what: str, columns: tuple[str, ...] | None = None) -> np.ndarray:
+    """The rows of ``text`` after any header row as a float matrix of finite numbers.
 
-    ``header(cells)`` gets the first row's stripped cells, or None if there is
-    no row, and says whether that row is a header; it raises ValueError for a
-    text that has the wrong one.  A header with no row after it raises
-    ``header_only``, if given, or else the error for no rows.  numpy's C reader
-    reads a plain text of at least :data:`C_READER_MIN_CHARS` characters
-    (:func:`_loadtxt`); anything else, and every error, is the exact reader's:
-    csv rows, then ``float()`` per cell.
+    ``columns`` is the header ``text`` must start with, and its width; None allows
+    a ``d0,d1,...`` header.  CR and CRLF become ``\\n`` here, for both readers.
+    numpy's C reader reads a plain text of at least :data:`C_READER_MIN_CHARS`
+    characters (:func:`_loadtxt`); anything else, and every error, is
+    :func:`_exact_csv`'s.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if len(text) >= C_READER_MIN_CHARS:
-        data = _loadtxt(text, header, width)
+        data = _loadtxt(text, what, columns)
         if data is not None:
             return data
-    rows = _csv_rows(text, what)
-    if header([cell.strip() for cell in rows[0]] if rows else None):
-        rows = rows[1:]
-        if not rows and header_only:
-            raise ValueError(f"{what} {header_only}")
-    return _numeric_rows(rows, what, width)
-
-
-def _vector_header(cells: list[str] | None) -> bool:
-    return bool(cells) and all(_HEADER_CELL.match(cell) for cell in cells)
+    return _exact_csv(text, what, columns)
 
 
 def parse_vectors_csv(text: str) -> np.ndarray:
@@ -332,7 +329,7 @@ def parse_vectors_csv(text: str) -> np.ndarray:
     A leading ``d0,d1,...`` header row, blank rows and ``#`` comment lines are
     skipped.  Every cell must be a finite number.
     """
-    return _numeric_csv(text, "vector CSV", _vector_header, header_only="contains only a header row")
+    return _numeric_csv(text, "vector CSV")
 
 
 def load_vectors_csv(path: str) -> np.ndarray:

@@ -119,15 +119,19 @@ class FootprintResult:
         return MATCH_OVER
 
 
+def _check_sim_base(sim_base: int) -> None:
+    if sim_base < 3:
+        raise ValueError(
+            f"sim_base {sim_base} is too small to place an interior impulse; use at least 3"
+        )
+
+
 def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> list[int]:
     """The map sides at ``sim_base`` (see :func:`map_sides`), once the arguments are checked."""
     _check_layer(arch, layer)
     if dims not in (1, 2):
         raise ValueError(f"dims must be 1 or 2, got {dims}")
-    if sim_base < 3:
-        raise ValueError(
-            f"sim_base {sim_base} is too small to place an interior impulse; use at least 3"
-        )
+    _check_sim_base(sim_base)
     # Maps only grow along the stack, so the first map over the limit names
     # the layer; checked before anything is allocated.
     sides = map_sides(arch, sim_base)

@@ -144,12 +144,6 @@ def stats_csv(stats: ChannelStats) -> str:
                                           stats.sigma.tolist())])
 
 
-def _stats_header(cells: list[str] | None) -> bool:
-    if cells != list(_STATS_COLUMNS):
-        raise ValueError(f"statistics CSV must start with header {','.join(_STATS_COLUMNS)}")
-    return True
-
-
 def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> ChannelStats:
     """Parse a dim,mu,sigma CSV of finite numbers.  Rows must be dense and ordered 0..D-1.
 
@@ -157,7 +151,7 @@ def parse_stats_csv(text: str, epsilon_floor: float = DEFAULT_EPSILON_FLOOR) -> 
     ignored.  A negative sigma is an error; a sigma below ``epsilon_floor``,
     zero included, is raised to it, as :func:`estimate_stats` does.
     """
-    dims, mu, sigma = _numeric_csv(text, "statistics CSV", _stats_header, 3).T
+    dims, mu, sigma = _numeric_csv(text, "statistics CSV", _STATS_COLUMNS).T
     bad = np.flatnonzero((dims != np.arange(dims.size)) | (sigma < 0.0))
     if bad.size:
         i = bad[0]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from genfields import fileio
 from genfields.archgraph import serialize_arch, stylegan2_preset
-from genfields.cli import _json_text, main
+from genfields.cli import _json_text, _short_help, main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
 from genfields.oracle import FootprintResult, numeric_footprint
 from genfields.regularizer import log_likelihood, parse_stats_csv
@@ -798,7 +798,8 @@ USAGE_CASES = [
 
 def test_option_values_may_start_with_a_dash(capsys):
     code, _, err = run(capsys, "losses", "--components", "-1,2,3")  # the library refuses it
-    assert (code, err) == (1, "Error: loss components must be finite and >= 0, got -1.0, 2.0, 3.0\n")
+    assert (code, err) == (1, "Error: --components: loss components must be finite and >= 0, "
+                              "got -1.0, 2.0, 3.0\n")
     code, out, err = run(capsys, "losses", "--attr-angles", "-0.1,0,0", "--out-angles", "-1e-1,0,0")
     assert (code, err) == (0, "") and "pose_loss = 0.0\n" in out
     code, _, err = run(capsys, "analyze", "--", "-x.csv")  # after "--", a word is an argument
@@ -1143,6 +1144,12 @@ def test_help_wraps_to_the_terminal_up_to_78_columns(monkeypatch, tmp_path, caps
     for case in ("help", "help-verify"):
         expected = GOLDEN["cases"][case]
         assert golden_result(expected["argv"], tmp_path, *run(capsys, *expected["argv"])) == expected
+
+
+def test_short_help_is_the_first_sentence_or_what_fits():
+    assert _short_help("Emit the table.  Then more.\n\nDetails.", 40) == "Emit the table."
+    assert _short_help("Emit the table\n\nDetails.", 40) == "Emit the table"  # no period, fits
+    assert _short_help("Emit the whole table", 12) == "Emit the..."
 
 
 # This process imported numpy before genfields, so the cases above never take the

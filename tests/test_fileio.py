@@ -25,7 +25,7 @@ from genfields.fileio import (
     write_ppm,
 )
 from genfields.regularizer import (
-    _stats_header,
+    _STATS_COLUMNS,
     estimate_stats,
     load_stats_csv,
     parse_stats_csv,
@@ -344,8 +344,10 @@ def read_both(parse, text):
     return outcome(0), outcome(sys.maxsize)
 
 
-def served_by_loadtxt(text):
-    return fileio._loadtxt(text, fileio._vector_header, None) is not None
+def served_by_loadtxt(text, columns=None):
+    """Whether numpy's C reader reads ``text``, its line ends made ``\\n`` as ``_numeric_csv`` does."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return fileio._loadtxt(text, "CSV", columns) is not None
 
 
 TOKENS = [*"0123456789.eE+-,\n\r \t#\"_d\x0c", "nan", "inf", "-inf", "1.5", "-2e-3",
@@ -421,8 +423,12 @@ def test_readers_agree_on_either_side_of_the_size_constant_property(text):
 
 
 def test_error_precedence_on_either_side():
-    # Width and parse errors first, in row order; then the first non-finite cell, row-major.
+    # csv, header, width and parse errors first, in file order; then the first
+    # non-finite cell, row-major.
     for parse, text, message in [
+        (parse_vectors_csv, f"1,2\n3\n4,{'1' * 140_001}\n", "vector CSV row 2: expected 2 columns, got 1"),
+        (parse_vectors_csv, "# a\nd0,d1\n\n", "vector CSV contains only a header row"),
+        (parse_stats_csv, "dim,mu,sigma\n", "statistics CSV contains only a header row"),
         (parse_vectors_csv, "1,2\n3,nan\n5,6\n7,8\n9\n", "vector CSV row 5: expected 2 columns"),
         (parse_stats_csv, "dim,mu,sigma\n0,1,1\n1,nan,1\n2,1,1\n3,1,1\n4,x,1\n",
          "statistics CSV row 5, column 2: could not convert string to float: 'x'"),
@@ -471,22 +477,24 @@ def test_numpy_reader_serves_the_tools_own_files():
         assert served_by_loadtxt(text)
     report = "# genfields 0.1.0\n# subcommand: stats\n# parameters: styles=s.csv\n"
     text = report + stats_csv(estimate_stats(matrix))
-    assert fileio._loadtxt(text, _stats_header, 3) is not None
+    assert served_by_loadtxt(text, _STATS_COLUMNS)
     assert read_both(parse_stats_csv, text)[0] == read_both(parse_stats_csv, text)[1]
 
 
 def test_numpy_reader_holds_no_copy_of_the_text():
-    # The C reader gets the text a line at a time: the peak stays below the
+    # Either reader gets the text a line at a time: the peak stays below the
     # text's own size (about 0.6x; a StringIO of it alone takes 4 bytes a character).
+    # One quoted cell makes the C reader decline, so the exact reader reads it all.
     text = vectors_csv(np.random.default_rng(0).normal(size=(40, 4928)), header=True)
-    tracemalloc.start()
-    try:
-        data = parse_vectors_csv(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert data.shape == (40, 4928)
-    assert peak < len(text)
+    for text in (text, re.sub(r"\n([^,]*),", r'\n"\1",', text, count=1)):
+        tracemalloc.start()
+        try:
+            data = parse_vectors_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (40, 4928)
+        assert peak < len(text)
 
 
 @pytest.mark.parametrize("cell", ["1" * 140_001, "0.5" + " " * 140_000])

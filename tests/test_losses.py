@@ -311,6 +311,15 @@ def _ssim_plane_whole(a, b, window):
     return float(np.ascontiguousarray(ssim_map).mean()), float(np.ascontiguousarray(cs_map).mean())
 
 
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    # as on macOS and Windows: every CPU counts, and an unknown count is 1
+    monkeypatch.delattr(losses.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(losses.os, "cpu_count", lambda: 6)
+    assert losses._usable_cpus() == 6
+    monkeypatch.setattr(losses.os, "cpu_count", lambda: None)
+    assert losses._usable_cpus() == 1
+
+
 def _force_threads(monkeypatch, workers, min_cells):
     monkeypatch.setattr(losses, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(losses, "THREAD_MIN_CELLS", min_cells)

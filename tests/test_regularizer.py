@@ -253,8 +253,10 @@ def test_parse_stats_csv_errors():
         parse_stats_csv("dim,mu,sigma\n5,1.0,1.0\n")
     with pytest.raises(ValueError, match="3 columns"):
         parse_stats_csv("dim,mu,sigma\n0,1.0\n")
-    with pytest.raises(ValueError, match="no data rows"):
+    with pytest.raises(ValueError, match="^statistics CSV contains only a header row$"):
         parse_stats_csv("dim,mu,sigma\n")
+    with pytest.raises(ValueError, match="^statistics CSV must start with header dim,mu,sigma$"):
+        parse_stats_csv("# no rows\n\n")
 
 
 def test_parse_stats_csv_skips_comments():
