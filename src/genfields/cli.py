@@ -20,7 +20,8 @@ Exit codes: 0 success; 1 input or usage error; 2 a verification or
 consistency check failed.
 
 The command line is parsed by :mod:`argparse` from the table that
-:func:`_command` fills; ``--help`` is rendered from the same table.
+:func:`_command` fills, and argparse lays out ``--help`` and usage errors,
+wrapped to the terminal's width (``COLUMNS``).
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def _fmt_float(x: float) -> str:
 # ------------------------------------------------------- command table ---
 
 # Subcommand name -> (function, params), filled by @_command.  A param is
-# (name, dest, kind, default, help, show_default): an option when the name
+# (name, dest, kind, default, help): an option when the name
 # starts with "--", else a positional argument named by its metavar.  ``kind``
 # is a metavar ("TEXT", "PATH", "INTEGER" or "FLOAT"), a tuple of choices, a
 # range of allowed integers, or None for a flag.
@@ -265,9 +266,9 @@ and evaluates control-signal sparsity, Gaussian style regularization and
 editing losses.  All randomized steps are seeded (default seed 7)."""
 
 
-def _option(flag, kind="TEXT", help="", default=None, show_default=False, dest=None):
+def _option(flag, kind="TEXT", help="", default=None, dest=None):
     dest = dest or flag.lstrip("-").replace("-", "_").lower()
-    return flag, dest, kind, default, help, show_default
+    return flag, dest, kind, default, help
 
 
 def _command(name, *params):
@@ -305,13 +306,14 @@ def cmd_fields(preset, arch_path, fmt, output):
 
 @_command(
     "verify", _PRESET, _option("--arch", "PATH", "Architecture file to verify.", dest="arch_path"),
-    _option("--semantics", tuple(s.value for s in Semantics), default=Semantics.ZERO_INSERT.value,
-            show_default=True),
-    _option("--sim-base", "INTEGER", "Simulated base resolution (replaces the architecture's).",
-            default=16, show_default=True),
+    _option("--semantics", tuple(s.value for s in Semantics), "Upsampling semantics "
+            "(default: %(default)s).", default=Semantics.ZERO_INSERT.value),
+    _option("--sim-base", "INTEGER", "Simulated base resolution, replacing the architecture's "
+            "(default: %(default)s).", default=16),
     _option("--layers", help="Restrict to a range, e.g. conv0..conv3.", dest="layer_span"),
     _option("--numeric", None, "Also run the numeric executor and check agreement."),
-    _option("--seed", "INTEGER", default=DEFAULT_SEED, show_default=True), _FORMAT, _OUTPUT,
+    _option("--seed", "INTEGER", "Seed of the numeric executor's weights (default: %(default)s).",
+            default=DEFAULT_SEED), _FORMAT, _OUTPUT,
 )
 def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed, fmt, output):
     """Measure impulse footprints and compare them with the analytic fields.
@@ -421,8 +423,10 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
 
 @_command(
     "analyze", _option("DELTAS_CSV"),
-    _option("--top-k", "INTEGER", default=DEFAULT_TOP_K, show_default=True),
-    _option("--bins", "INTEGER", default=DEFAULT_BINS, show_default=True), _FORMAT, _OUTPUT,
+    _option("--top-k", "INTEGER", "Size of each test's top-k set (default: %(default)s).",
+            default=DEFAULT_TOP_K),
+    _option("--bins", "INTEGER", "Histogram bins (default: %(default)s).", default=DEFAULT_BINS),
+    _FORMAT, _OUTPUT,
     _option("--membership-out", "PATH", "Write the per-test top-k membership matrix as CSV."),
 )
 def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
@@ -479,7 +483,8 @@ def cmd_analyze(deltas_csv, top_k, bins, fmt, output, membership_out):
 
 @_command(
     "stats", _option("STYLES_CSV"),
-    _option("--epsilon-floor", "FLOAT", default=DEFAULT_EPSILON_FLOOR, show_default=True), _OUTPUT,
+    _option("--epsilon-floor", "FLOAT", "Smallest sigma (default: %(default)s).",
+            default=DEFAULT_EPSILON_FLOOR), _OUTPUT,
 )
 def cmd_stats(styles_csv, epsilon_floor, output):
     """Estimate per-channel Gaussian statistics from style vectors (CSV rows)."""
@@ -606,9 +611,10 @@ def _load_image(path: str) -> np.ndarray:
     _option("--attr-image", "PATH"), _option("--out-image", "PATH"),
     _option("--same-inputs", None,
             "Attribute and identity images are the same source (enables the pixel term)."),
-    _option("--alpha", "FLOAT", default=DEFAULT_ALPHA, show_default=True),
+    _option("--alpha", "FLOAT", "MS-SSIM weight of the pixel term (default: %(default)s).",
+            default=DEFAULT_ALPHA),
     _option("--lambdas", help="Loss weights id,attr,rec (default 1,0.01,0.02)."),
-    _option("--scales", "INTEGER", "MS-SSIM scale count (1..5).", default=5, show_default=True),
+    _option("--scales", "INTEGER", "MS-SSIM scale count, 1..5 (default: %(default)s).", default=5),
     _option("--all-landmarks", None, "Use all 68 landmarks, not the 51 inner ones."),
     _option("--degrees", None, "Interpret --attr-angles/--out-angles in degrees."),
     _option("--format", ("table", "json"), default="table", dest="fmt"), _OUTPUT,
@@ -680,19 +686,49 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse(name: str, args: list[str]) -> dict | None:
+def _prog() -> str:
+    """How the program was run: the script's file name, or ``python -m <module>``."""
+    path = os.path.basename(sys.argv[0]) if sys.argv else ""
+    package = getattr(sys.modules.get("__main__"), "__package__", None)
+    if not package:
+        return path
+    name = os.path.splitext(path)[0]
+    return "python -m " + (package if name == "__main__" else f"{package}.{name}").lstrip(".")
+
+
+def _parser(name: str | None) -> _Parser:
+    """The parser of subcommand ``name`` from :data:`COMMANDS`, or of the program when None.
+
+    Each parser's ``--help`` is its docstring and its options' help; the
+    program's lists the commands with their docstrings' first lines.
+    """
+    prog = " ".join(filter(None, (_prog(), name)))
+    if name is None:  # main() answers --version and picks the command itself
+        parser = _Parser(prog=prog, description=ABOUT, add_help=False)
+        parser.add_argument("--version", action="store_true", help="show the version and exit")
+        commands = parser.add_subparsers(title="commands", metavar="COMMAND")
+        for command, (fn, _) in COMMANDS.items():
+            commands.add_parser(command, help=fn.__doc__.partition("\n")[0], add_help=False)
+    else:
+        fn, params = COMMANDS[name]
+        parser = _Parser(prog=prog, description=fn.__doc__, add_help=False, allow_abbrev=False)
+        for flag, dest, kind, default, text in params:
+            if not flag.startswith("--"):
+                parser.add_argument(dest, metavar=flag, help=text)
+            elif kind is None:
+                parser.add_argument(flag, dest=dest, action="store_true", help=text)
+            else:
+                parser.add_argument(flag, dest=dest, default=default, help=text,
+                                    type=int if isinstance(kind, range) else _TYPES.get(kind, str),
+                                    choices=None if isinstance(kind, str) else kind,
+                                    metavar=kind if isinstance(kind, str) else None)
+    parser.add_argument("--help", action="help", help="show this help message and exit")
+    return parser
+
+
+def _parse(parser: _Parser, name: str, args: list[str]) -> dict | None:
     """Keyword arguments of subcommand ``name`` from ``args``; None if they ask for ``--help``."""
-    parser, valued = _Parser(add_help=False, allow_abbrev=False), set()
-    for flag, dest, kind, default, *_ in COMMANDS[name][1]:
-        if not flag.startswith("--"):
-            parser.add_argument(dest, metavar=flag)
-        elif kind is None:
-            parser.add_argument(flag, dest=dest, action="store_true")
-        else:
-            valued.add(flag)
-            parser.add_argument(flag, dest=dest, default=default,
-                                type=int if isinstance(kind, range) else _TYPES.get(kind, str),
-                                choices=None if isinstance(kind, str) else kind)
+    valued = {flag for flag, _, kind, *_ in COMMANDS[name][1] if flag[:2] == "--" and kind is not None}
     # An option taking a value takes the next word, even one that starts with "-",
     # but not "--": every word after "--" is an argument.  An empty value is
     # refused as a missing one.
@@ -711,103 +747,6 @@ def _parse(name: str, args: list[str]) -> dict | None:
         return None
     rest = list(tail)
     return vars(parser.parse_args(words + ["--"] * bool(rest) + rest))
-
-
-def _prog() -> str:
-    """How the program was run: the script's file name, or ``python -m <module>``."""
-    path = os.path.basename(sys.argv[0]) if sys.argv else ""
-    package = getattr(sys.modules.get("__main__"), "__package__", None)
-    if not package:
-        return path
-    name = os.path.splitext(path)[0]
-    return "python -m " + (package if name == "__main__" else f"{package}.{name}").lstrip(".")
-
-
-# --help is laid out as click 8 laid it out when it parsed this command line:
-# text wrapped to the terminal width less 2, from 50 to 78 columns; options
-# and commands in a two-column list whose first column is at most 30 wide.
-
-def _width() -> int:
-    import shutil
-
-    return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
-
-
-def _usage(command: str | None, width: int) -> list[str]:
-    import textwrap
-
-    prefix = f"Usage: {' '.join(filter(None, (_prog(), command)))} "
-    pieces = " ".join(["[OPTIONS]", *(p[0] for p in COMMANDS[command][1] if p[0][:2] != "--")]
-                      if command else ["[OPTIONS]", "COMMAND", "[ARGS]..."])
-    fits = width >= len(prefix) + 20  # else the arguments start on a line of their own
-    indent = prefix if fits else " " * 11
-    lines = textwrap.wrap(pieces, width, initial_indent=indent, subsequent_indent=" " * len(indent))
-    return lines if fits else [prefix, *lines]
-
-
-def _paragraphs(doc: str) -> list[str]:
-    """``doc``'s paragraphs, each on one line, its lines' indentation dropped; none if None."""
-    lines = "\n".join(line.strip() for line in (doc or "").strip().splitlines())
-    return [paragraph.replace("\n", " ") for paragraph in lines.split("\n\n") if paragraph]
-
-
-def _short_help(doc: str, limit: int) -> str:
-    """The first sentence of ``doc``, or as many words as fit in ``limit`` with "..."."""
-    words = " ".join(_paragraphs(doc)[:1]).split()
-    for i in range(len(words)):
-        head = " ".join(words[: i + 1])
-        if len(head) > limit or len(head) == limit and i + 1 < len(words):
-            break
-        if head.endswith("."):
-            return head
-    else:
-        return " ".join(words)
-    while i and len(" ".join(words[:i])) + 3 > limit:
-        i -= 1
-    return " ".join(words[:i]) + "..."
-
-
-def _help_row(param) -> tuple[str, str]:
-    flag, _, kind, default, text, show_default = param
-    metavar = ("" if kind is None else " INTEGER RANGE" if isinstance(kind, range)
-               else f" [{'|'.join(kind)}]" if isinstance(kind, tuple) else f" {kind}")
-    extra = [f"default: {default}"] * show_default
-    if isinstance(kind, range):
-        extra.append(f"{kind.start}<=x<={kind[-1]}")
-    if extra:
-        text = f"{text}  [{'; '.join(extra)}]" if text else f"[{'; '.join(extra)}]"
-    return flag + metavar, text
-
-
-def _definitions(rows, width: int) -> list[str]:
-    import textwrap
-
-    column = min(max(len(term) for term, _ in rows), 30) + 2
-    pad, out = " " * (column + 2), []
-    for term, text in rows:
-        lines = textwrap.wrap(text, max(width - column - 2, 10)) or [""]
-        lead = f"  {term.ljust(column)}" if len(term) <= column - 2 else f"  {term}\n{pad}"
-        out += [(lead + lines[0]).rstrip(), *(pad + line for line in lines[1:])]
-    return out
-
-
-def _help(command: str | None) -> str:
-    """``--help`` of subcommand ``command``, or of the program when None."""
-    import textwrap
-
-    width = _width()
-    version = _option("--version", None, "Show the version and exit.")
-    fn, params = COMMANDS[command] if command else (None, [version])
-    out = _usage(command, width)
-    for paragraph in _paragraphs(fn.__doc__ if fn else ABOUT):
-        out += ["", *textwrap.wrap(paragraph, width, initial_indent="  ", subsequent_indent="  ")]
-    rows = [_help_row(p) for p in params if p[0].startswith("--")]
-    out += ["", "Options:", *_definitions([*rows, ("--help", "Show this message and exit.")], width)]
-    if not command:
-        limit = width - 6 - max(map(len, COMMANDS))
-        rows = [(name, _short_help(COMMANDS[name][0].__doc__, limit)) for name in sorted(COMMANDS)]
-        out += ["", "Commands:", *_definitions(rows, width)]
-    return "\n".join(out) + "\n"
 
 
 def _quiet_blas() -> bool:
@@ -829,25 +768,25 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     args = sys.argv[1:] if argv is None else list(argv)
     command = args[0] if args and args[0] in COMMANDS else None
+    parser = _parser(command)
     quiet_blas = _quiet_blas()
     try:
         if not args:
-            _write(sys.stderr, _help(None))
+            _write(sys.stderr, parser.format_help())
             return EXIT_INPUT_ERROR
-        kwargs = _parse(command, args[1:]) if command else None
+        kwargs = _parse(parser, command, args[1:]) if command else None
         if kwargs is not None:
             COMMANDS[command][0](**kwargs)
         elif command or args[0] == "--help":
-            _write(sys.stdout, _help(command))
+            _write(sys.stdout, parser.format_help())
         elif args[0] == "--version":
             _write(sys.stdout, f"genfields, version {__version__}\n")
         else:
             kind = "option" if args[0].startswith("-") else "command"
             raise UsageError(f"No such {kind} '{args[0]}'.")
     except UsageError as exc:
-        path = " ".join(filter(None, (_prog(), command)))
-        _write(sys.stderr, "\n".join(_usage(command, _width()))
-               + f"\nTry '{path} --help' for help.\n\nError: {exc}\n")
+        _write(sys.stderr, f"{parser.format_usage()}Try '{parser.prog} --help' for help.\n\n"
+                           f"Error: {exc}\n")
         return EXIT_INPUT_ERROR
     except CheckFailure as exc:
         _write(sys.stderr, f"check failed: {exc}\n")

@@ -3,7 +3,7 @@
 Images use the binary netpbm formats: P6 (PPM, RGB) and P5 (PGM, grayscale),
 8-bit only, mapped to floats in [0, 1] on load.  Vectors (style vectors,
 control signals, embeddings) are CSV with one vector per row and an optional
-``d0,d1,...`` header.  Landmark files hold one 68-point face per 68 rows of
+``d0,d1,...`` header, which sets the row width.  Landmark files hold one 68-point face per 68 rows of
 x,y,z -- or, equivalently, one face per 204-column row.
 
 Every numeric CSV is read by :func:`_numeric_csv`, which makes CR and CRLF
@@ -182,13 +182,23 @@ def write_pgm(path: str, img) -> None:
 _HEADER_CELL = re.compile(r"d\d+$")
 
 
-def _header(cells: list[str], what: str, columns: tuple[str, ...] | None) -> bool:
-    """Whether a first row's stripped ``cells`` are ``columns`` (else ValueError), or ``d0,d1,...``."""
-    if columns is None:
-        return all(map(_HEADER_CELL.match, cells))
-    if cells != list(columns):
-        raise ValueError(f"{what} must start with header {','.join(columns)}")
-    return True
+def _header(cells: list[str], what: str, columns: tuple[str, ...] | None) -> int | None:
+    """The width a first row's stripped ``cells`` set as a header; None if they are data.
+
+    They must be ``columns`` if given.  Else a row of ``d<int>`` cells is a
+    header, and must be ``d0,d1,...,d{n-1}``.  A header that breaks its rule
+    raises ValueError naming the first cell out of place.
+    """
+    if columns is not None:
+        if cells != list(columns):
+            raise ValueError(f"{what} must start with header {','.join(columns)}")
+        return len(columns)
+    if not all(map(_HEADER_CELL.match, cells)):
+        return None
+    for j, cell in enumerate(cells):
+        if cell != f"d{j}":
+            raise ValueError(f"{what} header, column {j + 1}: expected d{j}, got {cell}")
+    return len(cells)
 
 
 def _exact_csv(text: str, what: str, columns: tuple[str, ...] | None) -> np.ndarray:
@@ -201,18 +211,18 @@ def _exact_csv(text: str, what: str, columns: tuple[str, ...] | None) -> np.ndar
     ``array('d')``, and numpy is first touched to return the matrix.
     """
     reader = csv.reader(_lines(text))
-    width, values, rows = len(columns or ()), array("d"), 0
-    header = None  # whether the first row is a header, once it is read
+    values, rows = array("d"), 0
+    width = None  # the header's width, or the first row's, once the first row is read
     try:
         for row in reader:
             if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
                 continue
-            if header is None:
-                header = _header([cell.strip() for cell in row], what, columns)
-                if header:
+            if width is None:
+                width = _header([cell.strip() for cell in row], what, columns)
+                if width is not None:
                     continue
+                width = len(row)
             rows += 1
-            width = width or len(row)
             if len(row) != width:
                 raise ValueError(f"{what} row {rows}: expected {width} columns, got {len(row)}")
             try:
@@ -223,9 +233,9 @@ def _exact_csv(text: str, what: str, columns: tuple[str, ...] | None) -> np.ndar
     except csv.Error as exc:
         raise ValueError(f"{what} line {reader.line_num}: {exc}") from None
     if not rows:
-        if header is None:
+        if width is None:
             _header([], what, columns)  # a required header is missing
-        raise ValueError(f"{what} contains {'only a header row' if header else 'no data rows'}")
+        raise ValueError(f"{what} contains {'no data rows' if width is None else 'only a header row'}")
     if not all(map(math.isfinite, values)):
         k = next(k for k, value in enumerate(values) if not math.isfinite(value))
         raise ValueError(f"{what} row {k // width + 1}, column {k % width + 1}: "
@@ -265,7 +275,7 @@ def _loadtxt(text: str, what: str, columns: tuple[str, ...] | None) -> np.ndarra
     values agree bitwise, and rejects the cells only ``float()`` reads
     (``1_0``, Unicode digits).  This also declines on a quote or a NUL (which
     csv refuses on Python 3.10) before the data, a ragged, empty or non-finite
-    matrix, and a cell longer than csv reads.
+    matrix, one whose width is not its header's, and a cell longer than csv reads.
 
     numpy gets the :func:`_lines` of ``text``, which :func:`_numeric_csv` gave
     ``\\n`` line ends, one at a time, so the text is held once and never as a
@@ -280,17 +290,18 @@ def _loadtxt(text: str, what: str, columns: tuple[str, ...] | None) -> np.ndarra
     else:
         return None
     try:
-        if not _header([cell.strip() for cell in line.split(",")], what, columns):
-            rest = itertools.chain([line], rest)
+        width = _header([cell.strip() for cell in line.split(",")], what, columns)
     except ValueError:
         return None
+    if width is None:
+        rest = itertools.chain([line], rest)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data" is a UserWarning
             data = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2, dtype=float)
     except (ValueError, Warning):
         return None
-    if ((columns and data.shape[1] != len(columns)) or not np.isfinite(data).all()
+    if ((width is not None and data.shape[1] != width) or not np.isfinite(data).all()
             or _long_cell(text, csv.field_size_limit())):
         return None
     return data

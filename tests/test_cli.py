@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from genfields import fileio
 from genfields.archgraph import serialize_arch, stylegan2_preset
-from genfields.cli import _json_text, _short_help, main
+from genfields.cli import _json_text, main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
 from genfields.oracle import FootprintResult, numeric_footprint
 from genfields.regularizer import log_likelihood, parse_stats_csv
@@ -722,6 +722,7 @@ def test_module_entrypoint_help():
         [sys.executable, "-m", "genfields", "--help"], capture_output=True, text=True
     )
     assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: python -m genfields ")  # cli._prog, not __main__.py
     assert "fields" in proc.stdout and "verify" in proc.stdout
 
 
@@ -959,11 +960,6 @@ def write_golden_inputs(directory):
 
 def golden_result(argv, directory, code, out, err):
     """What one corpus invocation run in ``directory`` produced, as the corpus records it."""
-    # cli._prog names the program after the running interpreter's argv[0].
-    out, err = (re.sub(
-        r"^Usage: .*?(?= \[OPTIONS\]| (?:%s) \[OPTIONS\])" % "|".join(SUBCOMMANDS),
-        "Usage: genfields", text, count=1, flags=re.M,
-    ) for text in (out, err))
     files = {
         p.name: p.read_text(encoding="utf-8")
         for p in sorted(directory.iterdir())
@@ -976,7 +972,10 @@ def run_golden(argv, directory, monkeypatch, capsys):
     """Run one corpus invocation in ``directory``; return what it produced."""
     write_golden_inputs(directory)
     monkeypatch.chdir(directory)
-    monkeypatch.setenv("COLUMNS", "80")  # cli._width wraps --help to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help and usage to the terminal width
+    # The program is named as an installed script is: cli._prog reads argv[0] and __main__.
+    monkeypatch.setattr(sys, "argv", ["genfields"])
+    monkeypatch.setattr(sys.modules["__main__"], "__package__", None)
     return golden_result(argv, directory, *run(capsys, *argv))
 
 
@@ -1001,26 +1000,37 @@ NON_FINITE_TOKEN = re.compile(r"\b(?:nan|inf)\b", re.I)
 
 @st.composite
 def mutated_inputs(draw):
-    """A case, one of its CSVs, and that file with one mutation: cut short, one cell
-    replaced, or one row a cell wider or narrower."""
+    """A case, one of its CSVs, that file with one mutation, and whether the mutation is
+    to a ``d0,d1,...`` header, which must exit 1: the file cut short, one cell replaced,
+    or one row a cell wider or narrower; or one header cell dropped, added or swapped."""
     case = draw(st.sampled_from(sorted(MUTABLE_CASES)))
     name = draw(st.sampled_from(MUTABLE_CASES[case]))
     data = GOLDEN_INPUTS[name]
-    kind = draw(st.sampled_from(["truncate", "cell", "wider", "narrower"]))
+    kind = draw(st.sampled_from(["truncate", "cell", "wider", "narrower",
+                                 *["header"] * data.startswith(b"d0,")]))
     if kind == "truncate":
-        return case, name, data[:draw(st.integers(0, len(data) - 1))]
+        return case, name, data[:draw(st.integers(0, len(data) - 1))], False
     lines = data.decode().split("\n")
-    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+    i = 0 if kind == "header" else draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
     cells = lines[i].split(",")
     j = draw(st.integers(0, len(cells) - 1))
     if kind == "cell":
         cells[j] = draw(st.sampled_from(MUTANT_CELLS))
     elif kind == "wider":
         cells.insert(j, cells[j])
-    else:
+    elif kind == "narrower":
         del cells[j]
+    else:
+        edit = draw(st.sampled_from(["drop", "add", "swap"]))
+        if edit == "drop":
+            del cells[j]
+        elif edit == "add":  # the next cell, anywhere up to the end
+            cells.insert(j + draw(st.booleans()), f"d{len(cells)}")
+        else:  # with the next cell, the last with the first
+            k = (j + 1) % len(cells)
+            cells[j], cells[k] = cells[k], cells[j]
     lines[i] = ",".join(cells)
-    return case, name, "\n".join(lines).encode()
+    return case, name, "\n".join(lines).encode(), kind == "header"
 
 
 def _run_mutated(argv, directory, min_chars):
@@ -1042,7 +1052,7 @@ def _refuse(constant):
 
 def _check_mutated(case, name, data, min_chars, sources):
     """Run ``case`` with the file ``name`` holding ``data``: exit 1 names one of ``sources``,
-    exit 2 comes from a check, and exit 0 prints only finite numbers."""
+    exit 2 comes from a check, and exit 0 prints only finite numbers.  Returns the result."""
     argv = GOLDEN["cases"][case]["argv"]
     with tempfile.TemporaryDirectory() as directory:
         write_golden_inputs(Path(directory))
@@ -1057,15 +1067,17 @@ def _check_mutated(case, name, data, min_chars, sources):
         assert got["code"] == 1 or not NON_FINITE_TOKEN.search(text), got
     if got["code"] != 1 and "json" in argv:
         json.loads(got["out"], parse_constant=_refuse)
+    return got
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(mutated_inputs())
 def test_mutated_csv_inputs_exit_cleanly_property(mutation):
-    # Both readers see every mutation.
-    case, name, data = mutation
+    # Both readers see every mutation.  A header that disagrees with its rows is an error.
+    case, name, data, header = mutation
     for min_chars in (0, sys.maxsize):
-        _check_mutated(case, name, data, min_chars, [name])
+        got = _check_mutated(case, name, data, min_chars, [name])
+        assert got["code"] == 1 or not header, got
 
 
 ARCH_VALUES = [None, True, 3, 2.5, "3", [], {}]  # one value of each JSON type
@@ -1105,53 +1117,6 @@ def test_mutated_image_and_arch_inputs_exit_cleanly_property(mutation):
     _check_mutated(case, name, data, fileio.C_READER_MIN_CHARS, [name, *(layer["id"] for layer in layers)])
 
 
-# `genfields --help` as click 8 printed it on a 52-column terminal.
-HELP_AT_52_COLUMNS = (
-    "Usage: genfields [OPTIONS] COMMAND [ARGS]...\n"
-    "\n"
-    "  Static generative-field analysis for\n"
-    "  convolutional generator stacks.\n"
-    "\n"
-    "  Computes analytic generative fields, verifies\n"
-    "  them against brute-force influence oracles,\n"
-    "  plans style-space control masks by field\n"
-    "  thresholds, and evaluates control-signal\n"
-    "  sparsity, Gaussian style regularization and\n"
-    "  editing losses.  All randomized steps are seeded\n"
-    "  (default seed 7).\n"
-    "\n"
-    "Options:\n"
-    "  --version  Show the version and exit.\n"
-    "  --help     Show this message and exit.\n"
-    "\n"
-    "Commands:\n"
-    "  analyze  Sparsity report over control...\n"
-    "  fields   Emit the per-layer generative...\n"
-    "  loglik   Log-likelihood of style vectors...\n"
-    "  losses   Evaluate editing loss components...\n"
-    "  plan     Build a control-signal mask plan...\n"
-    "  stats    Estimate per-channel Gaussian...\n"
-    "  verify   Measure impulse footprints and...\n"
-)
-
-
-def test_help_wraps_to_the_terminal_up_to_78_columns(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(sys, "argv", ["genfields"])  # the program name, as an installed script
-    monkeypatch.setattr(sys.modules["__main__"], "__package__", None)
-    monkeypatch.setenv("COLUMNS", "52")
-    assert run(capsys, "--help") == (0, HELP_AT_52_COLUMNS, "")
-    monkeypatch.setenv("COLUMNS", "200")
-    for case in ("help", "help-verify"):
-        expected = GOLDEN["cases"][case]
-        assert golden_result(expected["argv"], tmp_path, *run(capsys, *expected["argv"])) == expected
-
-
-def test_short_help_is_the_first_sentence_or_what_fits():
-    assert _short_help("Emit the table.  Then more.\n\nDetails.", 40) == "Emit the table."
-    assert _short_help("Emit the table\n\nDetails.", 40) == "Emit the table"  # no period, fits
-    assert _short_help("Emit the whole table", 12) == "Emit the..."
-
-
 # This process imported numpy before genfields, so the cases above never take the
 # lazy binding's load path.  Each subcommand's cases therefore run again in one fresh
 # interpreter that imports genfields.cli first.  The cases matching NO_NUMPY run
@@ -1165,6 +1130,7 @@ NO_NUMPY = re.compile(r"fields-|losses-components-|help|version$|plan-|verify-|e
 FRESH_CHILD = """
 import contextlib, io, json, os, sys
 from genfields.cli import main
+sys.argv = ["genfields"]  # the program's name in --help and usage errors
 results = {}
 for name, argv, directory in json.load(sys.stdin):
     os.chdir(directory)

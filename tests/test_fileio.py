@@ -160,6 +160,18 @@ def test_vectors_csv_empty_rejected():
         parse_vectors_csv("d0,d1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("d0,d1\n1,2,3\n4,5,6\n", "vector CSV row 1: expected 2 columns, got 3"),
+    ("d0,d1,d2\n1,2\n", "vector CSV row 1: expected 3 columns, got 2"),
+    ("d7,d3\n1,2\n", "vector CSV header, column 1: expected d0, got d7"),
+    ("d0,d2,d1\n1,2,3\n", "vector CSV header, column 2: expected d1, got d2"),
+    ("d0,d01\n1,2\n", "vector CSV header, column 2: expected d1, got d01"),
+])
+def test_a_d_header_sets_the_width_of_its_rows(text, message):
+    fast, exact = read_both(parse_vectors_csv, text)
+    assert fast == exact == ("error", message)
+
+
 def test_bare_carriage_returns_end_lines():
     # as in a file opened in text mode, not csv's "new-line character seen in unquoted field"
     np.testing.assert_array_equal(parse_vectors_csv("1,2\r3,4\n"), [[1.0, 2.0], [3.0, 4.0]])
