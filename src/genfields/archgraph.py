@@ -7,14 +7,16 @@ sizes, influence footprints, and the style-space layout.
 
 Architectures come from three places: JSON architecture files
 (:func:`parse_arch` / :func:`load_arch`), the built-in StyleGAN2 presets
-(:func:`stylegan2_preset`), or direct construction in code.  Specs are frozen
-after validation and safe to share between concurrent analyses.
+(:func:`stylegan2_preset`, built as a decoded file would be), or direct
+construction in code.  Specs are frozen after validation and safe to share
+between concurrent analyses.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 
 from ._record import record
 from .fileio import _load
@@ -122,8 +124,11 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # The file format is the records' fields; a layer's id and style_label are optional.
 _TOP_LEVEL_FIELDS = set(ArchSpec.__match_args__)
 _LAYER_FIELDS = set(LayerSpec.__match_args__)
-# In field order, so that of several bad sizes the same one is reported every run.
-_LAYER_REQUIRED = tuple(name for name in LayerSpec.__match_args__ if name not in ("id", "style_label"))
+# The required ones, in field order, so that of several bad sizes the same one is reported every run.
+_LAYER_SIZES = tuple(name for name in LayerSpec.__match_args__ if name not in ("id", "style_label"))
+# The largest size and output side of an architecture: every exact integer a report
+# derives from them has a few dozen digits, far below the 4300 Python converts to text.
+_SIZE_LIMIT = 2**63
 
 
 def _is_int(value: object) -> bool:
@@ -145,6 +150,16 @@ def _check_text(what: str, value: object, unsafe: re.Pattern, chars: str) -> Non
         raise ArchValidationError(f"{what} {value!r} contains a lone surrogate")
 
 
+def _check_size(where: str, field: str, value: object) -> None:
+    """Refuse a size that is no integer, or not in ``[1, _SIZE_LIMIT]``."""
+    if not _is_int(value):
+        raise _ArchTypeError(f"{where}: {field} must be an integer, got {value!r}")
+    if value > _SIZE_LIMIT:  # printed, the value itself might have too many digits
+        raise ArchValidationError(f"{where}: {field} must be at most {_SIZE_LIMIT}")
+    if value < 1:
+        raise ArchValidationError(f"{where}: {field} must be positive, got {value}")
+
+
 def validate_arch(arch: ArchSpec) -> ArchSpec:
     """Check every type and value rule of an ArchSpec; return it unchanged.
 
@@ -154,15 +169,8 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
     _check_text("architecture name", arch.name, _CONTROL, "a control character")
     if not arch.layers:
         raise ArchValidationError(f"architecture {arch.name!r} has no layers")
-    if not _is_int(arch.base_resolution):
-        raise _ArchTypeError(
-            f"architecture {arch.name!r}: base_resolution must be an integer, "
-            f"got {arch.base_resolution!r}"
-        )
-    if arch.base_resolution < 1:
-        raise ArchValidationError(
-            f"architecture {arch.name!r}: base_resolution must be positive, got {arch.base_resolution}"
-        )
+    _check_size(f"architecture {arch.name!r}", "base_resolution", arch.base_resolution)
+    side = arch.base_resolution
     seen: set[str] = set()
     for i, layer in enumerate(arch.layers):
         _check_text(f"layer {i} id", layer.id, _UNSAFE_CELL, _CELL_CHARS)
@@ -173,20 +181,11 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
         if layer.id in seen:
             raise ArchValidationError(f"duplicate layer id {layer.id!r}")
         seen.add(layer.id)
-        for field in _LAYER_REQUIRED:
-            if not _is_int(getattr(layer, field)):
-                raise _ArchTypeError(
-                    f"{layer.id}: {field} must be an integer, got {getattr(layer, field)!r}"
-                )
-        if layer.kernel < 1:
-            raise ArchValidationError(f"{layer.id}: kernel must be >= 1, got {layer.kernel}")
-        if layer.upsample < 1:
-            raise ArchValidationError(f"{layer.id}: upsample must be >= 1, got {layer.upsample}")
-        if layer.channels_in < 1 or layer.channels_out < 1:
-            raise ArchValidationError(
-                f"{layer.id}: channel counts must be positive, got "
-                f"{layer.channels_in}->{layer.channels_out}"
-            )
+        for field in _LAYER_SIZES:
+            _check_size(layer.id, field, getattr(layer, field))
+        side *= layer.upsample
+        if side > _SIZE_LIMIT:
+            raise ArchValidationError(f"{layer.id}: output side must be at most {_SIZE_LIMIT}")
         if i > 0:
             prev = arch.layers[i - 1]
             if layer.channels_in != prev.channels_out:
@@ -195,6 +194,30 @@ def validate_arch(arch: ArchSpec) -> ArchSpec:
                     f"{prev.id} channels_out {prev.channels_out}"
                 )
     return arch
+
+
+def _check_fields(where: str, raw: dict, allowed: set[str], required: set[str] | tuple[str, ...]) -> None:
+    """Refuse an object ``raw`` with a field not in ``allowed`` or without one of ``required``."""
+    for problem, names in (("unknown", set(raw) - allowed), ("missing", set(required) - set(raw))):
+        if names:
+            raise ArchParseError(f"{where}: {problem} field(s): {', '.join(sorted(names))}")
+
+
+def _arch_from_doc(doc: object) -> ArchSpec:
+    """The validated ArchSpec that a decoded architecture document describes."""
+    if not isinstance(doc, dict):
+        raise ArchParseError("architecture file must be a JSON object at the top level")
+    _check_fields("top level", doc, _TOP_LEVEL_FIELDS, _TOP_LEVEL_FIELDS)
+    if not isinstance(doc["layers"], list):
+        raise ArchParseError("layers: expected an array of layer objects")
+    layers: list[LayerSpec] = []
+    for i, raw in enumerate(doc["layers"]):
+        where = f"layers[{i}]"
+        if not isinstance(raw, dict):
+            raise ArchParseError(f"{where}: expected a layer object")
+        _check_fields(where, raw, _LAYER_FIELDS, _LAYER_SIZES)
+        layers.append(LayerSpec(**{"id": f"conv{i}", **raw}))
+    return validate_arch(ArchSpec(**{**doc, "layers": tuple(layers)}))
 
 
 def parse_arch(text: str) -> ArchSpec:
@@ -209,35 +232,14 @@ def parse_arch(text: str) -> ArchSpec:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ArchParseError(
-            f"malformed architecture file at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-
-    if not isinstance(doc, dict):
-        raise ArchParseError("architecture file must be a JSON object at the top level")
-    unknown = set(doc) - _TOP_LEVEL_FIELDS
-    if unknown:
-        raise ArchParseError(f"unknown top-level field(s): {', '.join(sorted(unknown))}")
-    missing = _TOP_LEVEL_FIELDS - set(doc)
-    if missing:
-        raise ArchParseError(f"missing top-level field(s): {', '.join(sorted(missing))}")
-    if not isinstance(doc["layers"], list):
-        raise ArchParseError("layers: expected an array of layer objects")
-
-    layers: list[LayerSpec] = []
-    for i, raw in enumerate(doc["layers"]):
-        where = f"layers[{i}]"
-        if not isinstance(raw, dict):
-            raise ArchParseError(f"{where}: expected a layer object")
-        unknown = set(raw) - _LAYER_FIELDS
-        if unknown:
-            raise ArchParseError(f"{where}: unknown field(s): {', '.join(sorted(unknown))}")
-        missing = set(_LAYER_REQUIRED) - set(raw)
-        if missing:
-            raise ArchParseError(f"{where}: missing field(s): {', '.join(sorted(missing))}")
-        layers.append(LayerSpec(**{"id": f"conv{i}", **raw}))
-
-    return validate_arch(ArchSpec(**{**doc, "layers": tuple(layers)}))
+        problem = f" at line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except ValueError:  # the only other one: int() refuses a literal over its digit limit
+        problem = f": an integer has more than {sys.get_int_max_str_digits()} digits"
+    except RecursionError:
+        problem = ": arrays or objects nested too deeply"
+    else:
+        return _arch_from_doc(doc)
+    raise ArchParseError(f"malformed architecture file{problem}")
 
 
 def serialize_arch(arch: ArchSpec) -> str:
@@ -266,7 +268,8 @@ def stylegan2_preset(resolution: int) -> ArchSpec:
     per block.  Channel widths follow min(512, 16384 / block_resolution),
     which reproduces the published channel column for the 256x256 model.
     Style labels (s0, s2, s3, s5, s6, ...) skip the per-block RGB convolution
-    indices, which are not represented here.
+    indices, which are not represented here.  The stack is built as an
+    architecture document and goes through the same checks as a file.
     """
     if resolution not in SUPPORTED_PRESET_RESOLUTIONS:
         raise ArchError(
@@ -274,47 +277,15 @@ def stylegan2_preset(resolution: int) -> ArchSpec:
             f"{', '.join(str(r) for r in SUPPORTED_PRESET_RESOLUTIONS)}"
         )
     base = 4
-    layers: list[LayerSpec] = [
-        LayerSpec(
-            id="conv0",
-            kernel=3,
-            upsample=1,
-            channels_in=_block_width(base),
-            channels_out=_block_width(base),
-            style_label="s0",
-        )
+    # (upsample, output side) of each layer: conv0, then two layers per doubling.
+    schedule = [(1, base)] + [(u, base << b) for b in range(1, (resolution // base).bit_length())
+                              for u in (2, 1)]
+    layers = [
+        {"kernel": 3, "upsample": u, "channels_in": _block_width(side // u),
+         "channels_out": _block_width(side), "style_label": f"s{i + (i + 1) // 2}"}
+        for i, (u, side) in enumerate(schedule)
     ]
-    block = 1
-    res = base * 2
-    while res <= resolution:
-        w_in = _block_width(res // 2)
-        w_out = _block_width(res)
-        idx = len(layers)
-        layers.append(
-            LayerSpec(
-                id=f"conv{idx}",
-                kernel=3,
-                upsample=2,
-                channels_in=w_in,
-                channels_out=w_out,
-                style_label=f"s{3 * block - 1}",
-            )
-        )
-        layers.append(
-            LayerSpec(
-                id=f"conv{idx + 1}",
-                kernel=3,
-                upsample=1,
-                channels_in=w_out,
-                channels_out=w_out,
-                style_label=f"s{3 * block}",
-            )
-        )
-        block += 1
-        res *= 2
-    return validate_arch(
-        ArchSpec(name=f"stylegan2-{resolution}", base_resolution=base, layers=tuple(layers))
-    )
+    return _arch_from_doc({"name": f"stylegan2-{resolution}", "base_resolution": base, "layers": layers})
 
 
 def input_resolution(arch: ArchSpec, layer: int) -> int:

@@ -218,7 +218,8 @@ def _resolve_arch(preset: str | None, arch_path: str | None) -> ArchSpec:
     if (preset is None) == (arch_path is None):
         raise ValueError("pass exactly one of --preset or --arch")
     if preset is not None:
-        match = re.fullmatch(r"stylegan2-([1-9][0-9]*)", preset)
+        # A number of over 18 digits is no resolution; int() refuses one of over 4300.
+        match = re.fullmatch(r"stylegan2-([1-9][0-9]{0,17})", preset)
         if match is None:
             raise ValueError(f"unknown preset {preset!r}; use e.g. stylegan2-256")
         return stylegan2_preset(int(match[1]))
@@ -394,7 +395,7 @@ def cmd_plan(preset, arch_path, config_index, min_gf, max_gf, layer_span, fmt, o
     params = {"arch": arch.name, **{k: v for k, v in mode.items() if v is not None}, "format": fmt}
 
     dims = plan.dims  # the mask's runs, read from its span without building the mask
-    runs = ((0, dims.start), (1, len(dims)), (0, plan.total_dims - dims.stop))
+    runs = ((0, dims.start), (1, plan.enabled_dims), (0, plan.total_dims - dims.stop))
     rle = [run for run in runs if run[1]]
     rows = [(r.layer_id, r.style_label or "", rec.generative_field, r.start, r.stop,
              str(r.start in dims).lower()) for r, rec in zip(layout.ranges, table.records)]

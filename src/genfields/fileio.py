@@ -49,8 +49,9 @@ __all__ = [
 
 _MAXVAL_LIMIT = 255
 # After the magic number: width, height and maxval, each after whitespace or
-# '#' comments, then exactly one whitespace byte before the raster.
-_NETPBM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d+))" * 3 + rb"\s")
+# '#' comments, then exactly one whitespace byte before the raster.  A number
+# has at most 19 digits, as a numpy shape does; int() refuses one of over 4300.
+_NETPBM_HEADER = re.compile(rb"(?:(?:\s|#[^\n]*\n)+(\d{1,19}))" * 3 + rb"\s")
 
 
 def _naming(source: str, fn, *args, **kwargs):

@@ -112,7 +112,7 @@ class MaskPlan:
 
     @property
     def enabled_dims(self) -> int:
-        return len(self.dims)
+        return self.dims.stop - self.dims.start  # len() of a range fails past sys.maxsize
 
 
 def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from genfields.archgraph import (
     parse_arch,
     serialize_arch,
     stylegan2_preset,
+    validate_arch,
 )
 
 from helpers import make_arch, random_arch
@@ -94,6 +96,11 @@ def test_missing_fields_rejected():
     ("[]", "architecture file must be a JSON object at the top level"),
     ('{"name": "x", "base_resolution": 4, "layers": {}}', "layers: expected an array of layer objects"),
     ('{"name": "x", "base_resolution": 4, "layers": [3]}', "layers[0]: expected a layer object"),
+    pytest.param('{"name": "x", "base_resolution": ' + "4" * 5000 + ', "layers": []}',
+                 "malformed architecture file: an integer has more than "
+                 f"{sys.get_int_max_str_digits()} digits", id="long-integer"),
+    pytest.param("[" * 100_000, "malformed architecture file: arrays or objects nested too deeply",
+                 id="deep-nesting"),
 ])
 def test_non_object_parts_rejected(text, message):
     with pytest.raises(ArchParseError) as info:
@@ -186,6 +193,28 @@ def test_unsupported_preset_resolution():
         stylegan2_preset(100)
     with pytest.raises(Exception, match="unsupported"):
         stylegan2_preset(4)
+
+
+@pytest.mark.parametrize("resolution", [8, 16, 32, 64, 128, 256, 512, 1024])
+def test_every_preset_matches_an_independent_table(resolution):
+    # conv0 at the 4x4 base, then per doubling an upsampling and a stride-1 layer;
+    # each layer's width is min(512, 16384 // its output side); the labels skip
+    # s1, s4, s7, ..., the indices of the RGB convolutions.
+    sides = [4]
+    while sides[-1] < resolution:
+        sides += [sides[-1] * 2] * 2
+    blocks = len(sides) // 2
+    ups = [1] + [2, 1] * blocks
+    widths = [min(512, 16384 // side) for side in sides]
+    labels = [f"s{n}" for n in range(3 * blocks + 1) if n % 3 != 1]
+    expected = [(f"conv{i}", 3, ups[i], widths[max(i - 1, 0)], widths[i], labels[i])
+                for i in range(len(sides))]
+    arch = stylegan2_preset(resolution)
+    assert (arch.name, arch.base_resolution) == (f"stylegan2-{resolution}", 4)
+    assert [(l.id, l.kernel, l.upsample, l.channels_in, l.channels_out, l.style_label)
+            for l in arch.layers] == expected
+    assert arch.output_resolution == resolution
+    assert parse_arch(serialize_arch(arch)) == arch
 
 
 def test_input_resolution_values():
@@ -352,3 +381,44 @@ def test_wrong_top_level_type_is_a_parse_and_a_validation_error(field, value, me
         parse_arch(json.dumps(doc))
     assert isinstance(info.value, ArchValidationError)
     assert str(info.value) == message
+
+
+# ------------------------------------------------------------ size limits ---
+
+LIMIT = 2**63
+
+
+def _sized(base=4, **sizes):
+    """A two-layer architecture document, with ``sizes`` replacing fields of conv0 or conv1."""
+    layers = [{"kernel": 3, "upsample": 1, "channels_in": 4, "channels_out": 4} for _ in range(2)]
+    for key, value in sizes.items():
+        field, i = key.rsplit("_", 1)
+        layers[int(i)][field] = value
+    return {"name": "x", "base_resolution": base, "layers": layers}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_sized(kernel_0=10**3000, upsample_0=10**3000, kernel_1=10**3000, upsample_1=10**3000),
+     f"conv0: kernel must be at most {LIMIT}"),
+    (_sized(upsample_1=LIMIT + 1), f"conv1: upsample must be at most {LIMIT}"),
+    (_sized(channels_out_0=LIMIT + 1, channels_in_1=LIMIT + 1),
+     f"conv0: channels_out must be at most {LIMIT}"),
+    (_sized(base=LIMIT + 1), f"architecture 'x': base_resolution must be at most {LIMIT}"),
+    (_sized(base=2, upsample_0=2**61, upsample_1=4), f"conv1: output side must be at most {LIMIT}"),
+    (_sized(kernel_0=0), "conv0: kernel must be positive, got 0"),
+    (_sized(channels_in_0=-1), "conv0: channels_in must be positive, got -1"),
+], ids=["kernel", "upsample", "channels", "base", "output-side", "zero", "negative"])
+def test_sizes_and_output_side_are_bounded(doc, message):
+    with pytest.raises(ArchValidationError) as info:
+        parse_arch(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_size_bound_admits_its_edge_and_names_no_oversized_value():
+    edge = _sized(base=2, upsample_0=2**61, upsample_1=2, kernel_0=LIMIT, kernel_1=LIMIT,
+                  channels_in_0=LIMIT, channels_out_0=LIMIT, channels_in_1=LIMIT, channels_out_1=LIMIT)
+    assert parse_arch(json.dumps(edge)).output_resolution == LIMIT
+    # A value no str() can print, built in code, is refused without printing it.
+    huge = ArchSpec("x", 4, (LayerSpec("conv0", 10**5000, 1, 4, 4),))
+    with pytest.raises(ArchValidationError, match=f"^conv0: kernel must be at most {LIMIT}$"):
+        validate_arch(huge)

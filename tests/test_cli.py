@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genfields import fileio
-from genfields.archgraph import serialize_arch, stylegan2_preset
+from genfields.archgraph import ArchSpec, LayerSpec, serialize_arch, stylegan2_preset
 from genfields.cli import _json_text, main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
 from genfields.oracle import FootprintResult, numeric_footprint
@@ -105,6 +105,7 @@ def test_fields_requires_exactly_one_source(capsys):
 @pytest.mark.parametrize("preset", [
     "256", "stylegan2-2_56", "stylegan2-+256", "stylegan2-0256", "stylegan2-\u0662\u0665\u0666",
     "stylegan2- 256", "stylegan2-256\n", "stylegan2-0",
+    pytest.param("stylegan2-" + "1" * 5000, id="5000-digits"),  # int() refuses over 4300 digits
 ])
 def test_preset_must_be_stylegan2_and_plain_digits(capsys, preset):
     code, out, err = run(capsys, "fields", "--preset", preset)
@@ -1467,6 +1468,42 @@ def test_arch_type_error_names_file_layer_and_field(capsys, tmp_path, monkeypatc
     (tmp_path / "my.arch").write_text(json.dumps(doc))
     assert run(capsys, "fields", "--arch", "my.arch") == (
         1, "", "Error: my.arch: conv0: kernel must be an integer, got 1.5\n")
+
+
+def _two_layers(size):
+    layer = {"kernel": size, "upsample": size, "channels_in": 4, "channels_out": 4}
+    return json.dumps({"name": "huge", "base_resolution": 4, "layers": [layer, layer]})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"name": "x", "base_resolution": ' + "4" * 5000 + ', "layers": []}',
+     f"malformed architecture file: an integer has more than {sys.get_int_max_str_digits()} digits"),
+    ("[" * 100_000, "malformed architecture file: arrays or objects nested too deeply"),
+    (_two_layers(10**3000), f"conv0: kernel must be at most {2**63}"),
+], ids=["long-integer", "deep-nesting", "oversized"])
+def test_undecodable_or_oversized_arch_exits_1(capsys, tmp_path, monkeypatch, text, message):
+    # None may leave main as a RecursionError or print Python's digit-limit message.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.arch").write_text(text)
+    for command in (["fields"], ["plan", "--layers", "conv0..conv0"], ["verify"]):
+        assert run(capsys, *command, "--arch", "bad.arch") == (1, "", f"Error: bad.arch: {message}\n")
+
+
+def test_preset_resolution_of_18_digits_is_unsupported(capsys):
+    code, out, err = run(capsys, "fields", "--preset", "stylegan2-" + "9" * 18)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"Error: unsupported preset resolution {'9' * 18}; expected one of 8, ")
+
+
+def test_plan_counts_dims_past_sys_maxsize(capsys, tmp_path):
+    big = 2**63
+    arch = ArchSpec("wide", 1, (LayerSpec("conv0", 3, 1, big, big), LayerSpec("conv1", 3, 1, big, big)))
+    path = tmp_path / "wide.arch"
+    path.write_text(serialize_arch(arch))
+    code, out, err = run(capsys, "plan", "--arch", str(path), "--layers", "conv1..conv1")
+    assert (code, err) == (0, "")
+    assert f"enabled_dims: {big} of {2 * big}\n" in out
+    assert f"mask_rle: 0*{big} 1*{big}\n" in out
 
 
 def test_analyze_histogram_size_limit_exits_1(capsys, monkeypatch, tmp_path):

@@ -86,6 +86,8 @@ def test_netpbm_errors(tmp_path):
     b"P6 1 1 255#c\n\x01\x02\x03",  # a comment, not one whitespace byte, after maxval
     b"P6 1 1 255",  # nothing after maxval
     b"P6 1 1",
+    # A width int() refuses to convert.
+    pytest.param(b"P6\n" + b"1" * 5000 + b" 1\n255\n\x01\x02\x03", id="5000-digit-width"),
 ])
 def test_netpbm_malformed_header(tmp_path, data):
     path = tmp_path / "h.ppm"
