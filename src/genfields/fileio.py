@@ -144,10 +144,11 @@ def _parse_netpbm(data: bytes, magic: bytes, samples_per_pixel: int) -> np.ndarr
     raster = data[match.end() : match.end() + expected]
     if len(raster) != expected:
         raise ValueError(f"expected {expected} raster bytes, got {len(raster)}")
-    arr = np.frombuffer(raster, dtype=np.uint8).astype(float) / maxval
-    if samples_per_pixel == 1:
-        return arr.reshape(height, width)
-    return arr.reshape(height, width, samples_per_pixel)
+    samples = np.frombuffer(raster, dtype=np.uint8)
+    if maxval < _MAXVAL_LIMIT and samples.max() > maxval:
+        raise ValueError(f"sample {samples.max()} above maxval {maxval}")
+    shape = (height, width) if samples_per_pixel == 1 else (height, width, samples_per_pixel)
+    return (samples / maxval).reshape(shape)
 
 
 def read_ppm(path: str) -> np.ndarray:

@@ -61,11 +61,13 @@ SSIM_WINDOW_SIZE = 11
 SSIM_WINDOW_SIGMA = 1.5
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
-# Output rows filtered per block; keeps the filter's temporaries in cache.
+# Rows of one channel per filter block; a stack of c channels takes 1/c as many, so its
+# temporaries stay one plane's size.  A fixed cell budget made narrow images' blocks
+# taller, costing a 256x256 RGB call in a fresh process ~3,700 more page faults.
 FILTER_BLOCK_ROWS = 64
-# SSIM maps of fewer cells are filled on the calling thread alone: on 2 CPUs,
-# splitting every level slowed 256x256 RGB calls from 0.038 s to 0.053 s,
-# the GIL hand-offs costing more than the small levels' filtering.
+# Map stacks of fewer cells, all channels counted, are filled on the calling thread
+# alone: on 2 CPUs, splitting every level slowed 256x256 RGB calls from 0.038 s to
+# 0.053 s, the GIL hand-offs costing more than the small levels' filtering.
 THREAD_MIN_CELLS = 2**18
 
 DEFAULT_ALPHA = 0.84
@@ -204,7 +206,7 @@ def _gaussian_window() -> np.ndarray:
     return w / w.sum()
 
 
-def _correlate_valid(x: np.ndarray, window: np.ndarray, out: np.ndarray) -> None:
+def _correlate_valid(x: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Correlate down axis 0 with a symmetric odd window, valid positions only.
 
     Taps are summed centre first, then each mirrored pair from the outermost
@@ -212,27 +214,23 @@ def _correlate_valid(x: np.ndarray, window: np.ndarray, out: np.ndarray) -> None
     the result is bitwise equal to that filter followed by a crop.
     """
     half = window.size // 2
-    n = out.shape[0]
-    np.multiply(x[half : half + n], window[half], out=out)
+    n = x.shape[0] - 2 * half
+    out = x[half : half + n] * window[half]
     pair = np.empty_like(out)
     for j in range(half, 0, -1):
         np.add(x[half - j : half - j + n], x[half + j : half + j + n], out=pair)
         pair *= window[half - j]
         out += pair
+    return out
 
 
 def _gfilter_valid(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Separable Gaussian filtering over the fully valid output positions."""
-    edge = 2 * (window.size // 2)
-    h, w = plane.shape
-    cols = np.empty((h - edge, w))
-    _correlate_valid(plane, window, cols)
-    # The row pass runs down a contiguous copy of the transpose: on strided
-    # views each ufunc call costs nearly twice as much.
-    rows = np.ascontiguousarray(cols.T)
-    out = np.empty((w - edge, h - edge))
-    _correlate_valid(rows, window, out)
-    return out.T
+    """Separable Gaussian filtering of an (h, w) plane or (h, w, c) stack, valid positions only."""
+    cols = _correlate_valid(plane, window)
+    # The row pass runs down a contiguous copy with the width first: on
+    # strided views each ufunc call costs nearly twice as much.
+    rows = np.ascontiguousarray(np.moveaxis(cols, 0, -1))
+    return np.moveaxis(_correlate_valid(rows, window), -1, 0)
 
 
 def _usable_cpus() -> int:
@@ -270,41 +268,40 @@ def _in_threads(fill, items: list, workers: int) -> None:
         raise errors[0]
 
 
-def _ssim_plane(a: np.ndarray, b: np.ndarray, window: np.ndarray, lum: bool = True) -> float:
-    """Mean SSIM of one grayscale plane, or without ``lum`` its mean contrast-structure term.
+def _ssim_plane(a: np.ndarray, b: np.ndarray, window: np.ndarray, lum: bool = True) -> list[float]:
+    """Mean SSIM of each channel of an (h, w, c) stack, or without ``lum`` its mean contrast-structure term.
 
-    The map averaged is the only whole-plane array: every filtered moment,
-    and with ``lum`` the contrast-structure term too, is taken
-    ``FILTER_BLOCK_ROWS`` output rows at a time and written into the map's
-    rows with the whole-plane expressions, so the mean is bitwise the same.
-    Maps of at least ``THREAD_MIN_CELLS`` cells are filled by one thread per
-    usable CPU; numpy releases the GIL inside each ufunc.
+    The maps averaged, one C-contiguous map per channel, are the only whole-image arrays:
+    every filtered moment, and with ``lum`` the contrast-structure term too, is taken for all
+    channels at once, ``FILTER_BLOCK_ROWS // c`` output rows at a time, and written into the
+    maps' rows with the whole-plane expressions, so each mean is bitwise the same.  Stacks of
+    at least ``THREAD_MIN_CELLS`` map cells are filled by one thread per usable CPU; numpy
+    releases the GIL inside each ufunc.
     """
     edge = 2 * (window.size // 2)
-    rows, cols = a.shape[0] - edge, a.shape[1] - edge
-    mean_map = np.empty((rows, cols))
+    h, w, c = a.shape
+    maps = np.empty((c, h - edge, w - edge))
+    step = max(1, FILTER_BLOCK_ROWS // c)
 
     def fill(blocks):
         for r0 in blocks:
-            r1 = min(r0 + FILTER_BLOCK_ROWS, rows)
-            # A contiguous copy of the rows the block reads: an RGB channel is a strided view.
-            pa = np.ascontiguousarray(a[r0 : r1 + edge])
-            pb = np.ascontiguousarray(b[r0 : r1 + edge])
+            r1 = min(r0 + step, h - edge)
+            pa, pb = a[r0 : r1 + edge], b[r0 : r1 + edge]
             mu_a = _gfilter_valid(pa, window)
             mu_b = _gfilter_valid(pb, window)
             var_a = _gfilter_valid(pa * pa, window) - mu_a * mu_a
             var_b = _gfilter_valid(pb * pb, window) - mu_b * mu_b
             cov = _gfilter_valid(pa * pb, window) - mu_a * mu_b
-            out = mean_map[r0:r1]
+            out = np.moveaxis(maps[:, r0:r1], 0, -1)
             cs = np.divide(2.0 * cov + SSIM_C2, var_a + var_b + SSIM_C2, out=None if lum else out)
             if lum:
                 lum_map = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a * mu_a + mu_b * mu_b + SSIM_C1)
                 np.multiply(lum_map, cs, out=out)
 
-    blocks = list(range(0, rows, FILTER_BLOCK_ROWS))
-    workers = min(_usable_cpus(), len(blocks)) if rows * cols >= THREAD_MIN_CELLS else 1
+    blocks = list(range(0, h - edge, step))
+    workers = min(_usable_cpus(), len(blocks)) if maps.size >= THREAD_MIN_CELLS else 1
     _in_threads(fill, blocks, workers)
-    return float(mean_map.mean())
+    return [float(m.mean()) for m in maps]
 
 
 def _downsample2(plane: np.ndarray) -> np.ndarray:
@@ -320,7 +317,8 @@ def _downsample2(plane: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ms_ssim_plane(a: np.ndarray, b: np.ndarray, scales: int) -> float:
+def _ms_ssim_plane(a: np.ndarray, b: np.ndarray, scales: int) -> list[float]:
+    """MS-SSIM of each channel of an (h, w, c) stack."""
     window = _gaussian_window()
     weights = np.array(MS_SSIM_WEIGHTS[:scales])
     if scales < len(MS_SSIM_WEIGHTS):
@@ -329,17 +327,17 @@ def _ms_ssim_plane(a: np.ndarray, b: np.ndarray, scales: int) -> float:
     if scales == 1:
         # Single scale is plain SSIM, which may legitimately be negative.
         return _ssim_plane(a, b, window)
-    value = 1.0
+    values = [1.0] * a.shape[2]
     for level in range(scales):
         # Luminance enters at the coarsest scale only (Wang et al., 2003).
         last = level == scales - 1
         # Fractional powers need non-negative bases; anti-correlated inputs
         # can drive cs below zero, which clamps the product to 0.
-        value *= max(_ssim_plane(a, b, window, lum=last), 0.0) ** weights[level]
+        means = _ssim_plane(a, b, window, lum=last)
+        values = [v * max(m, 0.0) ** weights[level] for v, m in zip(values, means)]
         if not last:
-            a = _downsample2(a)
-            b = _downsample2(b)
-    return float(value)
+            a, b = _downsample2(a), _downsample2(b)
+    return values
 
 
 def _check_alpha(alpha: float) -> None:
@@ -367,10 +365,8 @@ def ms_ssim(a, b, scales: int = 5) -> float:
             f"image sides must be at least {need} pixels for {scales} scales; "
             f"got {ia.shape[0]}x{ia.shape[1]} -- use fewer scales"
         )
-    if ia.ndim == 2:
-        return _ms_ssim_plane(ia, ib, scales)
-    channels = [_ms_ssim_plane(ia[:, :, c], ib[:, :, c], scales) for c in range(ia.shape[2])]
-    return float(np.mean(channels))
+    # Grayscale is one channel; RGB scores are averaged over the channels.
+    return float(np.mean(_ms_ssim_plane(np.atleast_3d(ia), np.atleast_3d(ib), scales)))
 
 
 def reconstruction_loss(

@@ -119,11 +119,14 @@ class FootprintResult:
         return MATCH_OVER
 
 
-def _check_sim_base(sim_base: int) -> None:
+def _check_sim_base(sim_base: int, up_front: bool = False) -> None:
     if sim_base < 3:
         raise ValueError(
             f"sim_base {sim_base} is too small to place an interior impulse; use at least 3"
         )
+    # An oracle call refuses it at conv0 too, printing numbers that may pass Python's digit limit.
+    if up_front and sim_base > MAX_ORACLE_CELLS:
+        raise ValueError(f"sim_base is above the oracle limit of {MAX_ORACLE_CELLS} cells")
 
 
 def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> list[int]:

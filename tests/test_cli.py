@@ -20,7 +20,7 @@ from genfields import fileio
 from genfields.archgraph import ArchSpec, LayerSpec, serialize_arch, stylegan2_preset
 from genfields.cli import _json_text, main
 from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
-from genfields.oracle import FootprintResult, numeric_footprint
+from genfields.oracle import MAX_ORACLE_CELLS, FootprintResult, numeric_footprint
 from genfields.regularizer import log_likelihood, parse_stats_csv
 
 from helpers import make_arch
@@ -1086,9 +1086,11 @@ ARCH_VALUES = [None, True, 3, 2.5, "3", [], {}]  # one value of each JSON type
 
 @st.composite
 def mutated_headers(draw):
-    """A case, one of its images or architectures, and that file with one mutation: an
-    image cut short or with one header byte changed, or an architecture with one field
-    dropped or given a value of another type."""
+    """A case, one of its images or architectures, that file with one mutation, and
+    whether the mutation puts a sample above the image's maxval, which must exit 1: an
+    image cut short, with one header byte changed, or with its maxval lowered below one
+    of its samples; or an architecture with one field dropped or given a value of
+    another type."""
     case = draw(st.sampled_from(sorted(MUTABLE_HEADER_CASES)))
     name = draw(st.sampled_from(MUTABLE_HEADER_CASES[case]))
     data = GOLDEN_INPUTS[name]
@@ -1101,21 +1103,30 @@ def mutated_headers(draw):
         else:
             others = [value for value in ARCH_VALUES if type(value) is not type(fields[key])]
             fields[key] = draw(st.sampled_from(others))
-        return case, name, json.dumps(doc, indent=2).encode()
-    if draw(st.booleans()):
-        return case, name, data[:draw(st.integers(0, len(data) - 1))]
-    i = draw(st.integers(0, re.match(rb"(?:\S+\s){4}", data).end() - 1))  # magic, width, height, maxval
+        return case, name, json.dumps(doc, indent=2).encode(), False
+    kind = draw(st.sampled_from(["cut", "header", "sample"]))
+    if kind == "cut":
+        return case, name, data[:draw(st.integers(0, len(data) - 1))], False
+    end = re.match(rb"(?:\S+\s){4}", data).end()  # magic, width, height, maxval
+    if kind == "sample":
+        maxval = draw(st.integers(1, 254))
+        raster = bytearray(data[end:])
+        raster[draw(st.integers(0, len(raster) - 1))] = draw(st.integers(maxval + 1, 255))
+        return case, name, b" ".join(data[:end].split()[:3]) + b" %d\n" % maxval + raster, True
+    i = draw(st.integers(0, end - 1))
     byte = draw(st.integers(0, 255).filter(lambda b: b != data[i]))
-    return case, name, data[:i] + bytes([byte]) + data[i + 1:]
+    return case, name, data[:i] + bytes([byte]) + data[i + 1:], False
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(mutated_headers())
 def test_mutated_image_and_arch_inputs_exit_cleanly_property(mutation):
     # An architecture's error may name one of its layers instead of the file.
-    case, name, data = mutation
+    case, name, data, over_maxval = mutation
     layers = json.loads(GOLDEN_INPUTS[name])["layers"] if name.endswith(".arch") else []
-    _check_mutated(case, name, data, fileio.C_READER_MIN_CHARS, [name, *(layer["id"] for layer in layers)])
+    got = _check_mutated(case, name, data, fileio.C_READER_MIN_CHARS, [name, *(layer["id"] for layer in layers)])
+    if over_maxval:
+        assert got["code"] == 1 and re.match(rf"Error: {name}: sample \d+ above maxval \d+$", got["err"]), got
 
 
 # This process imported numpy before genfields, so the cases above never take the
@@ -1487,6 +1498,18 @@ def test_undecodable_or_oversized_arch_exits_1(capsys, tmp_path, monkeypatch, te
     (tmp_path / "bad.arch").write_text(text)
     for command in (["fields"], ["plan", "--layers", "conv0..conv0"], ["verify"]):
         assert run(capsys, *command, "--arch", "bad.arch") == (1, "", f"Error: bad.arch: {message}\n")
+
+
+def test_sim_base_over_the_oracle_limit_exits_1(capsys, tmp_path, monkeypatch):
+    # conv0's side would be sim_base * 2**62, of over 4300 digits at 4,295 nines, which
+    # the map-limit message could not print.
+    monkeypatch.chdir(tmp_path)
+    layers = [{"kernel": 3, "upsample": u, "channels_in": 4, "channels_out": 4} for u in (2**62, 1)]
+    (tmp_path / "big.arch").write_text(json.dumps({"name": "big", "base_resolution": 1, "layers": layers}))
+    for sim_base in ("9" * 4295, str(MAX_ORACLE_CELLS + 1)):
+        code, out, err = run(capsys, "verify", "--arch", "big.arch", "--sim-base", sim_base, "--numeric")
+        assert (code, out) == (1, "")
+        assert err == f"Error: --sim-base: sim_base is above the oracle limit of {MAX_ORACLE_CELLS} cells\n"
 
 
 def test_preset_resolution_of_18_digits_is_unsupported(capsys):

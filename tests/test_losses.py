@@ -290,25 +290,36 @@ def test_gfilter_valid_matches_ndimage_bitwise(shape):
     window = _gaussian_window()
     half = window.size // 2
     img, _ = noisy_pair(shape, 5)
-    planes = [img] if img.ndim == 2 else [img[:, :, c] for c in range(img.shape[2])]
-    for plane in planes:
+    stack = img.reshape(img.shape[0], img.shape[1], -1)
+    filtered = _gfilter_valid(stack, window)  # every channel in each pass
+    for c in range(stack.shape[2]):
+        plane = stack[:, :, c]
         ref = ndimage.correlate1d(plane, window, axis=0, mode="nearest")
         ref = ndimage.correlate1d(ref, window, axis=1, mode="nearest")
         np.testing.assert_array_equal(_gfilter_valid(plane, window), ref[half:-half, half:-half])
+        np.testing.assert_array_equal(filtered[:, :, c], ref[half:-half, half:-half])
 
 
 def _ssim_plane_whole(a, b, window):
-    """The whole-plane SSIM and cs means that the blocked ``losses._ssim_plane`` must equal bitwise."""
-    mu_a = _gfilter_valid(a, window)
-    mu_b = _gfilter_valid(b, window)
-    var_a = _gfilter_valid(a * a, window) - mu_a * mu_a
-    var_b = _gfilter_valid(b * b, window) - mu_b * mu_b
-    cov = _gfilter_valid(a * b, window) - mu_a * mu_b
-    cs_map = (2.0 * cov + SSIM_C2) / (var_a + var_b + SSIM_C2)
-    lum_map = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a * mu_a + mu_b * mu_b + SSIM_C1)
-    ssim_map = lum_map * cs_map
-    # _gfilter_valid returns a transposed view: the means are of the row-major maps.
-    return float(np.ascontiguousarray(ssim_map).mean()), float(np.ascontiguousarray(cs_map).mean())
+    """The whole-plane SSIM and cs means of each channel of an (h, w, c) stack.
+
+    The blocked, stacked ``losses._ssim_plane`` must equal these bitwise.
+    """
+    ssim_means, cs_means = [], []
+    for k in range(a.shape[2]):
+        pa, pb = a[:, :, k], b[:, :, k]
+        mu_a = _gfilter_valid(pa, window)
+        mu_b = _gfilter_valid(pb, window)
+        var_a = _gfilter_valid(pa * pa, window) - mu_a * mu_a
+        var_b = _gfilter_valid(pb * pb, window) - mu_b * mu_b
+        cov = _gfilter_valid(pa * pb, window) - mu_a * mu_b
+        cs_map = (2.0 * cov + SSIM_C2) / (var_a + var_b + SSIM_C2)
+        lum_map = (2.0 * mu_a * mu_b + SSIM_C1) / (mu_a * mu_a + mu_b * mu_b + SSIM_C1)
+        ssim_map = lum_map * cs_map
+        # _gfilter_valid returns a transposed view: the means are of the row-major maps.
+        ssim_means.append(float(np.ascontiguousarray(ssim_map).mean()))
+        cs_means.append(float(np.ascontiguousarray(cs_map).mean()))
+    return ssim_means, cs_means
 
 
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
@@ -325,14 +336,18 @@ def _force_threads(monkeypatch, workers, min_cells):
     monkeypatch.setattr(losses, "THREAD_MIN_CELLS", min_cells)
 
 
+def _stack_pair(monkeypatch, rows, channels, seed):
+    """A pair of (rows, 37, channels) stacks, with blocks of 64 rows whatever the channel count."""
+    monkeypatch.setattr(losses, "FILTER_BLOCK_ROWS", 64 * channels)
+    return noisy_pair((rows, 37, channels), seed)
+
+
+# 63, 64 and 65 valid rows are one below, at and one above a block; 129 is one above two.
 @pytest.mark.parametrize("valid_rows", [1, 63, 64, 65, 129, 290])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("at_floor", [True, False], ids=["at-floor", "below-floor"])
 def test_ssim_plane_blocks_match_whole_plane_bitwise(monkeypatch, valid_rows, workers, at_floor):
     window = _gaussian_window()
-    a, b = noisy_pair((valid_rows + 10, 37), valid_rows)
-    cells = valid_rows * 27
-    _force_threads(monkeypatch, workers, cells if at_floor else cells + 1)
     threads = set()
 
     def spy(plane, w):
@@ -340,12 +355,33 @@ def test_ssim_plane_blocks_match_whole_plane_bitwise(monkeypatch, valid_rows, wo
         return _gfilter_valid(plane, w)
 
     monkeypatch.setattr(losses, "_gfilter_valid", spy)
-    ssim_mean, cs_mean = _ssim_plane_whole(a, b, window)
-    blocks = -(-valid_rows // losses.FILTER_BLOCK_ROWS)
-    for lum, expected in ((True, ssim_mean), (False, cs_mean)):
-        threads.clear()
-        assert losses._ssim_plane(a, b, window, lum) == expected
-        assert len(threads) == (min(workers, blocks) if at_floor else 1)
+    for channels in (1, 3):
+        a, b = _stack_pair(monkeypatch, valid_rows + 10, channels, valid_rows)
+        ssim_means, cs_means = _ssim_plane_whole(a, b, window)
+        cells = channels * valid_rows * 27  # the whole stack of maps counts
+        _force_threads(monkeypatch, workers, cells if at_floor else cells + 1)
+        blocks = -(-valid_rows // 64)
+        for lum, expected in ((True, ssim_means), (False, cs_means)):
+            threads.clear()
+            assert losses._ssim_plane(a, b, window, lum) == expected
+            assert len(threads) == (min(workers, blocks) if at_floor else 1)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_ssim_plane_takes_one_channel_rows_per_block(monkeypatch, channels):
+    # At the default, a block holds 64 rows of one plane or 21 of an RGB stack:
+    # 64 valid rows make one block or four, each on its own worker.
+    _force_threads(monkeypatch, 4, 0)
+    threads = set()
+
+    def spy(plane, w):
+        threads.add(threading.current_thread())
+        return _gfilter_valid(plane, w)
+
+    monkeypatch.setattr(losses, "_gfilter_valid", spy)
+    a, b = noisy_pair((74, 37, channels), 10)
+    assert losses._ssim_plane(a, b, _gaussian_window()) == _ssim_plane_whole(a, b, _gaussian_window())[0]
+    assert len(threads) == (1 if channels == 1 else 4)
 
 
 def test_ssim_plane_worker_exception_reaches_caller(monkeypatch):
@@ -359,10 +395,11 @@ def test_ssim_plane_worker_exception_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(losses, "_gfilter_valid", failing)
     before = threading.active_count()
-    a, b = noisy_pair((300, 40), 8)
-    with pytest.raises(RuntimeError, match="worker failed"):
-        losses._ssim_plane(a, b, _gaussian_window())
-    assert threading.active_count() == before
+    for channels in (1, 3):
+        a, b = _stack_pair(monkeypatch, 300, channels, 8)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            losses._ssim_plane(a, b, _gaussian_window())
+        assert threading.active_count() == before
 
 
 def test_ms_ssim_errstate_reaches_worker_threads(monkeypatch):
