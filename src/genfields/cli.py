@@ -322,7 +322,7 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     Footprints below the analytic value are expected for upsampling stacks;
     a footprint above it is classified OVER-BUG and the command exits 2.
     """
-    _naming("--sim-base", _check_sim_base, sim_base, up_front=True)  # before any input is read
+    _naming("--sim-base", _check_sim_base, sim_base)  # before any input is read
     if numeric:
         _naming("--seed", _check_seed, seed)
     arch = _resolve_arch(preset, arch_path)

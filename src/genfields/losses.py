@@ -441,8 +441,8 @@ def eval_metrics(
     squared deviation of the three Euler angles.
     """
     a, b = _same_shape(as_embedding, f_id, f_out, "embedding")
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     a, b = _unit_peak(a), _unit_peak(b)
     identity = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
     expression = landmark_loss(lm_attr, lm_out) / resolution

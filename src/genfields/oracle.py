@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 import sys
 from enum import Enum
 
@@ -82,9 +83,6 @@ WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
 # positions x taps count, which bounds that stage's work in either oracle
 # and the k**dims weights it draws, though neither builds such an array.
 MAX_ORACLE_CELLS = 2**26
-# SplitMix64's increment, 2**64 over the golden ratio, and its word mask.
-_GAMMA = 0x9E3779B97F4A7C15
-_MASK64 = 2**64 - 1
 
 
 class Semantics(str, Enum):
@@ -119,13 +117,14 @@ class FootprintResult:
         return MATCH_OVER
 
 
-def _check_sim_base(sim_base: int, up_front: bool = False) -> None:
+def _check_sim_base(sim_base: int) -> None:
     if sim_base < 3:
         raise ValueError(
             f"sim_base {sim_base} is too small to place an interior impulse; use at least 3"
         )
-    # An oracle call refuses it at conv0 too, printing numbers that may pass Python's digit limit.
-    if up_front and sim_base > MAX_ORACLE_CELLS:
+    # Every map is at least sim_base wide, so conv0's would pass the limit too,
+    # and its message would print numbers that may pass Python's digit limit.
+    if sim_base > MAX_ORACLE_CELLS:
         raise ValueError(f"sim_base is above the oracle limit of {MAX_ORACLE_CELLS} cells")
 
 
@@ -313,34 +312,6 @@ def _accumulate(acc: list[float], w: list[float], z: list[float]) -> list[float]
     return acc
 
 
-def _weights(seed: int, stream: int, index) -> list[float]:
-    """Stream ``stream``'s values at the ints ``index``, uniform in [WEIGHT_LOW, WEIGHT_HIGH).
-
-    Counter-based: entry c of stream s is output s * 2**32 + c of SplitMix64
-    seeded with ``seed``, the finaliser of seed + (s * 2**32 + c + 1) * gamma
-    (Steele, Lea & Flood 2014; Salmon et al. 2011), on Python ints masked to
-    64 bits.  Every value is a pure function of (seed, stream, position), so
-    any window of a stream is drawn directly.  Stream s is stage s's kernel,
-    row-major, for s >= 1; kernels stay below MAX_ORACLE_CELLS taps, so
-    streams never overlap.
-    A seed of 2**64 or more is folded to 64 bits a limb at a time.
-    """
-    state, seed = seed & _MASK64, seed >> 64
-    while seed:
-        state = _mix((state + _GAMMA) & _MASK64) ^ (seed & _MASK64)
-        seed >>= 64
-    first, scale = (stream << 32) + 1, WEIGHT_HIGH - WEIGHT_LOW
-    return [WEIGHT_LOW + scale * ((_mix(((c + first) * _GAMMA + state) & _MASK64) >> 11) * 2.0**-53)
-            for c in index]
-
-
-def _mix(z: int) -> int:
-    """SplitMix64's finaliser on a 64-bit int, wrapping modulo 2**64; a bijection."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _span(x: list) -> int:
     """Side length of the bounding box of the nonzero response (max over axes).
 
@@ -383,12 +354,13 @@ def numeric_footprint(
 ) -> FootprintResult:
     """Measure the footprint with a real executor instead of adjacency rules.
 
-    The stack is instantiated with seeded weights in [0.1, 1.0), drawn
-    counter-based (see :func:`_weights`), and ``magnitude`` at one interior
-    input position is propagated alone; positions whose response is nonzero
-    count as affected.  The stack is linear with no bias, so this is exactly
-    the change the impulse makes to any input, f(base + d) - f(base) = f(d),
-    and no base values round its edges away.
+    The stack is instantiated with weights in [0.1, 1.0) drawn from one
+    ``random.Random(seed)``, each stage's kernel whole and row-major, in stage
+    order, and ``magnitude`` at one interior input position is propagated
+    alone; positions whose response is nonzero count as affected.  The stack
+    is linear with no bias, so this is exactly the change the impulse makes to
+    any input, f(base + d) - f(base) = f(d), and no base values round its
+    edges away.
     Positive weights forbid cancellation, so this agrees with
     :func:`boolean_footprint` on every architecture, even where the response
     overflows: its terms share the impulse's sign, so it becomes an infinity
@@ -422,9 +394,11 @@ def numeric_footprint(
     # Python floats overflow to an infinity of the same sign, without a warning.
     floor = abs(magnitude)
     clipped = False
+    rng, scale = random.Random(seed), WEIGHT_HIGH - WEIGHT_LOW
     for s, spec in enumerate(arch.layers[layer:], start=1):
         k = spec.kernel
-        w = _weights(seed, s, range(k**dims))
+        # random() is at most 1 - 2**-53, which maps just below WEIGHT_HIGH.
+        w = [WEIGHT_LOW + scale * rng.random() for _ in range(k**dims)]
         floor *= min(w)
         if floor < sys.float_info.min:
             raise ValueError(f"layer {spec.id}: impulse magnitude {magnitude} may underflow to 0")

@@ -28,8 +28,8 @@ __all__ = [
 DEFAULT_BINS = 20
 HIGH_FUNCTIONAL_THRESHOLD = 0.6
 DEFAULT_TOP_K = 50
-# Largest tests x bins histogram matrix mean_histogram builds (512 MB of
-# float64); larger requests are refused before anything is allocated.
+# Largest tests x bins histogram matrix _counts builds (512 MB of float64 in
+# mean_histogram); larger requests are refused before it is allocated.
 MAX_HISTOGRAM_CELLS = 2**26
 
 
@@ -95,9 +95,14 @@ def _check_k(k: int) -> None:
 def _counts(values: np.ndarray, bins: int) -> np.ndarray:
     """Bin counts of each row of a (tests, dims) matrix, by one offset bincount."""
     _check_bins(bins)
+    n = len(values)
+    if n * bins > MAX_HISTOGRAM_CELLS:
+        raise ValueError(
+            f"bins={bins} over {n} tests needs {n * bins} histogram "
+            f"cells, above the limit of {MAX_HISTOGRAM_CELLS}"
+        )
     if values.min() < 0.0 or values.max() > 1.0:
         raise ValueError("histogram input must lie in [0, 1]; normalize first")
-    n = len(values)
     cells = (values * bins).astype(int)
     np.minimum(cells, bins - 1, out=cells)
     cells += bins * np.arange(n)[:, np.newaxis]
@@ -118,6 +123,7 @@ def histogram_counts(values, bins: int = DEFAULT_BINS) -> np.ndarray:
     Bin membership is floor(v * bins) with the top boundary clamped into the
     last bin, so a value exactly on an interior boundary goes up (0.6 with 20
     bins lands in bin 12).  Counts always sum to the vector dimension.
+    More than ``MAX_HISTOGRAM_CELLS`` bins raise ValueError.
     """
     return _counts(_as_signal(values)[np.newaxis], bins)[0]
 
@@ -140,11 +146,6 @@ def mean_histogram(
     for i, s in enumerate(signals):
         if s.size != dim:
             raise ValueError(f"test {i} has dimension {s.size}, expected {dim}")
-    if n * bins > MAX_HISTOGRAM_CELLS:
-        raise ValueError(
-            f"bins={bins} over {n} tests needs {n * bins} histogram "
-            f"cells, above the limit of {MAX_HISTOGRAM_CELLS}"
-        )
     norm = _normalize(np.array(signals))
     counts = _counts(norm, bins).astype(float)
     if not (counts.sum(axis=1) == dim).all():

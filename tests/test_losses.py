@@ -545,9 +545,9 @@ def test_eval_metrics_expression_normalized_by_resolution():
     assert m.expression == pytest.approx(16.0 / 256.0)
 
 
-@pytest.mark.parametrize("resolution", [0, -256])
+@pytest.mark.parametrize("resolution", [0, -256, math.nan, math.inf, -math.inf])
 def test_eval_metrics_refuses_a_non_positive_resolution(resolution):
-    with pytest.raises(ValueError, match=f"^resolution must be positive, got {resolution}$"):
+    with pytest.raises(ValueError, match=f"^resolution must be positive and finite, got {resolution}$"):
         eval_metrics(
             np.array([1.0]), np.array([1.0]), landmarks(), landmarks(),
             EulerAngles(0.0, 0.0, 0.0), EulerAngles(0.0, 0.0, 0.0), resolution,

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -172,7 +174,7 @@ def test_underflowing_impulse_refused_by_layer():
     arch = stylegan2_preset(1024)
     with pytest.raises(ValueError, match=r"^layer conv0: impulse magnitude 5e-324 may underflow to 0$"):
         numeric_footprint(arch, 0, sim_base=1024, magnitude=5e-324)
-    with pytest.raises(ValueError, match=r"^layer conv13: impulse magnitude -1e-300 may underflow"):
+    with pytest.raises(ValueError, match=r"^layer conv11: impulse magnitude -1e-300 may underflow"):
         numeric_footprint(arch, 0, sim_base=1024, magnitude=-1e-300)
     expected = boolean_footprint(arch, 0, sim_base=1024)
     assert numeric_footprint(arch, 0, sim_base=1024, magnitude=-1e-280) == expected
@@ -256,9 +258,9 @@ def test_footprint_at_every_layer_of_preset8():
 
 # --------------------------------------------------------------------------
 # Reference: the full-map executor the windowed one replaced.  reference_numeric
-# runs its stages on the impulse alone, with the oracle's weight streams, over
-# the whole map.  Each output adds its taps in the executor's order, row-major,
-# one tap at a time, so the two agree bitwise.
+# runs its stages on the impulse alone, with weights drawn as the oracle draws
+# them, over the whole map.  Each output adds its taps in the executor's order,
+# row-major, one tap at a time, so the two agree bitwise.
 
 from genfields import oracle  # noqa: E402
 from genfields.oracle import (  # noqa: E402
@@ -312,6 +314,11 @@ def _span(mask: np.ndarray) -> int:
     return int((hit.max(axis=0) - hit.min(axis=0)).max()) + 1 if hit.size else 0
 
 
+def _draw(rng, count):
+    """The next ``count`` weights of ``rng``, uniform in [WEIGHT_LOW, WEIGHT_HIGH)."""
+    return [WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * rng.random() for _ in range(count)]
+
+
 def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude):
     """Full-map impulse response per stage, and the footprint result."""
     n = oracle.map_sides(arch, sim_base)[layer]
@@ -321,9 +328,10 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude):
 
     stages = []
     clipped = False
-    for stream, spec in enumerate(arch.layers[layer:], start=1):
+    rng = random.Random(seed)
+    for spec in arch.layers[layer:]:
         kshape = (spec.kernel,) * dims
-        w = np.array(oracle._weights(seed, stream, range(spec.kernel**dims))).reshape(kshape)
+        w = np.array(_draw(rng, spec.kernel**dims)).reshape(kshape)
         x = _numeric_step(x, w, spec.upsample, semantics)
         stages.append(x)
         affected = x != 0
@@ -450,8 +458,20 @@ def test_kernel_guard_applies_to_both_oracles(monkeypatch):
             fn(make_arch("late", [3, 60], [1, 1]), 0, sim_base=3)
         assert fn(make_arch("narrow", [15], [1]), 0, sim_base=3).footprint == 3
         # the map limit is checked first, and keeps its message
-        with pytest.raises(ValueError, match="its output map at sim_base 101"):
-            fn(make_arch("both", [101], [1]), 0, sim_base=101)
+        with pytest.raises(ValueError, match="^layer conv0: its output map at sim_base 51 has 102"):
+            fn(make_arch("both", [101], [2]), 0, sim_base=51)
+
+
+@pytest.mark.parametrize("oracle_fn", [boolean_footprint, numeric_footprint])
+@pytest.mark.parametrize("nines", [4295, 4301])
+def test_sim_base_over_the_oracle_limit_refused_before_any_map(oracle_fn, nines):
+    # Refused before any map: at 4,295 nines conv0's side on the big arch, and at
+    # 4,301 sim_base itself, has over 4300 digits, which no message could print.
+    big = make_arch("big", [3, 3], [2**62, 1])
+    for arch in (big, stylegan2_preset(8)):
+        with pytest.raises(ValueError) as info:
+            oracle_fn(arch, 0, sim_base=10**nines - 1)
+        assert str(info.value) == f"sim_base is above the oracle limit of {MAX_ORACLE_CELLS} cells"
 
 
 # --------------------------------------------------------------------------
@@ -639,7 +659,7 @@ def test_spread_keeps_the_gaps_of_zero_insert_stacks(layers, side, data):
 
 
 # --------------------------------------------------------------------------
-# Properties over random stacks, and of the counter-based weight streams.
+# Properties over random stacks, and of the seeded weights.
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(layers=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 4)), min_size=1, max_size=5),
@@ -654,48 +674,50 @@ def test_numeric_equals_boolean_and_zero_insert_within_analytic(layers, sim_base
                 assert expected.footprint <= expected.analytic
 
 
+@contextlib.contextmanager
+def _weight_spy():
+    """Record the kernel ``w`` of every ``_stage`` call, in call order."""
+    kernels, stage = [], oracle._stage
+
+    def spy(x, x_lo, w, u, semantics, window):
+        kernels.append(w)
+        return stage(x, x_lo, w, u, semantics, window)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_stage", spy)
+        yield kernels
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(layers=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=3),
        sim_base=st.integers(3, 24), seed=st.integers(0, 2**64 - 1), data=st.data())
 def test_2d_numeric_is_the_square_of_1d(layers, sim_base, seed, data):
     arch = make_arch("square", *zip(*layers))
     layer = data.draw(st.integers(0, arch.depth - 1))
-    for sem in Semantics:
-        one = numeric_footprint(arch, layer, sem, sim_base, seed=seed)
-        two = numeric_footprint(arch, layer, sem, sim_base, seed=seed, dims=2)
-        assert (two.footprint, two.clipped) == (one.footprint, one.clipped), sem
+    with _weight_spy() as kernels:
+        for sem in Semantics:
+            one = numeric_footprint(arch, layer, sem, sim_base, seed=seed)
+            two = numeric_footprint(arch, layer, sem, sim_base, seed=seed, dims=2)
+            assert (two.footprint, two.clipped) == (one.footprint, one.clipped), sem
+    # Each call draws every stage's kernel whole, row-major, in stage order,
+    # from one random.Random(seed).
+    for dims in (1, 2, 1, 2):
+        rng = random.Random(seed)
+        for spec in arch.layers[layer:]:
+            w = kernels.pop(0)
+            flat = [v for row in w for v in row] if dims == 2 else w
+            assert flat == _draw(rng, spec.kernel**dims)
+    assert not kernels
 
 
-def _splitmix64(seed, count, skip=0):
-    """The first ``count`` outputs of SplitMix64 after ``skip``, stepped one at a time."""
-    mask, state, out = 2**64 - 1, (seed + skip * 0x9E3779B97F4A7C15) & (2**64 - 1), []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
-
-
-@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 0), (7, 1), (2**64 - 1, 17)])
-def test_weights_are_splitmix64_outputs(seed, stream):
-    bits = np.array(_splitmix64(seed, 50, skip=stream << 32), dtype=np.uint64)
-    expected = WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * ((bits >> 11) * 2.0**-53)
-    assert np.array_equal(oracle._weights(seed, stream, range(50)), expected)
-
-
-def test_weights_reach_neither_end_of_the_range(monkeypatch):
-    # The extreme finaliser outputs map to WEIGHT_LOW and to just below WEIGHT_HIGH.
-    for bits, expected in ((0, WEIGHT_LOW), (2**64 - 1, math.nextafter(WEIGHT_HIGH, 0))):
-        monkeypatch.setattr(oracle, "_mix", lambda z, bits=bits: bits)
-        assert oracle._weights(7, 0, range(1)) == [expected]
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**130), stream=st.integers(0, 40), n=st.integers(1, 40),
-       dims=st.integers(1, 2), data=st.data())
-def test_weight_windows_equal_slices_of_the_whole_stream(seed, stream, n, dims, data):
-    whole = oracle._weights(seed, stream, range(n**dims))
-    assert all(WEIGHT_LOW <= v < WEIGHT_HIGH for v in whole)
-    index = data.draw(st.lists(st.integers(0, n**dims - 1), max_size=20))
-    assert oracle._weights(seed, stream, index) == [whole[i] for i in index]
+def test_weights_reach_neither_end_of_the_range():
+    # random()'s extreme outputs map to WEIGHT_LOW and to just below WEIGHT_HIGH.
+    for draw, expected in ((0.0, WEIGHT_LOW), (1 - 2**-53, math.nextafter(WEIGHT_HIGH, 0))):
+        for dims in (1, 2):
+            with _weight_spy() as kernels, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(random.Random, "random", lambda self, draw=draw: draw)
+                numeric_footprint(TOY, 0, sim_base=16, dims=dims)
+            weights = [v for w in kernels for v in (w if dims == 1 else sum(w, []))]
+            assert len(weights) == 2 * 3**dims
+            assert all(v == expected for v in weights)
+            assert all(WEIGHT_LOW <= v < WEIGHT_HIGH for v in weights)

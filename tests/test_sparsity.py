@@ -171,6 +171,20 @@ def test_mean_histogram_refuses_oversize_before_allocating(monkeypatch):
         mean_histogram(tests, bins=21)
 
 
+def test_histogram_counts_refuses_oversize_before_counting(monkeypatch):
+    from genfields import sparsity
+
+    monkeypatch.setattr(sparsity, "MAX_HISTOGRAM_CELLS", 100)
+    assert histogram_counts([0.5, 1.0], bins=100).sum() == 2
+
+    def bincount(*args, **kwargs):
+        raise AssertionError("bincount ran")
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    with pytest.raises(ValueError, match="^bins=101 over 1 tests needs 101 histogram cells, above the limit of 100$"):
+        histogram_counts([0.5, 1.0], bins=101)
+
+
 @pytest.mark.parametrize("fn", [
     normalize_abs,
     histogram_counts,
