@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import os
 import re
@@ -140,7 +141,8 @@ def _json_text(obj) -> str:
 
     The stdlib runs its pure-Python encoder whenever ``indent`` is set, one
     chunk per scalar; here a list of plain ints or of finite plain floats is
-    one join.
+    one join, and json itself writes every scalar but those and every empty
+    container, or raises its own error for it.
     """
     out: list[str] = []
     _json_into(obj, "\n", out)
@@ -150,36 +152,24 @@ def _json_text(obj) -> str:
 def _json_into(obj, newline: str, out: list[str]) -> None:
     """Append ``obj`` to ``out``, nested at the indent ``newline`` ends in."""
     inner = newline + "  "
-    if isinstance(obj, (list, tuple, dict)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, (list, tuple)):
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        out.append(repr(obj))
+    elif isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            out += [("," if i else "{") + inner, encode_basestring_ascii(key), ": "]
+            _json_into(value, inner, out)
+        out += [newline, "}"]
+    elif isinstance(obj, (list, tuple)) and obj:
         kind = set(map(type, obj))
         if kind == {int} or kind == {float} and all(map(math.isfinite, obj)):
-            out += ["[", inner, ("," + inner).join(map(kind.pop().__repr__, obj)), newline, "]"]
+            out += ["[", inner, ("," + inner).join(map(repr, obj)), newline, "]"]
             return
         for i, item in enumerate(obj):
             out.append(("," if i else "[") + inner)
             _json_into(item, inner, out)
         out += [newline, "]"]
-    elif isinstance(obj, dict):
-        for i, (key, value) in enumerate(obj.items()):
-            out += [("," if i else "{") + inner, encode_basestring_ascii(key), ": "]
-            _json_into(value, inner, out)
-        out += [newline, "}"]
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float) and math.isfinite(obj):
-        out.append(float.__repr__(obj))
-    elif isinstance(obj, float):
-        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.append(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _escaped(value) -> str:
@@ -750,27 +740,11 @@ def _parse(parser: _Parser, name: str, args: list[str]) -> dict | None:
     return vars(parser.parse_args(words + ["--"] * bool(rest) + rest))
 
 
-def _quiet_blas() -> bool:
-    """Ask OpenBLAS's idle workers to sleep at once; True if the variable was added.
-
-    Each idle worker otherwise busy-waits for 2**28 cycles (about 0.1 s) before it
-    sleeps, and no genfields call is big enough to give it work.  4 is OpenBLAS's
-    minimum.  A timeout the user exported is left as it is.  OpenBLAS reads the
-    variable once, when numpy loads, so in a process that has already loaded numpy
-    it changes nothing, and :func:`main` removes it again.
-    """
-    if "OPENBLAS_THREAD_TIMEOUT" in os.environ:
-        return False
-    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
-    return True
-
-
 def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     args = sys.argv[1:] if argv is None else list(argv)
     command = args[0] if args and args[0] in COMMANDS else None
     parser = _parser(command)
-    quiet_blas = _quiet_blas()
     try:
         if not args:
             _write(sys.stderr, parser.format_help())
@@ -798,7 +772,4 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         _write(sys.stderr, "\n")
         return EXIT_INPUT_ERROR
-    finally:
-        if quiet_blas:  # an in-process caller gets its environment back as it was
-            os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
     return EXIT_OK

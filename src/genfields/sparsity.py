@@ -85,6 +85,8 @@ def _normalize(signals: np.ndarray) -> np.ndarray:
 def _check_bins(bins: int) -> None:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if bins > MAX_HISTOGRAM_CELLS:  # not even one test fits; the value may be too long to print
+        raise ValueError(f"bins is above the limit of {MAX_HISTOGRAM_CELLS} histogram cells")
 
 
 def _check_k(k: int) -> None:

@@ -1265,6 +1265,8 @@ BAD_OPTIONS = {
     "analyze-top-k": (["analyze", "gone.csv", "--top-k", "0"], "Error: --top-k: k must be >= 1, got 0\n"),
     "analyze-both": (["analyze", "gone.csv", "--top-k", "-1", "--bins", "0"],
                      "Error: --bins: bins must be >= 1, got 0\n"),
+    "analyze-bins-oversize": (["analyze", "gone.csv", "--bins", "9" * 4300],
+                              "Error: --bins: bins is above the limit of 67108864 histogram cells\n"),
 }
 
 
@@ -1279,21 +1281,21 @@ def test_bad_numeric_options_fail_before_the_input_is_read(capsys, tmp_path, mon
                        for name, (_, err) in BAD_OPTIONS.items()}
 
 
-# Records OPENBLAS_THREAD_TIMEOUT as numpy's C extension, which loads OpenBLAS, is imported.
+# The process entry, run on the golden inputs with a spy that writes OPENBLAS_THREAD_TIMEOUT
+# to stderr as numpy's C extension, which loads OpenBLAS, is imported.
 BLAS_SPY = """
-import contextlib, io, json, os, sys
+import os, sys
 seen = []
 class Spy:
     @staticmethod
     def find_spec(name, path=None, target=None):
         if name.endswith("._multiarray_umath") and not seen:
-            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            seen.append(name)
+            sys.stderr.write(f"OPENBLAS_THREAD_TIMEOUT={os.environ.get('OPENBLAS_THREAD_TIMEOUT')}\\n")
 sys.meta_path.insert(0, Spy)
-from genfields.cli import main
-os.chdir(json.load(sys.stdin))
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["analyze", "deltas.csv"])
-json.dump({"code": code, "seen": seen, "after": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}, sys.stdout)
+from genfields.__main__ import run
+sys.argv = ["genfields", "analyze", "deltas.csv", "--output", "report.txt"]
+run()
 """
 
 
@@ -1303,8 +1305,10 @@ def test_openblas_workers_sleep_at_once_unless_the_user_set_a_timeout(monkeypatc
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
     write_golden_inputs(tmp_path)
     env = {} if exported is None else {"OPENBLAS_THREAD_TIMEOUT": exported}
-    assert _fresh(BLAS_SPY, str(tmp_path), **env) == {"code": 0, "seen": [exported or "4"],
-                                                       "after": exported}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", BLAS_SPY], cwd=tmp_path, capture_output=True,
+                          text=True, env=_child_env(**env), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", f"OPENBLAS_THREAD_TIMEOUT={exported or 4}\n")
+    assert (tmp_path / "report.txt").read_text().startswith("# genfields ")
 
 
 # Whether main(argv), called in an interpreter that has not loaded numpy, leaves os.environ as it was.
@@ -1320,11 +1324,12 @@ json.dump({"numpy_loaded": loaded, "same": dict(os.environ) == before}, sys.stdo
 
 @pytest.mark.parametrize("numpy_loaded", [True, False])
 @pytest.mark.parametrize("argv", [["verify", "--preset", "stylegan2-64", "--numeric"],
-                                  ["analyze", "gone.csv"], ["verify", "--bogus"]])
+                                  ["analyze", "gone.csv"], ["verify", "--bogus"], ["analyze", "deltas.csv"]])
 def test_main_leaves_os_environ_as_it_was(capsys, monkeypatch, tmp_path, argv, numpy_loaded):
     monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
-    if not numpy_loaded:  # a fresh interpreter, where main adds the variable
-        monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    write_golden_inputs(tmp_path)
+    if not numpy_loaded:  # a fresh interpreter; analyze of deltas.csv loads numpy during the call
         assert _fresh(ENVIRON_CHILD, argv) == {"numpy_loaded": False, "same": True}
         return
     before = dict(os.environ)
@@ -1566,11 +1571,13 @@ def test_json_writer_matches_json_dumps_property(doc):
 
 def test_json_writer_edge_values():
     for doc in ([-0.0, 5e-324, 1e308, 10**30, -(10**30)], ["h\u00e9llo\x01\"\\\u2028"], [], {}, (), [()],
-                {"a": {}, "b": [[]]}, [np.float64(0.5), 1.0], (1, (2.5, None)), [True, 1], [1.0, 1]):
+                {"a": {}, "b": [[]]}, [np.float64(0.5), 1.0], (1, (2.5, None)), [True, 1], [1.0, 1],
+                {"a": np.float64(0.5), "b": True}, {"a": [], "b": {}}, [[1, 2.5], "x"]):
         assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
 
 
-@pytest.mark.parametrize("doc", [float("nan"), float("inf"), [1.0, -float("inf")], {"a": [np.float64("nan")]}])
+@pytest.mark.parametrize("doc", [float("nan"), float("inf"), [1.0, -float("inf")], {"a": [np.float64("nan")]},
+                                 {"a": {"b": np.float64("-inf")}}])
 def test_json_writer_refuses_non_finite(doc):
     with pytest.raises(ValueError) as expected:
         json.dumps(doc, indent=2, allow_nan=False)
@@ -1579,7 +1586,7 @@ def test_json_writer_refuses_non_finite(doc):
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("doc", [np.int64(1), [np.bool_(True)], {"a": {1, 2}}, [object()]])
+@pytest.mark.parametrize("doc", [np.int64(1), [np.bool_(True)], {"a": {1, 2}}, [object()], {"a": np.int64(1)}])
 def test_json_writer_refuses_other_types(doc):
     with pytest.raises(TypeError) as expected:
         json.dumps(doc, indent=2, allow_nan=False)

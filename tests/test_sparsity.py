@@ -181,8 +181,16 @@ def test_histogram_counts_refuses_oversize_before_counting(monkeypatch):
         raise AssertionError("bincount ran")
 
     monkeypatch.setattr(np, "bincount", bincount)
-    with pytest.raises(ValueError, match="^bins=101 over 1 tests needs 101 histogram cells, above the limit of 100$"):
+    with pytest.raises(ValueError, match="^bins is above the limit of 100 histogram cells$"):
         histogram_counts([0.5, 1.0], bins=101)
+
+
+@pytest.mark.parametrize("fn", [histogram_counts, lambda v, bins: mean_histogram([v, v], bins=bins)],
+                         ids=["histogram_counts", "mean_histogram"])
+def test_bins_too_long_to_print_refused_by_the_limit(fn):
+    # 4,300 digits parse; the cells of two tests would pass int-to-str's limit of 4,300 digits
+    with pytest.raises(ValueError, match="^bins is above the limit of 67108864 histogram cells$"):
+        fn(np.array([0.5, 1.0]), bins=int("9" * 4300))
 
 
 @pytest.mark.parametrize("fn", [
