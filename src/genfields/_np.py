@@ -1,21 +1,16 @@
-"""The package's one binding of numpy, loaded on first attribute access.
+"""The package's one binding of numpy, imported on its first attribute read.
 
-A call that never touches an array -- ``fields``, ``plan``, ``verify`` (both
-influence oracles run on Python ints and floats), ``losses --components``,
-``--help``, an input error -- then runs without importing numpy.  If numpy
-is already imported, ``np`` is that module.  No other genfields module may run
-an ``import numpy`` statement: the import machinery reads ``__spec__`` from
-the module it finds in ``sys.modules``, which loads a lazy one at once.
-"""
+Later reads are plain lookups in numpy's namespace.  Without numpy, the first
+raises the ModuleNotFoundError that ``cli.main`` reports."""
 
-import importlib.util
-import sys
+import importlib
 
-np = sys.modules.get("numpy")
-if np is None:
-    _spec = importlib.util.find_spec("numpy")
-    if _spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
+
+class _Numpy:
+    def __getattr__(self, name):  # the first read, or a miss for numpy's own __getattr__
+        numpy = importlib.import_module("numpy")
+        self.__dict__ = numpy.__dict__
+        return getattr(numpy, name)
+
+
+np = _Numpy()

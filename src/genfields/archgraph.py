@@ -15,6 +15,7 @@ between concurrent analyses.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 
@@ -294,13 +295,15 @@ def input_resolution(arch: ArchSpec, layer: int) -> int:
     This is the true input resolution: an upsampling layer is reported at the
     resolution it consumes, not the one it produces.
     """
-    _check_layer(arch, layer)
-    return map_sides(arch)[layer]
+    return map_sides(arch)[_check_layer(arch, layer)]
 
 
-def _check_layer(arch: ArchSpec, layer: int) -> None:
+def _check_layer(arch: ArchSpec, layer) -> int:
+    """``layer`` as an int; ArchError if it indexes no layer of ``arch``."""
+    layer = operator.index(layer)
     if not 0 <= layer < arch.depth:
         raise ArchError(f"layer index {layer} out of range [0, {arch.depth})")
+    return layer
 
 
 def map_sides(arch: ArchSpec, base: int | None = None) -> list[int]:

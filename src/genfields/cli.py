@@ -769,6 +769,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # library and file errors, ArchError included
         _write(sys.stderr, f"Error: {exc}\n")
         return EXIT_INPUT_ERROR
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        _write(sys.stderr, f"Error: {command} needs numpy, which is not installed\n")
+        return EXIT_INPUT_ERROR
     except KeyboardInterrupt:
         _write(sys.stderr, "\n")
         return EXIT_INPUT_ERROR

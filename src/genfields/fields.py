@@ -82,7 +82,7 @@ def generative_field(arch: ArchSpec, layer: int) -> int:
     Exact integer evaluation of the formula in the module docstring; never
     clipped to the output resolution.
     """
-    _check_layer(arch, layer)
+    layer = _check_layer(arch, layer)
     total = 1
     suffix_stride = 1
     # Walk the stack backwards; suffix_stride accumulates prod s_i from the

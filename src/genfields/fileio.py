@@ -370,7 +370,7 @@ def save_vectors_csv(path: str, matrix, header: bool = False) -> None:
 
 
 def _landmark_faces(text: str) -> list[np.ndarray]:
-    data = parse_vectors_csv(text)
+    data = _numeric_csv(text, "landmark CSV")
     if data.shape[1] == 3:
         if data.shape[0] % LANDMARK_COUNT != 0:
             raise ValueError(f"3-column landmark CSV must hold a multiple of {LANDMARK_COUNT} rows, "
@@ -387,4 +387,4 @@ def load_landmarks_csv(path: str) -> list[np.ndarray]:
     Accepts rows of 3 columns (x, y, z; 68 rows per face, stacked) or rows of
     204 columns (one face per row, x1,y1,z1,x2,...).
     """
-    return _load(path, "vector CSV", _landmark_faces)
+    return _load(path, "landmark CSV", _landmark_faces)

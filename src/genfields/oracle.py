@@ -117,7 +117,9 @@ class FootprintResult:
         return MATCH_OVER
 
 
-def _check_sim_base(sim_base: int) -> None:
+def _check_sim_base(sim_base) -> int:
+    """``sim_base`` as an int; ValueError if it is below 3 or above the oracle limit."""
+    sim_base = operator.index(sim_base)
     if sim_base < 3:
         raise ValueError(
             f"sim_base {sim_base} is too small to place an interior impulse; use at least 3"
@@ -126,14 +128,15 @@ def _check_sim_base(sim_base: int) -> None:
     # and its message would print numbers that may pass Python's digit limit.
     if sim_base > MAX_ORACLE_CELLS:
         raise ValueError(f"sim_base is above the oracle limit of {MAX_ORACLE_CELLS} cells")
+    return sim_base
 
 
-def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> list[int]:
-    """The map sides at ``sim_base`` (see :func:`map_sides`), once the arguments are checked."""
-    _check_layer(arch, layer)
+def _check_args(arch: ArchSpec, layer, sim_base, dims) -> tuple[int, int, list[int]]:
+    """``layer`` and ``dims`` as ints, and the map sides at ``sim_base`` (see :func:`map_sides`)."""
+    layer, dims = _check_layer(arch, layer), operator.index(dims)
     if dims not in (1, 2):
         raise ValueError(f"dims must be 1 or 2, got {dims}")
-    _check_sim_base(sim_base)
+    sim_base = _check_sim_base(sim_base)
     # Maps only grow along the stack, so the first map over the limit names
     # the layer; checked before anything is allocated.
     sides = map_sides(arch, sim_base)
@@ -144,7 +147,7 @@ def _check_args(arch: ArchSpec, layer: int, sim_base: int, dims: int) -> list[in
                 f"{side**dims} cells in {dims}-D, above the oracle limit of "
                 f"{MAX_ORACLE_CELLS}; use a smaller sim_base"
             )
-    return sides
+    return layer, dims, sides
 
 
 def _check_stage(spec: LayerSpec, cells: int) -> None:
@@ -207,7 +210,7 @@ def boolean_footprint(
     measured span is a lower bound.
     """
     semantics = Semantics(semantics)
-    sides = _check_args(arch, layer, sim_base, dims)
+    layer, dims, sides = _check_args(arch, layer, sim_base, dims)
     runs = [(sides[layer] // 2, sides[layer] // 2 + 1)]
     clipped = False
     for spec, length in zip(arch.layers[layer:], sides[layer + 1 :]):
@@ -377,7 +380,8 @@ def numeric_footprint(
     holds a reached position.
     """
     semantics = Semantics(semantics)
-    lengths = _check_args(arch, layer, sim_base, dims)[layer:]
+    layer, dims, sides = _check_args(arch, layer, sim_base, dims)
+    lengths = sides[layer:]
     seed = _check_seed(seed)
     if not math.isfinite(magnitude):
         raise ValueError(f"impulse magnitude must be finite, got {magnitude}")

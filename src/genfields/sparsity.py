@@ -10,6 +10,8 @@ those sets across a batch of tests.
 
 from __future__ import annotations
 
+import operator
+
 from ._np import np
 from ._record import record
 from .losses import _finite_array
@@ -38,8 +40,8 @@ class SparsityReport:
     """Mean histogram over tests, with per-bin population standard deviations.
 
     ``high_functional_count`` is the mean number of normalized entries
-    strictly above 0.6 per test; entries exactly at the threshold do not
-    count.
+    strictly above ``HIGH_FUNCTIONAL_THRESHOLD`` (0.6) per test; entries
+    exactly at the threshold do not count.
     """
 
     bins_mean: np.ndarray
@@ -82,21 +84,25 @@ def _normalize(signals: np.ndarray) -> np.ndarray:
     return magnitudes
 
 
-def _check_bins(bins: int) -> None:
+def _check_bins(bins) -> int:
+    bins = operator.index(bins)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if bins > MAX_HISTOGRAM_CELLS:  # not even one test fits; the value may be too long to print
         raise ValueError(f"bins is above the limit of {MAX_HISTOGRAM_CELLS} histogram cells")
+    return bins
 
 
-def _check_k(k: int) -> None:
+def _check_k(k) -> int:
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return k
 
 
 def _counts(values: np.ndarray, bins: int) -> np.ndarray:
     """Bin counts of each row of a (tests, dims) matrix, by one offset bincount."""
-    _check_bins(bins)
+    bins = _check_bins(bins)
     n = len(values)
     if n * bins > MAX_HISTOGRAM_CELLS:
         raise ValueError(
@@ -130,11 +136,7 @@ def histogram_counts(values, bins: int = DEFAULT_BINS) -> np.ndarray:
     return _counts(_as_signal(values)[np.newaxis], bins)[0]
 
 
-def mean_histogram(
-    tests,
-    bins: int = DEFAULT_BINS,
-    high_threshold: float = HIGH_FUNCTIONAL_THRESHOLD,
-) -> SparsityReport:
+def mean_histogram(tests, bins: int = DEFAULT_BINS) -> SparsityReport:
     """Normalize each test's signal, histogram it, and average across tests.
 
     Standard deviations are population (not sample) values; they are
@@ -152,10 +154,11 @@ def mean_histogram(
     counts = _counts(norm, bins).astype(float)
     if not (counts.sum(axis=1) == dim).all():
         raise AssertionError("histogram counts must sum to the vector dimension")
+    high = np.count_nonzero(norm > HIGH_FUNCTIONAL_THRESHOLD, axis=1)
     return SparsityReport(
         bins_mean=counts.mean(axis=0),
         bins_std=counts.std(axis=0),
-        high_functional_count=float(np.mean(np.count_nonzero(norm > high_threshold, axis=1))),
+        high_functional_count=float(np.mean(high)),
         tests=n,
     )
 
@@ -167,7 +170,7 @@ def topk_set(delta, k: int = DEFAULT_TOP_K) -> TopKSet:
     signal has returns the full index set.
     """
     arr = _as_signal(delta)
-    _check_k(k)
+    k = _check_k(k)
     magnitudes = np.abs(arr)
     if k >= magnitudes.size:
         return TopKSet(k=k, dims=frozenset(range(magnitudes.size)))

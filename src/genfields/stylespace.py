@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 
 from ._np import np
 from ._record import record
@@ -62,7 +63,8 @@ class StyleLayout:
         r = self.ranges[_layer_index([r.layer_id for r in self.ranges], layer_id, self.arch_name)]
         return range(r.start, r.stop)
 
-    def layer_of_dim(self, d: int) -> str:
+    def layer_of_dim(self, d) -> str:
+        d = operator.index(d)
         if not 0 <= d < self.total_dims:
             raise ArchError(f"dimension {d} out of range [0, {self.total_dims})")
         starts = [r.start for r in self.ranges]

@@ -1129,8 +1129,8 @@ def test_mutated_image_and_arch_inputs_exit_cleanly_property(mutation):
         assert got["code"] == 1 and re.match(rf"Error: {name}: sample \d+ above maxval \d+$", got["err"]), got
 
 
-# This process imported numpy before genfields, so the cases above never take the
-# lazy binding's load path.  Each subcommand's cases therefore run again in one fresh
+# This process imported numpy before genfields, so the cases above cannot show which
+# of them import it.  Each subcommand's cases therefore run again in one fresh
 # interpreter that imports genfields.cli first.  The cases matching NO_NUMPY run
 # first there and must leave every numpy submodule unloaded; no case loads click,
 # dataclasses or numpy.random.
@@ -1162,9 +1162,11 @@ def _subcommand(argv):
 
 
 def test_numpy_imported_first_is_the_bound_module():
+    # The binding is not numpy's module object, but every read goes to numpy's namespace.
     import genfields._np
 
-    assert genfields._np.np is sys.modules["numpy"]
+    assert genfields._np.np.ndarray is np.ndarray
+    assert genfields._np.np.errstate is np.errstate
 
 
 def _child_env(**env):
@@ -1176,10 +1178,11 @@ def _child_env(**env):
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _fresh(script, jobs, **env):
+def _fresh(script, jobs, *options, **env):
     """The JSON that ``script`` prints, run in a fresh interpreter with ``jobs`` on stdin."""
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], input=json.dumps(jobs),
-                          capture_output=True, text=True, env=_child_env(**env), timeout=120)
+    proc = subprocess.run([sys.executable, *options, "-W", "error", "-c", script],
+                          input=json.dumps(jobs), capture_output=True, text=True,
+                          env=_child_env(**env), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -1203,6 +1206,31 @@ def test_golden_reports_in_a_fresh_interpreter(subcommand, tmp_path):
         assert not got["click"], name
         assert not got["dataclasses"], name
         assert not got["random"], name
+
+
+def test_golden_reports_without_numpy(tmp_path):
+    # python -S leaves site-packages, and numpy with it, off the path; PYTHONPATH still
+    # names this checkout.  A case that needs an array exits 1 with one line, writing nothing.
+    probe = [sys.executable, "-c", "import genfields.cli, sys; print('numpy' in sys.modules)"]
+    imported = subprocess.run(probe, capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (imported.returncode, imported.stdout) == (0, "False\n"), imported.stderr
+    if subprocess.run([sys.executable, "-S", "-c", "import numpy"], capture_output=True).returncode == 0:
+        pytest.skip("numpy is importable under python -S, so it cannot be hidden")
+    jobs = []
+    for name, case in sorted(GOLDEN["cases"].items()):
+        (tmp_path / name).mkdir()
+        write_golden_inputs(tmp_path / name)
+        jobs.append((name, case["argv"], str(tmp_path / name)))
+    results = _fresh(FRESH_CHILD, jobs, "-S")
+    for name, argv, directory in jobs:
+        got = results[name]
+        assert "Traceback" not in got["err"], name
+        result = golden_result(argv, Path(directory), got["code"], got["out"], got["err"])
+        expected = GOLDEN["cases"][name]
+        if not NO_NUMPY.match(name) and result != expected:
+            needs = f"Error: {_subcommand(argv)} needs numpy, which is not installed\n"
+            expected = {"argv": argv, "code": 1, "out": "", "err": needs, "files": {}}
+        assert result == expected, name
 
 
 # One case per subcommand, an exit-1 and an exit-2 case, and the cases that write

@@ -250,6 +250,9 @@ def test_landmarks_bad_shapes(tmp_path):
     save_vectors_csv(str(path), np.zeros((2, 5)))
     with pytest.raises(ValueError, match="columns"):
         load_landmarks_csv(str(path))
+    path.write_text("1,2,3\n4,x,6\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: landmark CSV row 2, column 2: "):
+        load_landmarks_csv(str(path))
 
 
 # Each reader, the error type it raises, the name its read failures give the
@@ -258,7 +261,7 @@ READERS = [
     (load_arch, ArchParseError, "architecture file", b"{", "malformed architecture file"),
     (load_vectors_csv, ValueError, "vector CSV", b"1,x\n", "vector CSV row 1, column 2"),
     (load_stats_csv, ValueError, "statistics CSV", b"1,2\n", "statistics CSV must start with header"),
-    (load_landmarks_csv, ValueError, "vector CSV", b"1,2\n", "landmark CSV must have 3 or 204"),
+    (load_landmarks_csv, ValueError, "landmark CSV", b"1,2\n", "landmark CSV must have 3 or 204"),
     (read_ppm, ValueError, "image", b"P5\n1 1\n255\n\0", "expected P6 image data"),
     (read_pgm, ValueError, "image", b"P5\n2 2\n255\n\0\0\0", "expected 4 raster bytes, got 3"),
 ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genfields.archgraph import LayerSpec, stylegan2_preset
+from genfields.archgraph import LayerSpec, input_resolution, stylegan2_preset
 from genfields.fields import generative_field
 from genfields.oracle import (
     Semantics,
@@ -18,6 +18,8 @@ from genfields.oracle import (
     verification_csv,
     verify_arch,
 )
+from genfields.sparsity import histogram_counts, mean_histogram, topk_set
+from genfields.stylespace import style_layout
 
 from helpers import make_arch, random_arch
 
@@ -190,6 +192,32 @@ def test_seed_is_any_non_negative_integer():
             numeric_footprint(TOY, 0, sim_base=16, seed=seed)
     with pytest.raises(TypeError):
         numeric_footprint(TOY, 0, sim_base=16, seed=7.0)
+
+
+# A call taking one count or index argument, and a valid int for it.
+INTEGER_ARGUMENTS = {
+    "verify_arch-sim_base": (lambda v: verify_arch(stylegan2_preset(8), sim_base=v), 16),
+    "boolean_footprint-layer": (lambda v: boolean_footprint(TOY, v, sim_base=16), 1),
+    "boolean_footprint-dims": (lambda v: boolean_footprint(TOY, 0, sim_base=16, dims=v), 2),
+    "numeric_footprint-layer": (lambda v: numeric_footprint(TOY, v, sim_base=16), 1),
+    "numeric_footprint-sim_base": (lambda v: numeric_footprint(TOY, 0, sim_base=v), 16),
+    "generative_field-layer": (lambda v: generative_field(TOY, v), 1),
+    "input_resolution-layer": (lambda v: input_resolution(TOY, v), 1),
+    "layer_of_dim-d": (lambda v: style_layout(stylegan2_preset(256)).layer_of_dim(v), 4096),
+    "histogram_counts-bins": (lambda v: histogram_counts(np.array([0.1, 0.7, 1.0]), bins=v), 4),
+    "mean_histogram-bins": (lambda v: mean_histogram([np.array([0.1, 0.7]), np.array([1.0, 0.5])], bins=v), 4),
+    "topk_set-k": (lambda v: topk_set(np.array([0.3, -0.9, 0.1]), k=v), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_count_and_index_arguments_take_integers_only(name):
+    # A numpy int is taken as its plain int, down to the result's repr; a float is refused.
+    call, value = INTEGER_ARGUMENTS[name]
+    assert repr(call(np.int64(value))) == repr(call(value))
+    with pytest.raises(TypeError) as info:
+        call(value + 0.5)
+    assert info.type is TypeError  # not numpy's UFuncTypeError
 
 
 @pytest.mark.parametrize("oracle", [boolean_footprint, numeric_footprint])

@@ -91,6 +91,12 @@ def test_mean_histogram_boundary_not_high():
     assert report.high_functional_count == 1.0
 
 
+def test_high_threshold_keyword_is_gone():
+    # high_functional_count always counts entries above HIGH_FUNCTIONAL_THRESHOLD.
+    with pytest.raises(TypeError, match="high_threshold"):
+        mean_histogram([np.array([0.7, 0.2])], high_threshold=0.6)
+
+
 def test_mean_histogram_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         mean_histogram([np.zeros(3), np.zeros(4)])
