@@ -272,6 +272,7 @@ def stylegan2_preset(resolution: int) -> ArchSpec:
     indices, which are not represented here.  The stack is built as an
     architecture document and goes through the same checks as a file.
     """
+    resolution = operator.index(resolution)
     if resolution not in SUPPORTED_PRESET_RESOLUTIONS:
         raise ArchError(
             f"unsupported preset resolution {resolution}; expected one of "

@@ -17,7 +17,7 @@ is stored.
 from __future__ import annotations
 
 from ._record import record
-from .archgraph import ArchSpec, _check_layer, _layer_index, map_sides
+from .archgraph import ArchSpec, _check_layer, map_sides
 from .fileio import csv_text
 
 __all__ = [
@@ -70,10 +70,6 @@ class FieldTable:
     arch_name: str
     records: tuple[FieldRecord, ...]
     notes: tuple[str, ...] = ()
-
-    def record(self, layer_id: str) -> FieldRecord:
-        ids = [rec.layer_id for rec in self.records]
-        return self.records[_layer_index(ids, layer_id, self.arch_name)]
 
 
 def generative_field(arch: ArchSpec, layer: int) -> int:

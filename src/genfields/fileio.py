@@ -1,10 +1,11 @@
 """Every file read and write: binary images, and CSV vectors and landmarks.
 
-Images use the binary netpbm formats: P6 (PPM, RGB) and P5 (PGM, grayscale),
-8-bit only, mapped to floats in [0, 1] on load.  Vectors (style vectors,
-control signals, embeddings) are CSV with one vector per row and an optional
-``d0,d1,...`` header, which sets the row width.  Landmark files hold one 68-point face per 68 rows of
-x,y,z -- or, equivalently, one face per 204-column row.
+Images are only read, never written: the binary netpbm formats P6 (PPM, RGB)
+and P5 (PGM, grayscale), 8-bit only, mapped to floats in [0, 1].  Vectors
+(style vectors, control signals, embeddings) are CSV with one vector per row
+and an optional ``d0,d1,...`` header, which sets the row width.  Landmark files
+hold one 68-point face per 68 rows of x,y,z -- or, equivalently, one face per
+204-column row.
 
 Every numeric CSV is read by :func:`_numeric_csv`, which makes CR and CRLF
 ``\\n`` once for its two readers, and they decide the header by one rule:
@@ -32,13 +33,11 @@ import warnings
 from array import array
 
 from ._np import np
-from .losses import LANDMARK_COUNT, as_image
+from .losses import LANDMARK_COUNT, _finite_array
 
 __all__ = [
     "read_ppm",
     "read_pgm",
-    "write_ppm",
-    "write_pgm",
     "parse_vectors_csv",
     "load_vectors_csv",
     "csv_text",
@@ -159,26 +158,6 @@ def read_ppm(path: str) -> np.ndarray:
 def read_pgm(path: str) -> np.ndarray:
     """Read a binary P5 PGM file into an (h, w) array in [0, 1]."""
     return _load(path, "image", _parse_netpbm, b"P5", 1, binary=True)
-
-
-def _write_netpbm(path: str, magic: str, arr: np.ndarray) -> None:
-    arr = as_image(arr)
-    raster = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    _save((path, f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode() + raster.tobytes()))
-
-
-def write_ppm(path: str, img) -> None:
-    arr = np.asarray(img, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"PPM output requires an (h, w, 3) image, got shape {arr.shape}")
-    _write_netpbm(path, "P6", arr)
-
-
-def write_pgm(path: str, img) -> None:
-    arr = np.asarray(img, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"PGM output requires an (h, w) image, got shape {arr.shape}")
-    _write_netpbm(path, "P5", arr)
 
 
 _HEADER_CELL = re.compile(r"d\d+$")
@@ -358,9 +337,13 @@ def csv_text(rows) -> str:
 
 
 def vectors_csv(matrix, header: bool = False) -> str:
+    """``matrix`` as vector CSV, one row per vector; a 1-D vector is one row.
+
+    Only what :func:`parse_vectors_csv` reads back is written: anything but a
+    non-empty matrix of finite numbers raises ValueError.
+    """
     arr = np.asarray(matrix, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
+    arr = _finite_array(arr[np.newaxis] if arr.ndim == 1 else arr, "vector CSV output", ndim=2)
     head = [[f"d{j}" for j in range(arr.shape[1])]] if header else []
     return csv_text(head + arr.tolist())
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 import threading
 from typing import NamedTuple
@@ -346,7 +347,8 @@ def _check_alpha(alpha: float) -> None:
 
 
 def min_side_for_scales(scales: int) -> int:
-    """Smallest image side the multi-scale pyramid supports for a scale count (1..5)."""
+    """Smallest image side the multi-scale pyramid supports for a scale count (an int, 1..5)."""
+    scales = operator.index(scales)
     if not 1 <= scales <= len(MS_SSIM_WEIGHTS):
         raise ValueError(f"scales must be in [1, {len(MS_SSIM_WEIGHTS)}], got {scales}")
     return SSIM_WINDOW_SIZE * 2 ** (scales - 1)
@@ -377,11 +379,12 @@ def reconstruction_loss(
     When ``same_inputs`` is set (the attribute image is the identity image),
     returns alpha * (1 - MS-SSIM) + (1 - alpha) * mean per-pixel L1; the L1
     term is a mean so alpha mixes quantities on comparable scales.  Otherwise
-    the loss is exactly 0 regardless of content.
+    the loss is exactly 0 regardless of content, with ``scales`` checked all the same.
     """
     _check_alpha(alpha)
     if not same_inputs:
         _same_shape(as_image, i_attr, i_out, "image")
+        min_side_for_scales(scales)
         return 0.0
     structural = 1.0 - ms_ssim(i_attr, i_out, scales)  # checks both images
     # ms_ssim matched them as (h, w, 1) squeezed to (h, w), so sizes agree, not always shapes

@@ -211,8 +211,10 @@ def face_scale(landmark_sets) -> float:
 
 
 def mask_rle(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Run-length encode a boolean mask as (value, run_length) pairs."""
+    """Run-length encode a 1-D boolean mask as (value, run_length) pairs."""
     mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 1:
+        raise ValueError(f"mask must be 1-D, got shape {mask.shape}")
     if not mask.size:
         return []
     starts = np.concatenate(([0], np.flatnonzero(np.diff(mask)) + 1))

@@ -23,6 +23,14 @@ def random_arch(rng: np.random.Generator, max_depth=6, stride1=False, name="rand
     return make_arch(name, kernels, ups)
 
 
+def write_netpbm(path, img) -> None:
+    """Write an image in [0, 1] as binary netpbm, 8-bit: (h, w) as P5, (h, w, 3) as P6."""
+    img = np.asarray(img, dtype=float)
+    header = f"{'P6' if img.ndim == 3 else 'P5'}\n{img.shape[1]} {img.shape[0]}\n255\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + np.rint(img * 255).astype(np.uint8).tobytes())
+
+
 def literal_field(arch: ArchSpec, layer: int) -> int:
     """Direct transcription of the field formula, as an independent oracle.
 

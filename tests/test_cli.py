@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from genfields import fileio
 from genfields.archgraph import ArchSpec, LayerSpec, serialize_arch, stylegan2_preset
 from genfields.cli import _json_text, main
-from genfields.fileio import save_vectors_csv, write_pgm, write_ppm
+from genfields.fileio import save_vectors_csv
 from genfields.oracle import MAX_ORACLE_CELLS, FootprintResult, numeric_footprint
 from genfields.regularizer import log_likelihood, parse_stats_csv
 
-from helpers import make_arch
+from helpers import make_arch, write_netpbm
 
 
 def run(capsys, *argv):
@@ -617,7 +617,7 @@ def test_losses_identical_inputs_all_zero(capsys, tmp_path):
     lm = tmp_path / "lm.csv"
     save_vectors_csv(str(lm), rng.uniform(0, 255, size=(68, 3)))
     img = tmp_path / "img.ppm"
-    write_ppm(str(img), rng.uniform(size=(176, 176, 3)))
+    write_netpbm(img, rng.uniform(size=(176, 176, 3)))
     code, out, _ = run(
         capsys, "losses",
         "--id-embedding", str(emb), "--out-embedding", str(emb),
@@ -637,8 +637,8 @@ def test_losses_gate_zero_when_not_same(capsys, tmp_path):
     rng = np.random.default_rng(6)
     a = tmp_path / "a.ppm"
     b = tmp_path / "b.ppm"
-    write_ppm(str(a), rng.uniform(size=(176, 176, 3)))
-    write_ppm(str(b), rng.uniform(size=(176, 176, 3)))
+    write_netpbm(a, rng.uniform(size=(176, 176, 3)))
+    write_netpbm(b, rng.uniform(size=(176, 176, 3)))
     code, out, _ = run(
         capsys, "losses", "--attr-image", str(a), "--out-image", str(b), "--format", "json"
     )
@@ -731,8 +731,8 @@ def test_cli_runs_without_scipy(tmp_path):
     # scipy costs ~0.4 s of start-up; keep it off the import path of every command.
     a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
     rng = np.random.default_rng(13)
-    write_pgm(str(a), rng.uniform(size=(16, 16)))
-    write_pgm(str(b), rng.uniform(size=(16, 16)))
+    write_netpbm(a, rng.uniform(size=(16, 16)))
+    write_netpbm(b, rng.uniform(size=(16, 16)))
     script = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = None  # any import of scipy now raises ImportError

@@ -3,7 +3,6 @@ import os
 import re
 import sys
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,8 +20,6 @@ from genfields.fileio import (
     read_ppm,
     save_vectors_csv,
     vectors_csv,
-    write_pgm,
-    write_ppm,
 )
 from genfields.regularizer import (
     _STATS_COLUMNS,
@@ -32,12 +29,14 @@ from genfields.regularizer import (
     stats_csv,
 )
 
+from helpers import write_netpbm
+
 
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, size=(7, 5, 3)).astype(float) / 255.0
     path = tmp_path / "img.ppm"
-    write_ppm(str(path), img)
+    write_netpbm(path, img)
     back = read_ppm(str(path))
     np.testing.assert_allclose(back, img, atol=1e-12)
     assert back.min() >= 0.0 and back.max() <= 1.0
@@ -47,7 +46,7 @@ def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, size=(4, 9)).astype(float) / 255.0
     path = tmp_path / "img.pgm"
-    write_pgm(str(path), img)
+    write_netpbm(path, img)
     np.testing.assert_allclose(read_pgm(str(path)), img, atol=1e-12)
 
 
@@ -94,35 +93,6 @@ def test_netpbm_malformed_header(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(ValueError, match="truncated or malformed header"):
         read_ppm(str(path))
-
-
-def test_write_rejects_out_of_range(tmp_path):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        write_pgm(str(tmp_path / "x.pgm"), np.full((2, 2), 1.5))
-
-
-@pytest.mark.parametrize("write, shape, message", [
-    (write_ppm, (2, 2), r"PPM output requires an \(h, w, 3\) image, got shape \(2, 2\)$"),
-    (write_ppm, (2, 2, 1), r"PPM output requires an \(h, w, 3\) image, got shape \(2, 2, 1\)$"),
-    (write_pgm, (2, 2, 3), r"PGM output requires an \(h, w\) image, got shape \(2, 2, 3\)$"),
-])
-def test_write_rejects_the_wrong_shape(tmp_path, write, shape, message):
-    path = tmp_path / "x.img"
-    with pytest.raises(ValueError, match=message):
-        write(str(path), np.full(shape, 0.5))
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("write, shape", [(write_pgm, (2, 2)), (write_ppm, (2, 2, 3))])
-def test_write_rejects_nan_without_warning(tmp_path, write, shape):
-    img = np.full(shape, 0.5)
-    img[1, 0] = np.nan
-    path = tmp_path / "x.img"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a NaN must not reach the uint8 cast
-        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
-            write(str(path), img)
-    assert not path.exists()
 
 
 def test_vectors_csv_round_trip(tmp_path):
@@ -205,6 +175,19 @@ def test_vector_and_stats_readers_share_row_errors(cells, vector_message, stats_
 def test_vectors_csv_round_trip_bitwise_property(rows, header):
     matrix = np.array(rows)
     assert parse_vectors_csv(vectors_csv(matrix, header)).tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.0, float("nan")]], "vector CSV output values must be finite"),
+    (np.zeros((2, 2, 2)), r"vector CSV output must be a non-empty 2-D matrix, got shape \(2, 2, 2\)"),
+    (5.0, r"vector CSV output must be a non-empty 2-D matrix, got shape \(\)"),
+    ([], r"vector CSV output must be a non-empty 2-D matrix, got shape \(1, 0\)"),
+], ids=["nan", "3-D", "scalar", "empty"])
+def test_vectors_csv_refuses_what_the_reader_refuses(tmp_path, matrix, message):
+    path = tmp_path / "v.csv"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_vectors_csv(str(path), matrix)
+    assert not path.exists()
 
 
 def test_vectors_csv_single_vector_shape():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from genfields import __version__, losses
 from genfields.cli import main
-from genfields.fileio import write_ppm
 from genfields.losses import (
     EulerAngles,
     SSIM_C1,
@@ -27,6 +26,8 @@ from genfields.losses import (
     reconstruction_loss,
     total_loss,
 )
+
+from helpers import write_netpbm
 
 
 def landmarks(seed=0):
@@ -268,8 +269,8 @@ def test_downsample2_matches_reshape_mean(h, w, channel, seed):
 
 def test_losses_report_golden_bytes(capsys, tmp_path):
     a, b = noisy_pair((40, 48, 3), 4)
-    write_ppm(str(tmp_path / "a.ppm"), a)
-    write_ppm(str(tmp_path / "b.ppm"), b)
+    write_netpbm(tmp_path / "a.ppm", a)
+    write_netpbm(tmp_path / "b.ppm", b)
     code = main([
         "losses", "--attr-image", str(tmp_path / "a.ppm"), "--out-image", str(tmp_path / "b.ppm"),
         "--same-inputs", "--scales", "2",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from genfields.archgraph import LayerSpec, input_resolution, stylegan2_preset
 from genfields.fields import generative_field
+from genfields.losses import ms_ssim, reconstruction_loss
 from genfields.oracle import (
     Semantics,
     boolean_footprint,
@@ -207,6 +208,9 @@ INTEGER_ARGUMENTS = {
     "histogram_counts-bins": (lambda v: histogram_counts(np.array([0.1, 0.7, 1.0]), bins=v), 4),
     "mean_histogram-bins": (lambda v: mean_histogram([np.array([0.1, 0.7]), np.array([1.0, 0.5])], bins=v), 4),
     "topk_set-k": (lambda v: topk_set(np.array([0.3, -0.9, 0.1]), k=v), 2),
+    "stylegan2_preset-resolution": (stylegan2_preset, 8),
+    "ms_ssim-scales": (lambda v: ms_ssim(np.ones((24, 24)), np.ones((24, 24)), scales=v), 2),
+    "reconstruction_loss-scales": (lambda v: reconstruction_loss(np.ones((4, 4)), np.ones((4, 4)), scales=v), 2),
 }
 
 

@@ -234,7 +234,7 @@ def test_plan_by_gf_enables_the_run_between_the_passing_layers():
 
 def test_layer_lookups_share_one_message(preset256):
     arch, table, layout = preset256
-    lookups = [arch.layer_index, table.record, layout.dims_of_layer,
+    lookups = [arch.layer_index, layout.dims_of_layer,
                lambda layer_id: plan_by_layers(table, layout, "conv0", layer_id),
                lambda layer_id: _layer_range(arch, f"conv0..{layer_id}")]
     for lookup in lookups:
@@ -350,3 +350,6 @@ def test_mask_rle_round_trip():
         # adjacent runs alternate
         values = [v for v, _ in runs]
         assert all(a != b for a, b in zip(values, values[1:]))
+    for mask, shape in (([[True, False], [False, False]], r"\(2, 2\)"), (True, r"\(\)")):
+        with pytest.raises(ValueError, match=rf"^mask must be 1-D, got shape {shape}$"):
+            mask_rle(np.array(mask))
