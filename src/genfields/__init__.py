@@ -37,7 +37,6 @@ from .oracle import (
     Semantics,
     boolean_footprint,
     numeric_footprint,
-    verification_csv,
     verify_arch,
 )
 from .regularizer import (
@@ -93,7 +92,6 @@ __all__ = [
     "Semantics",
     "boolean_footprint",
     "numeric_footprint",
-    "verification_csv",
     "verify_arch",
     "LayerRange",
     "MaskPlan",

@@ -322,7 +322,7 @@ def cmd_verify(preset, arch_path, semantics, sim_base, layer_span, numeric, seed
     if layer_span is not None:
         indices = tuple(_layer_range(arch, layer_span))
         params["layers"] = layer_span
-    results = verify_arch(arch, sem, sim_base, dims=1, layers=indices)
+    results = verify_arch(arch, sem, sim_base, layers=indices)
 
     disagreements, notes = [], []
     if numeric:

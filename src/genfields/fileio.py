@@ -33,7 +33,7 @@ import warnings
 from array import array
 
 from ._np import np
-from .losses import LANDMARK_COUNT, _finite_array
+from .losses import LANDMARK_COUNT, _finite_array, _float_array
 
 __all__ = [
     "read_ppm",
@@ -342,7 +342,7 @@ def vectors_csv(matrix, header: bool = False) -> str:
     Only what :func:`parse_vectors_csv` reads back is written: anything but a
     non-empty matrix of finite numbers raises ValueError.
     """
-    arr = np.asarray(matrix, dtype=float)
+    arr = _float_array(matrix, "vector CSV output", "a non-empty 2-D matrix")
     arr = _finite_array(arr[np.newaxis] if arr.ndim == 1 else arr, "vector CSV output", ndim=2)
     head = [[f"d{j}" for j in range(arr.shape[1])]] if header else []
     return csv_text(head + arr.tolist())

@@ -100,12 +100,25 @@ class EvalMetrics(NamedTuple):
     pose: float
 
 
+_ARRAY_KINDS = {1: "a non-empty 1-D vector", 2: "a non-empty 2-D matrix"}
+
+
+def _float_array(values, what: str, kind: str) -> np.ndarray:
+    """``values`` as floats, converted once; a ValueError naming ``what`` if they are not numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:  # an int past float's range
+        raise ValueError(f"{what} values must be finite") from None
+    except (TypeError, ValueError):  # ragged, or a string, complex number or other object
+        raise ValueError(f"{what} must be {kind} of numbers") from None
+
+
 def _finite_array(values, what: str, ndim: int = 1) -> np.ndarray:
     """``values`` as a non-empty float array of ``ndim`` axes, all finite; errors begin with ``what``."""
-    arr = np.asarray(values, dtype=float)
+    kind = _ARRAY_KINDS[ndim]
+    arr = _float_array(values, what, kind)
     if arr.ndim != ndim or arr.size == 0:
-        kind = "vector" if ndim == 1 else "matrix"
-        raise ValueError(f"{what} must be a non-empty {ndim}-D {kind}, got shape {arr.shape}")
+        raise ValueError(f"{what} must be {kind}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} values must be finite")
     return arr
@@ -153,7 +166,7 @@ def as_landmarks(points) -> np.ndarray:
 
 def as_image(values) -> np.ndarray:
     """Validate an image: (h, w) or (h, w, 3), values in [0, 1]."""
-    arr = np.asarray(values, dtype=float)
+    arr = _float_array(values, "image", "an (h, w) or (h, w, 3) array")
     if arr.ndim == 3 and arr.shape[2] == 1:
         arr = arr[:, :, 0]
     if arr.ndim not in (2, 3) or (arr.ndim == 3 and arr.shape[2] != 3):

@@ -45,11 +45,11 @@ duplication alone spreads influence, so with kernel-1 upsampling layers this
 semantics can legitimately exceed the analytic bound and will be flagged
 OVER-BUG by :func:`verify_arch`.
 
-By default verification runs in 1D: fields are separable per axis for square
-kernels, and 1D keeps deep stacks cheap.  2D mode is retained for small
-stacks as a safety net.  Footprint sizes are padding-invariant away from
-borders; the ``clipped`` flag records whether the affected region touched a
-boundary at any stage of the simulation.
+Fields of square kernels are separable per axis, so :func:`boolean_footprint`
+and :func:`verify_arch` measure one axis; ``numeric_footprint(dims=2)`` is the
+one 2-D executor.  Footprint sizes are padding-invariant away from borders; the
+``clipped`` flag records whether the affected region touched a boundary at any
+stage of the simulation.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from enum import Enum
 from ._record import record
 from .archgraph import ArchSpec, LayerSpec, _check_layer, map_sides
 from .fields import generative_field
-from .fileio import csv_text
 
 __all__ = [
     "DEFAULT_SEED",
@@ -72,7 +71,6 @@ __all__ = [
     "boolean_footprint",
     "numeric_footprint",
     "verify_arch",
-    "verification_csv",
 ]
 
 DEFAULT_SEED = 7
@@ -200,9 +198,8 @@ def boolean_footprint(
     layer: int,
     semantics: Semantics = Semantics.ZERO_INSERT,
     sim_base: int = 16,
-    dims: int = 1,
 ) -> FootprintResult:
-    """Measure the output span affected by one interior position of a layer input.
+    """Measure, along one axis, the output span one interior position of a layer input affects.
 
     ``sim_base`` replaces the architecture's base resolution for the
     simulation so the impulse has room to spread; if the affected region
@@ -210,7 +207,7 @@ def boolean_footprint(
     measured span is a lower bound.
     """
     semantics = Semantics(semantics)
-    layer, dims, sides = _check_args(arch, layer, sim_base, dims)
+    layer, _, sides = _check_args(arch, layer, sim_base, 1)
     runs = [(sides[layer] // 2, sides[layer] // 2 + 1)]
     clipped = False
     for spec, length in zip(arch.layers[layer:], sides[layer + 1 :]):
@@ -219,7 +216,7 @@ def boolean_footprint(
     return FootprintResult(
         layer_index=layer,
         semantics=semantics,
-        dims=dims,
+        dims=1,
         footprint=runs[-1][1] - runs[0][0],
         analytic=generative_field(arch, layer),
         clipped=clipped,
@@ -364,10 +361,10 @@ def numeric_footprint(
     is linear with no bias, so this is exactly the change the impulse makes to
     any input, f(base + d) - f(base) = f(d), and no base values round its
     edges away.
-    Positive weights forbid cancellation, so this agrees with
-    :func:`boolean_footprint` on every architecture, even where the response
-    overflows: its terms share the impulse's sign, so it becomes an infinity
-    of that sign, never NaN.
+    Positive weights forbid cancellation, so this agrees with the 1-D
+    :func:`boolean_footprint` on every architecture, at ``dims=2`` too, and
+    even where the response overflows: its terms share the impulse's sign, so
+    it becomes an infinity of that sign, never NaN.
 
     Each stage is computed only on the window where the response may be
     nonzero (see :func:`_cone`), bitwise equal to a full-map pass there, so
@@ -425,7 +422,6 @@ def verify_arch(
     arch: ArchSpec,
     semantics: Semantics = Semantics.ZERO_INSERT,
     sim_base: int = 16,
-    dims: int = 1,
     layers: tuple[int, ...] | None = None,
 ) -> list[FootprintResult]:
     """Run boolean_footprint for every layer (or a subset) of an architecture.
@@ -436,14 +432,10 @@ def verify_arch(
     """
     semantics = Semantics(semantics)
     indices = tuple(range(arch.depth)) if layers is None else layers
-    return [boolean_footprint(arch, L, semantics, sim_base, dims) for L in indices]
+    return [boolean_footprint(arch, L, semantics, sim_base) for L in indices]
 
 
 VERIFY_CSV_COLUMNS = ("layer_id", "analytic", "footprint", "semantics", "clipped", "match_class")
-
-
-def verification_csv(arch: ArchSpec, results: list[FootprintResult]) -> str:
-    return csv_text([VERIFY_CSV_COLUMNS, *(verification_row(arch, r) for r in results)])
 
 
 def verification_row(arch: ArchSpec, res: FootprintResult) -> tuple:

@@ -130,10 +130,11 @@ def apply_control(s_id, delta, plan: MaskPlan | None = None) -> np.ndarray:
         raise ValueError(f"length mismatch: style vector {s.size} vs control signal {d.size}")
     if plan is None:
         return s + d
-    if plan.mask.shape != s.shape:
-        raise ValueError(f"length mismatch: plan mask {plan.mask.size} vs vectors {s.size}")
+    if plan.total_dims != s.size:
+        raise ValueError(f"length mismatch: plan mask {plan.total_dims} vs vectors {s.size}")
+    # The mask is true on the span plan.dims alone, so it is never built.
     out = s.copy()
-    out[plan.mask] += d[plan.mask]
+    out[plan.dims.start : plan.dims.stop] += d[plan.dims.start : plan.dims.stop]
     return out
 
 

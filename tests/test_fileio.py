@@ -182,7 +182,11 @@ def test_vectors_csv_round_trip_bitwise_property(rows, header):
     (np.zeros((2, 2, 2)), r"vector CSV output must be a non-empty 2-D matrix, got shape \(2, 2, 2\)"),
     (5.0, r"vector CSV output must be a non-empty 2-D matrix, got shape \(\)"),
     ([], r"vector CSV output must be a non-empty 2-D matrix, got shape \(1, 0\)"),
-], ids=["nan", "3-D", "scalar", "empty"])
+    ([[1.0, 2.0], [3.0]], "vector CSV output must be a non-empty 2-D matrix of numbers"),
+    ([["1", "b"]], "vector CSV output must be a non-empty 2-D matrix of numbers"),
+    ([[1 + 2j, 3.0]], "vector CSV output must be a non-empty 2-D matrix of numbers"),
+    ([[10**400, 1.0]], "vector CSV output values must be finite"),
+], ids=["nan", "3-D", "scalar", "empty", "ragged", "string", "complex", "big-int"])
 def test_vectors_csv_refuses_what_the_reader_refuses(tmp_path, matrix, message):
     path = tmp_path / "v.csv"
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -682,6 +682,37 @@ def test_array_arguments_reject_empty_or_wrong_ndim(name, misshape):
         call(misshape(valid))
 
 
+# Ragged, string and complex input fail numpy's float conversion; an int past
+# float's range is a number, but not a finite float.
+NOT_FLOATS = {
+    "ragged": ([[1.0], [2.0, 3.0]], "must be {kind} of numbers"),
+    "string": (["a", "b"], "must be {kind} of numbers"),
+    "complex": ([1 + 2j, 3], "must be {kind} of numbers"),
+    "big-int": ([10**400, 1.0], "values must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("case", sorted(NOT_FLOATS))
+def test_array_arguments_name_input_that_is_not_floats(name, case):
+    call, _ = ARRAY_ARGUMENTS[name]
+    bad, message = NOT_FLOATS[case]
+    kind = r"a non-empty [12]-D (vector|matrix)"
+    with pytest.raises(ValueError, match=r"^[\w ]+ " + message.format(kind=kind) + "$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FLOATS))
+@pytest.mark.parametrize("which", [0, 1])
+def test_ms_ssim_names_an_image_that_is_not_floats(case, which):
+    bad, message = NOT_FLOATS[case]
+    images = [np.ones((24, 24)), np.ones((24, 24))]
+    images[which] = bad
+    kind = r"an \(h, w\) or \(h, w, 3\) array"
+    with pytest.raises(ValueError, match="^image " + message.format(kind=kind) + "$"):
+        ms_ssim(*images)
+
+
 
 
 def _far_apart(scale=1.0):

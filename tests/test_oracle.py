@@ -16,7 +16,6 @@ from genfields.oracle import (
     Semantics,
     boolean_footprint,
     numeric_footprint,
-    verification_csv,
     verify_arch,
 )
 from genfields.sparsity import histogram_counts, mean_histogram, topk_set
@@ -25,6 +24,11 @@ from genfields.stylespace import style_layout
 from helpers import make_arch, random_arch
 
 TOY = make_arch("toy", [3, 3], [2, 1])
+
+
+def but_dims(res):
+    """A result's fields other than ``dims``, to compare a 2-D result with a 1-D one."""
+    return {name: value for name, value in vars(res).items() if name != "dims"}
 
 
 def safe_sim_base(arch):
@@ -152,7 +156,8 @@ def test_overflowing_impulse_gives_boolean_footprint(monkeypatch, magnitude):
             for dims in (1, 2):
                 for layer in range(arch.depth):
                     num = numeric_footprint(arch, layer, sem, 8, dims=dims, magnitude=magnitude)
-                    assert num == boolean_footprint(arch, layer, sem, 8, dims), (sem, dims, layer)
+                    expected = boolean_footprint(arch, layer, sem, 8)
+                    assert but_dims(num) == but_dims(expected), (sem, dims, layer)
     # the response did overflow, to an infinity of the impulse's sign and never to NaN
     outputs = [np.asarray(out) for out in outputs]
     assert any((np.copysign(1.0, magnitude) * out == math.inf).any() for out in outputs)
@@ -199,7 +204,6 @@ def test_seed_is_any_non_negative_integer():
 INTEGER_ARGUMENTS = {
     "verify_arch-sim_base": (lambda v: verify_arch(stylegan2_preset(8), sim_base=v), 16),
     "boolean_footprint-layer": (lambda v: boolean_footprint(TOY, v, sim_base=16), 1),
-    "boolean_footprint-dims": (lambda v: boolean_footprint(TOY, 0, sim_base=16, dims=v), 2),
     "numeric_footprint-layer": (lambda v: numeric_footprint(TOY, v, sim_base=16), 1),
     "numeric_footprint-sim_base": (lambda v: numeric_footprint(TOY, 0, sim_base=v), 16),
     "generative_field-layer": (lambda v: generative_field(TOY, v), 1),
@@ -224,11 +228,20 @@ def test_count_and_index_arguments_take_integers_only(name):
     assert info.type is TypeError  # not numpy's UFuncTypeError
 
 
-@pytest.mark.parametrize("oracle", [boolean_footprint, numeric_footprint])
+@pytest.mark.parametrize("oracle", [numeric_footprint])  # the one route with a dims argument
 @pytest.mark.parametrize("dims", [0, 3])
 def test_dims_must_be_1_or_2(oracle, dims):
     with pytest.raises(ValueError, match=f"^dims must be 1 or 2, got {dims}$"):
         oracle(TOY, 0, sim_base=16, dims=dims)
+
+
+def test_boolean_route_takes_no_dims():
+    # The boolean route measures one axis; only numeric_footprint runs in 2-D.
+    with pytest.raises(TypeError):
+        boolean_footprint(TOY, 0, dims=2)
+    with pytest.raises(TypeError):
+        verify_arch(TOY, dims=1)
+    assert boolean_footprint(TOY, 0).dims == 1
 
 
 def test_layer_out_of_range():
@@ -238,18 +251,16 @@ def test_layer_out_of_range():
 
 def test_2d_matches_1d_for_square_kernels():
     for sem in Semantics:
-        r1 = boolean_footprint(TOY, 0, sem, sim_base=12, dims=1)
-        r2 = boolean_footprint(TOY, 0, sem, sim_base=12, dims=2)
-        assert r2.footprint == r1.footprint
+        r1 = boolean_footprint(TOY, 0, sem, sim_base=12)
         n2 = numeric_footprint(TOY, 0, sem, sim_base=12, dims=2, seed=5)
-        assert n2.footprint == r1.footprint
+        assert but_dims(n2) == but_dims(r1)
 
 
 def test_2d_stride1_exact():
     arch = make_arch("s1", [5, 3], [1, 1])
-    res = boolean_footprint(arch, 0, sim_base=16, dims=2)
+    res = boolean_footprint(arch, 0, sim_base=16)
     assert res.footprint == res.analytic == 7
-    assert numeric_footprint(arch, 0, sim_base=16, dims=2, seed=1).footprint == 7
+    assert but_dims(numeric_footprint(arch, 0, sim_base=16, dims=2, seed=1)) == but_dims(res)
 
 
 def test_nearest_kernel1_upsample_exceeds_analytic():
@@ -270,15 +281,6 @@ def test_verify_arch_layer_subset():
     arch = stylegan2_preset(8)
     results = verify_arch(arch, sim_base=16, layers=(1, 2))
     assert [r.layer_index for r in results] == [1, 2]
-
-
-def test_verification_csv_format():
-    arch = make_arch("s1", [3, 3], [1, 1])
-    text = verification_csv(arch, verify_arch(arch, sim_base=16))
-    lines = text.strip().splitlines()
-    assert lines[0] == "layer_id,analytic,footprint,semantics,clipped,match_class"
-    assert lines[1] == "conv0,5,5,zero-insert-transposed,false,exact"
-    assert lines[2] == "conv1,3,3,zero-insert-transposed,false,exact"
 
 
 def test_footprint_at_every_layer_of_preset8():
@@ -601,9 +603,10 @@ def test_positions_equal_full_map_masks():
     for i, (arch, layer, _, sim_base, _, dims, _) in enumerate(_cone_corpus(3200, 4099)):
         # the cone corpus makes every 2-D case zero-insert; alternate in blocks of 4
         sem = list(Semantics)[i // 4 % 2]
+        # a 2-D full-map mask spans S x S for the 1-D affected set S
         expected = reference_boolean(arch, layer, sem, sim_base, dims)
-        result = boolean_footprint(arch, layer, sem, sim_base, dims)
-        assert result == expected, (arch, layer, sem, sim_base, dims)
+        result = boolean_footprint(arch, layer, sem, sim_base)
+        assert but_dims(result) == but_dims(expected), (arch, layer, sem, sim_base, dims)
         assert type(result.clipped) is bool
         seen.add((dims, sem))
         clipped += expected.clipped

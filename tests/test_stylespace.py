@@ -123,6 +123,16 @@ def test_apply_control_length_mismatch():
         apply_control(np.zeros(3), np.zeros(3), plan)
 
 
+def test_apply_control_checks_sizes_before_any_mask():
+    # A 2**62-dim layer: building the plan's mask would ask numpy for 4 EiB.
+    arch = ArchSpec(name="huge", base_resolution=4, layers=(
+        LayerSpec("conv0", 3, 1, 4, 2**62), LayerSpec("conv1", 3, 1, 2**62, 4)))
+    plan = plan_by_layers(fields_table(arch), style_layout(arch), "conv1", "conv1")
+    with pytest.raises(ValueError, match=f"^length mismatch: plan mask {2**62 + 4} vs vectors 4$"):
+        apply_control(np.zeros(4), np.zeros(4), plan)
+    assert "mask" not in vars(plan)  # the cached mask was never built
+
+
 @pytest.mark.parametrize("s_id, delta, named", [
     ([1.0, 2.0], [np.nan, 0.5], "control signal"),  # dim 0: enabled by the plan
     ([1.0, 2.0], [0.5, np.nan], "control signal"),  # dim 1: masked out by the plan
@@ -145,6 +155,10 @@ def test_mask_idempotent():
     once = apply_control(np.zeros(layout.total_dims), delta, plan)
     twice = apply_control(np.zeros(layout.total_dims), once, plan)
     np.testing.assert_array_equal(once, twice)
+    # the span sums are the mask's, bit for bit
+    expected = np.zeros(layout.total_dims)
+    expected[plan.mask] += delta[plan.mask]
+    assert once.tobytes() == expected.tobytes()
 
 
 def test_plan_by_gf_published_configurations(preset256):
