@@ -104,12 +104,15 @@ _ARRAY_KINDS = {1: "a non-empty 1-D vector", 2: "a non-empty 2-D matrix"}
 
 
 def _float_array(values, what: str, kind: str) -> np.ndarray:
-    """``values`` as floats, converted once; a ValueError naming ``what`` if they are not numbers."""
+    """``values`` as floats, converted once; a ValueError naming ``what`` if they are not real numbers."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":  # casting would drop the imaginary part
+            raise TypeError
+        return arr.astype(float, copy=False)
     except OverflowError:  # an int past float's range
         raise ValueError(f"{what} values must be finite") from None
-    except (TypeError, ValueError):  # ragged, or a string, complex number or other object
+    except (TypeError, ValueError):  # ragged, complex, or a string or other object
         raise ValueError(f"{what} must be {kind} of numbers") from None
 
 

@@ -11,12 +11,12 @@ Two independent propagation routes are implemented on purpose:
 
 * :func:`boolean_footprint` tracks the sorted runs of affected positions
   using index adjacency rules only;
-* :func:`numeric_footprint` runs a real convolution executor with strictly
-  positive seeded pseudo-random weights and measures the impulse response,
+* :func:`numeric_footprint` runs a real convolution executor with seeded
+  pseudo-random weights in [1, 2] and measures the impulse response,
   counting a position as affected where that response is nonzero.
 
-Positive weights forbid cancellation, so the two must agree; the test suite
-asserts that they do.  Neither route shares code with the analytic formula.
+Weights of at least 1 forbid cancellation and underflow, so the two must
+agree (the test suite asserts it); neither shares code with the analytic formula.
 
 The boolean route holds the exact affected positions of one axis, with no
 window, as sorted half-open runs.  Every adjacency rule acts on one axis at a
@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-import sys
 from enum import Enum
 
 from ._record import record
@@ -75,7 +74,7 @@ __all__ = [
 
 DEFAULT_SEED = 7
 
-WEIGHT_LOW, WEIGHT_HIGH = 0.1, 1.0
+WEIGHT_LOW, WEIGHT_HIGH = 1.0, 2.0
 # Largest map, in cells, either oracle accepts; neither allocates it.  The
 # limit keeps every position index bounded.  It also caps each stage's
 # positions x taps count, which bounds that stage's work in either oracle
@@ -343,6 +342,22 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_magnitude(magnitude) -> float:
+    """``magnitude`` as a float; ValueError unless it is a finite, nonzero real number."""
+    import numbers  # not loaded at start-up; numpy registers its real types with it
+    if not isinstance(magnitude, numbers.Real):  # a complex, say, whose float() drops a part
+        raise ValueError(f"impulse magnitude must be a real number, got {type(magnitude).__name__}")
+    try:
+        value = float(magnitude)
+    except OverflowError:  # an int past float's range, maybe of too many digits to print
+        raise ValueError("impulse magnitude must be finite") from None
+    if not math.isfinite(value):
+        raise ValueError(f"impulse magnitude must be finite, got {value}")
+    if value == 0.0:
+        raise ValueError("impulse magnitude must be nonzero")
+    return value
+
+
 def numeric_footprint(
     arch: ArchSpec,
     layer: int,
@@ -354,55 +369,36 @@ def numeric_footprint(
 ) -> FootprintResult:
     """Measure the footprint with a real executor instead of adjacency rules.
 
-    The stack is instantiated with weights in [0.1, 1.0) drawn from one
+    The stack is instantiated with weights ``WEIGHT_LOW + random()`` from one
     ``random.Random(seed)``, each stage's kernel whole and row-major, in stage
-    order, and ``magnitude`` at one interior input position is propagated
-    alone; positions whose response is nonzero count as affected.  The stack
-    is linear with no bias, so this is exactly the change the impulse makes to
-    any input, f(base + d) - f(base) = f(d), and no base values round its
-    edges away.
-    Positive weights forbid cancellation, so this agrees with the 1-D
-    :func:`boolean_footprint` on every architecture, at ``dims=2`` too, and
-    even where the response overflows: its terms share the impulse's sign, so
-    it becomes an infinity of that sign, never NaN.
+    order: random() is at most 1 - 2**-53, and 1 + (1 - 2**-53) rounds to 2.0,
+    so they lie in the closed [1, 2].  ``magnitude`` at one interior input
+    position is propagated alone, on :func:`_cone`'s windows; positions whose
+    response is nonzero count as affected.  Every weight is finite and at
+    least 1, so a path's product never falls below ``|magnitude|`` and the
+    terms of a sum share its sign: no response underflows and none cancels.
+    This agrees with the 1-D :func:`boolean_footprint` on every architecture,
+    at ``dims=2`` too, and even where the response overflows: Python floats
+    overflow silently to an infinity of the impulse's sign, never NaN.
 
-    Each stage is computed only on the window where the response may be
-    nonzero (see :func:`_cone`), bitwise equal to a full-map pass there, so
-    the cost follows the field size, not ``sim_base``.
-
-    ``seed`` is any non-negative integer, numpy's included; ``magnitude`` must
-    be finite, nonzero and large enough that no response underflows to zero.
-    Then some output is always affected: every path product stays at or above
-    the smallest normal float, no sum cancels, and every window of the cone
-    holds a reached position.
+    ``seed`` is any non-negative integer, numpy's included; ``magnitude`` is
+    any finite, nonzero real number, numpy's included.
     """
     semantics = Semantics(semantics)
     layer, dims, sides = _check_args(arch, layer, sim_base, dims)
     lengths = sides[layer:]
-    seed = _check_seed(seed)
-    if not math.isfinite(magnitude):
-        raise ValueError(f"impulse magnitude must be finite, got {magnitude}")
-    if magnitude == 0.0:
-        raise ValueError("impulse magnitude must be nonzero")
+    seed, magnitude = _check_seed(seed), _check_magnitude(magnitude)
     windows = _cone(arch, layer, semantics, lengths)
     for spec, (lo, hi) in zip(arch.layers[layer:], windows[1:]):
         # Positions x taps; with at least one position, it bounds the
         # buffer, (hi - lo + k - 1)**dims, and the k**dims weights.
         _check_stage(spec, ((hi - lo) * spec.kernel) ** dims)
-    x = [float(magnitude)] if dims == 1 else [[float(magnitude)]]
+    x = [magnitude] if dims == 1 else [[magnitude]]
 
-    # Each nonzero response holds a path's |magnitude| x one weight per stage.
-    # Python floats overflow to an infinity of the same sign, without a warning.
-    floor = abs(magnitude)
-    clipped = False
-    rng, scale = random.Random(seed), WEIGHT_HIGH - WEIGHT_LOW
+    clipped, rng = False, random.Random(seed)
     for s, spec in enumerate(arch.layers[layer:], start=1):
         k = spec.kernel
-        # random() is at most 1 - 2**-53, which maps just below WEIGHT_HIGH.
-        w = [WEIGHT_LOW + scale * rng.random() for _ in range(k**dims)]
-        floor *= min(w)
-        if floor < sys.float_info.min:
-            raise ValueError(f"layer {spec.id}: impulse magnitude {magnitude} may underflow to 0")
+        w = [WEIGHT_LOW + rng.random() for _ in range(k**dims)]
         if dims == 2:
             w = [w[i : i + k] for i in range(0, k * k, k)]
         x = _stage(x, windows[s - 1][0], w, spec.upsample, semantics, windows[s])

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -621,6 +622,7 @@ from genfields.regularizer import (  # noqa: E402
     log_likelihood_grad,
     regularized_objective,
 )
+from genfields.fileio import vectors_csv  # noqa: E402
 from genfields.sparsity import histogram_counts, mean_histogram, normalize_abs, topk_set  # noqa: E402
 from genfields.stylespace import apply_control, face_scale  # noqa: E402
 
@@ -711,6 +713,41 @@ def test_ms_ssim_names_an_image_that_is_not_floats(case, which):
     kind = r"an \(h, w\) or \(h, w, 3\) array"
     with pytest.raises(ValueError, match="^image " + message.format(kind=kind) + "$"):
         ms_ssim(*images)
+
+
+# numpy complex input casts to float with only a ComplexWarning, dropping the
+# imaginary part.  Each case is a valid argument's complex counterpart; in 1-D the
+# list holds numpy complex scalars.
+COMPLEX_INPUTS = {
+    "complex128": lambda x: x + 5j,
+    "complex64": lambda x: x.astype(np.complex64),
+    "list": lambda x: list(x + 1j),
+}
+COMPLEX_CALLS = {
+    **ARRAY_ARGUMENTS,
+    "ms_ssim a": (lambda x: ms_ssim(x, np.ones((24, 24))), np.ones((24, 24))),
+    "ms_ssim b": (lambda x: ms_ssim(np.ones((24, 24)), x), np.ones((24, 24))),
+    "vectors_csv": (vectors_csv, _STYLES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_CALLS))
+@pytest.mark.parametrize("case", sorted(COMPLEX_INPUTS))
+def test_array_arguments_refuse_numpy_complex(name, case):
+    # With the warnings filter off, so that the refusal, not the warning, stops the call.
+    call, valid = COMPLEX_CALLS[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"^[\w ]+ must be .+ of numbers$"):
+            call(COMPLEX_INPUTS[case](valid))
+    assert not caught
+
+
+def test_float_array_argument_is_not_copied():
+    # The dtype check reads the array numpy already has; a float64 one passes as itself.
+    assert as_embedding(_VEC) is _VEC
+    image = np.ones((24, 24))
+    assert as_image(image) is image
 
 
 

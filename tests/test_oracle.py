@@ -177,15 +177,34 @@ def test_deep_stack_edges_reach_the_numeric_footprint(semantics, seed):
         assert numeric_footprint(arch, layer, semantics, 1024, seed=seed) == expected, layer
 
 
-def test_underflowing_impulse_refused_by_layer():
-    # 5e-324 times any weight rounds to 0, which would cut the footprint short.
+def test_deep_stack_and_tiny_impulses_agree_with_boolean():
+    # Every weight is at least 1, so no path's product falls below the impulse:
+    # 600 layers, and impulses of 5e-324 and -1e-300, reach what the boolean route does.
+    deep = make_arch("deep600", [3] * 600, [1] * 600)
+    expected = boolean_footprint(deep, 0, sim_base=2048)
+    assert (expected.footprint, expected.clipped) == (1201, False)
+    assert numeric_footprint(deep, 0, sim_base=2048) == expected
     arch = stylegan2_preset(1024)
-    with pytest.raises(ValueError, match=r"^layer conv0: impulse magnitude 5e-324 may underflow to 0$"):
-        numeric_footprint(arch, 0, sim_base=1024, magnitude=5e-324)
-    with pytest.raises(ValueError, match=r"^layer conv11: impulse magnitude -1e-300 may underflow"):
-        numeric_footprint(arch, 0, sim_base=1024, magnitude=-1e-300)
     expected = boolean_footprint(arch, 0, sim_base=1024)
-    assert numeric_footprint(arch, 0, sim_base=1024, magnitude=-1e-280) == expected
+    for magnitude in (5e-324, -1e-300):
+        assert numeric_footprint(arch, 0, sim_base=1024, magnitude=magnitude) == expected
+
+
+def test_magnitude_is_taken_once_as_a_real_number():
+    # With the warnings filter off: a refusal, not numpy's ComplexWarning, must stop
+    # a complex; an int past float's range is refused without printing its digits.
+    expected = numeric_footprint(TOY, 0, sim_base=16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for magnitude in (10**400, -(10**400), 10**5000):
+            with pytest.raises(ValueError, match="^impulse magnitude must be finite$"):
+                numeric_footprint(TOY, 0, sim_base=16, magnitude=magnitude)
+        for magnitude in (1 + 1j, np.complex128(1 + 1j), np.complex64(1)):
+            with pytest.raises(ValueError, match=r"^impulse magnitude must be a real number, got complex"):
+                numeric_footprint(TOY, 0, sim_base=16, magnitude=magnitude)
+        for magnitude in (np.float32(-2.5), np.int64(3), 10**300):
+            assert numeric_footprint(TOY, 0, sim_base=16, magnitude=magnitude) == expected
+    assert not caught
 
 
 def test_seed_is_any_non_negative_integer():
@@ -349,7 +368,7 @@ def _span(mask: np.ndarray) -> int:
 
 
 def _draw(rng, count):
-    """The next ``count`` weights of ``rng``, uniform in [WEIGHT_LOW, WEIGHT_HIGH)."""
+    """The next ``count`` weights of ``rng``, uniform in the closed [WEIGHT_LOW, WEIGHT_HIGH]."""
     return [WEIGHT_LOW + (WEIGHT_HIGH - WEIGHT_LOW) * rng.random() for _ in range(count)]
 
 
@@ -366,7 +385,8 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude):
     for spec in arch.layers[layer:]:
         kshape = (spec.kernel,) * dims
         w = np.array(_draw(rng, spec.kernel**dims)).reshape(kshape)
-        x = _numeric_step(x, w, spec.upsample, semantics)
+        with np.errstate(over="ignore"):  # a 1e300 impulse overflows to an infinity
+            x = _numeric_step(x, w, spec.upsample, semantics)
         stages.append(x)
         affected = x != 0
         clipped = clipped or _touches_border(affected)
@@ -385,9 +405,10 @@ def reference_numeric(arch, layer, semantics, sim_base, seed, dims, magnitude):
 def _cone_corpus(count, seed):
     """Seeded (arch, layer, semantics, sim_base, seed, dims, magnitude) cases.
 
-    Kernels 1-7, upsample factors 1-4, sim_base 3-40, magnitudes 1, 1e-6 and
-    -3; every fourth case is 2-D, kept under 160 positions per axis so the
-    full-map reference stays fast.
+    Kernels 1-7, upsample factors 1-4, sim_base 3-40, magnitudes 1, 1e-6, -3
+    and the extremes 5e-324 (the smallest subnormal), -1e-300 and 1e300; every
+    fourth case is 2-D, kept under 160 positions per axis so the full-map
+    reference stays fast.
     """
     rng = np.random.default_rng(seed)
     cases = []
@@ -407,7 +428,7 @@ def _cone_corpus(count, seed):
             sim_base,
             int(rng.integers(0, 2**31)),
             dims,
-            float(rng.choice([1.0, 1e-6, -3.0])),
+            float(rng.choice([1.0, 1e-6, -3.0, 5e-324, -1e-300, 1e300])),
         ))
     return cases
 
@@ -429,6 +450,8 @@ def test_windowed_executor_bitwise_equals_full_map(monkeypatch):
         assert numeric_footprint(
             arch, layer, sem, sim_base, seed=seed, dims=dims, magnitude=magnitude
         ) == expected, (arch, layer, sem, sim_base, dims)
+        # at every magnitude, from 5e-324 to 1e300, in 1-D and 2-D alike
+        assert but_dims(expected) == but_dims(boolean_footprint(arch, layer, sem, sim_base))
         assert len(calls) == len(stages)
         for (window, out), full in zip(calls, stages):
             inside = (slice(window[0], window[1]),) * dims
@@ -745,9 +768,11 @@ def test_2d_numeric_is_the_square_of_1d(layers, sim_base, seed, data):
     assert not kernels
 
 
-def test_weights_reach_neither_end_of_the_range():
-    # random()'s extreme outputs map to WEIGHT_LOW and to just below WEIGHT_HIGH.
-    for draw, expected in ((0.0, WEIGHT_LOW), (1 - 2**-53, math.nextafter(WEIGHT_HIGH, 0))):
+def test_weights_reach_both_ends_of_the_closed_range():
+    # random()'s extreme outputs map to WEIGHT_LOW and, as 1 + (1 - 2**-53) rounds
+    # to 2.0, to WEIGHT_HIGH itself: the weights lie in the closed [1, 2].
+    assert (WEIGHT_LOW, WEIGHT_HIGH) == (1.0, 2.0)
+    for draw, expected in ((0.0, WEIGHT_LOW), (1 - 2**-53, WEIGHT_HIGH)):
         for dims in (1, 2):
             with _weight_spy() as kernels, pytest.MonkeyPatch.context() as mp:
                 mp.setattr(random.Random, "random", lambda self, draw=draw: draw)
@@ -755,4 +780,4 @@ def test_weights_reach_neither_end_of_the_range():
             weights = [v for w in kernels for v in (w if dims == 1 else sum(w, []))]
             assert len(weights) == 2 * 3**dims
             assert all(v == expected for v in weights)
-            assert all(WEIGHT_LOW <= v < WEIGHT_HIGH for v in weights)
+            assert all(WEIGHT_LOW <= v <= WEIGHT_HIGH for v in weights)
